@@ -448,22 +448,28 @@ def cmd_sweep(args) -> int:
     else:
         payloads = [_sweep_one(document, args.axis, v) for v in values]
 
+    numeric_values = []
+    for value in values:
+        loaded = yaml.safe_load(value)
+        numeric = loaded if isinstance(loaded, (int, float)) \
+            else float(str(loaded).split()[0])
+        numeric_values.append(float(numeric))
+    slope = None
+    if payloads[0]["kind"] == "t1" and len(values) >= 2:
+        slope = _loglog_slope(numeric_values,
+                              [p["summary"]["fitted_t1_s"] for p in payloads])
+
     sweep_dir = _make_run_dir(config.output,
                               config_digest(config.resolved))
     summary_rows = []
     summary_keys = sorted({k for p in payloads for k in p["summary"]
                            if isinstance(p["summary"][k], (int, float))
                            and p["summary"][k] is not None})
-    numeric_values = []
-    for value, payload in zip(values, payloads):
+    for value, numeric, payload in zip(values, numeric_values, payloads):
         sub_dir = sweep_dir / f"{_slug(args.axis)}-{_slug(value)}"
         sub_dir.mkdir()
         _write_payload(sub_dir, payload)
-        loaded = yaml.safe_load(value)
-        numeric = loaded if isinstance(loaded, (int, float)) \
-            else float(str(loaded).split()[0])
-        numeric_values.append(float(numeric))
-        row = [float(numeric)]
+        row = [numeric]
         for k in summary_keys:
             cell = payload["summary"].get(k, math.nan)
             row.append(math.nan if cell is None else float(cell))
@@ -477,12 +483,9 @@ def cmd_sweep(args) -> int:
         "seed": config.seed,
         "summaries": {v: p["summary"] for v, p in zip(values, payloads)},
     }
-    kind = payloads[0]["kind"]
-    if kind == "t1" and len(values) >= 2:
-        t1s = np.array([p["summary"]["fitted_t1_s"] for p in payloads])
-        slope = np.polyfit(np.log(numeric_values), np.log(t1s), 1)[0]
-        sweep_meta["loglog_slope"] = float(slope)
-        sweep_meta["rate_exponent"] = float(-slope)
+    if slope is not None:
+        sweep_meta["loglog_slope"] = slope
+        sweep_meta["rate_exponent"] = -slope
     write_trace_file(sweep_dir / "sweep_summary.csv",
                      [_slug(args.axis)] + summary_keys, summary_rows,
                      comments=[f"sweep over {args.axis}",
@@ -491,6 +494,21 @@ def cmd_sweep(args) -> int:
     _write_meta(sweep_dir / "sweep_meta.yaml", sweep_meta)
     print(sweep_dir)
     return 0
+
+
+def _loglog_slope(axis_values, t1s) -> float:
+    """Slope of log T1 against the log of the swept value."""
+    axis_values = np.asarray(axis_values, dtype=float)
+    t1s = np.asarray(t1s, dtype=float)
+    if not np.all(np.isfinite(axis_values) & (axis_values > 0)):
+        raise ValidationError(
+            f"the log-log T1 fit needs finite positive sweep values, got "
+            f"{axis_values.tolist()}")
+    if not np.all(np.isfinite(t1s) & (t1s > 0)):
+        raise NumericsError(
+            f"the log-log T1 fit needs finite positive fitted T1 values, "
+            f"got {t1s.tolist()} s")
+    return float(np.polyfit(np.log(axis_values), np.log(t1s), 1)[0])
 
 
 def _slug(text) -> str:
@@ -556,7 +574,7 @@ def main(argv=None) -> int:
         for problem in err.problems:
             print(f"  - {problem}", file=sys.stderr)
         return 2
-    except NumericsError as err:
+    except (NumericsError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except OSError as err:

@@ -445,6 +445,13 @@ def parse_run_config(document: dict) -> RunConfig:
             ("rabi", "ramsey", "echo") and not pulse_section:
         problems.add(f"experiment '{experiment['kind']}' requires a "
                      "pulse section")
+    # fringe experiments sample the spin precession, so it must run
+    if experiment is not None and experiment["kind"] in ("ramsey", "echo") \
+            and levels is not None and not levels.electron_splitting > 0:
+        problems.add(f"experiment '{experiment['kind']}' needs a positive "
+                     f"spin precession frequency; got "
+                     f"{levels.electron_splitting} rad/s at field.magnitude "
+                     f"= {field_config.magnitude} T")
 
     problems.raise_if_any()
     resolved = plain_data(resolved)

@@ -267,7 +267,7 @@ def _lm_minimize(residual_fn, p0, lower, upper, max_iterations=500,
     jac = None
 
     for iterations in range(1, max_iterations + 1):
-        jac = _numeric_jacobian(residual_fn, p, lower, upper)
+        jac = _numeric_jacobian(residual_fn, p, lower, upper, r)
         normal = jac.T @ jac
         grad = jac.T @ r
         diag = np.diag(normal).copy()
@@ -331,8 +331,12 @@ def _lm_minimize(residual_fn, p0, lower, upper, max_iterations=500,
     }
 
 
-def _numeric_jacobian(residual_fn, p, lower, upper):
-    r0 = residual_fn(p)
+def _numeric_jacobian(residual_fn, p, lower, upper, r0):
+    """Central differences; ``r0`` is the caller's residual at ``p``.
+
+    A side that a bound clamps back to ``p`` reuses ``r0`` instead of
+    evaluating the residual there again.
+    """
     jac = np.empty((r0.size, p.size))
     for k in range(p.size):
         h = _SQRT_EPS * max(abs(p[k]), 1.0)
@@ -344,7 +348,9 @@ def _numeric_jacobian(residual_fn, p, lower, upper):
         if span == 0.0:
             jac[:, k] = 0.0
             continue
-        jac[:, k] = (residual_fn(up) - residual_fn(dn)) / span
+        r_up = r0 if up[k] == p[k] else residual_fn(up)
+        r_dn = r0 if dn[k] == p[k] else residual_fn(dn)
+        jac[:, k] = (r_up - r_dn) / span
     return jac
 
 
@@ -397,7 +403,7 @@ def fit_curve(model, x, y, weights=None, max_iterations: int = 500) -> FitResult
     jac = info["jacobian"]
     if jac is None:
         jac = _numeric_jacobian(residual_fn, p, np.asarray(lower),
-                                np.asarray(upper))
+                                np.asarray(upper), info["residual"])
     cov = chi2_red * np.linalg.pinv(jac.T @ jac)
     cov = 0.5 * (cov + cov.T)
     sigma = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -611,13 +617,16 @@ def simultaneous_fit_rabi_fringe(rabi_energies, rabi_p_up,
         return np.concatenate([rabi, fringe])
 
     penalty = 1e6 * max(float(np.linalg.norm(y_all * sw)), 1.0)
+    models = {}  # forward model by parameter bytes, reused at the result
 
     def residual_fn(p):
         try:
-            return (forward(p) - y_all) * sw
+            model = forward(p)
         except Exception as exc:  # forward model failed at these parameters
             logger.warning("forward model rejected parameters %s: %s", p, exc)
             return np.full(y_all.shape, penalty)
+        models[p.tobytes()] = model
+        return (model - y_all) * sw
 
     p0 = [init["calibration"], init["beta1"], init["beta2"]]
     lower = [np.finfo(float).tiny, 0.0, 0.0]
@@ -630,7 +639,7 @@ def simultaneous_fit_rabi_fringe(rabi_energies, rabi_p_up,
     jac = info["jacobian"]
     if jac is None:
         jac = _numeric_jacobian(residual_fn, p, np.asarray(lower),
-                                np.asarray(upper))
+                                np.asarray(upper), info["residual"])
     cov = chi2_red * np.linalg.pinv(jac.T @ jac)
     cov = 0.5 * (cov + cov.T)
     sigma = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -644,7 +653,9 @@ def simultaneous_fit_rabi_fringe(rabi_energies, rabi_p_up,
         converged=info["converged"],
         message=info["message"],
     )
-    best = forward(p)
+    best = models.get(p.tobytes())
+    if best is None:  # the model failed at p: raise its error here
+        best = forward(p)
     pulse_at_best = replace(pulse_template, calibration=p[0])
     peaks = np.array([
         replace(pulse_at_best, energy=e).peak_rabi

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .errors import IntegrationFailure, NumericsError, ValidationError
@@ -366,6 +365,8 @@ def integrate_master(rho0, hamiltonian, dissipators: DissipatorSet,
 
 
 def _integrate_adaptive(rho, h_func, dissipators, rabi_func, config, t0, t1, t_eval):
+    from scipy.integrate import solve_ivp  # only the adaptive paths need it
+
     def rhs(t, y):
         return lindblad_rhs(y.reshape(_DIM, _DIM), h_func(t), dissipators,
                             rabi_func(t)).ravel()
@@ -479,6 +480,8 @@ def pulse_window_propagator(levels: LevelScheme, pulse: PulseSpec,
         return w
 
     # adaptive method on the propagator equation dW/dt = L(t) W
+    from scipy.integrate import solve_ivp
+
     max_step = min(config.max_step, pulse.duration / 50.0)
 
     def rhs(t, y):

@@ -533,6 +533,24 @@ def _clip_populations(values: np.ndarray, tol: float = 1e-6) -> np.ndarray:
 # single-pulse experiments
 
 
+def _pulse_populations(energies, levels, pulse, dissipators, initial,
+                       integrator, expm_steps, flats):
+    """Populations after one control pulse, one propagator per energy.
+
+    Returns one clipped (n,) array per flat density-matrix index in
+    ``flats``, all read from the same pulse-window propagator.
+    """
+    v0 = _as_matrix(initial).reshape(16)
+    out = np.empty((len(flats), len(energies)))
+    for k, energy in enumerate(energies):
+        w = pulse_window_propagator(levels, replace(pulse, energy=float(energy)),
+                                    dissipators, config=integrator,
+                                    expm_steps=expm_steps)
+        for j, flat in enumerate(flats):
+            out[j, k] = float(np.real(w[flat] @ v0))
+    return [_clip_populations(row) for row in out]
+
+
 def rabi_populations(energies, levels: LevelScheme, pulse: PulseSpec,
                      dissipators: DissipatorSet, initial=None,
                      integrator: IntegratorConfig | None = None,
@@ -542,14 +560,8 @@ def rabi_populations(energies, levels: LevelScheme, pulse: PulseSpec,
     flat = {"p_up": _UP_FLAT, "p_down": _DOWN_FLAT}.get(observable)
     if flat is None:
         raise ValidationError(f"unknown observable {observable!r}")
-    v0 = _as_matrix(initial).reshape(16)
-    out = np.empty(len(energies))
-    for k, energy in enumerate(energies):
-        w = pulse_window_propagator(levels, replace(pulse, energy=float(energy)),
-                                    dissipators, config=integrator,
-                                    expm_steps=expm_steps)
-        out[k] = float(np.real(w[flat] @ v0))
-    return _clip_populations(out)
+    return _pulse_populations(energies, levels, pulse, dissipators, initial,
+                              integrator, expm_steps, (flat,))[0]
 
 
 def run_rabi_sweep(energies, levels: LevelScheme, pulse: PulseSpec,
@@ -569,10 +581,9 @@ def run_rabi_sweep(energies, levels: LevelScheme, pulse: PulseSpec,
     if np.any(energies < 0):
         raise ValidationError("pulse energies must be non-negative")
     rho0 = _prepare_initial(initial, pump, levels, dissipators)
-    p_up = rabi_populations(energies, levels, pulse, dissipators, rho0,
-                            integrator, expm_steps, "p_up")
-    p_down = rabi_populations(energies, levels, pulse, dissipators, rho0,
-                              integrator, expm_steps, "p_down")
+    p_up, p_down = _pulse_populations(energies, levels, pulse, dissipators,
+                                      rho0, integrator, expm_steps,
+                                      (_UP_FLAT, _DOWN_FLAT))
     spec = SequenceSpec((ControlPulseSegment(pulse), ReadoutSegment()))
     trace = ExperimentTrace(
         abscissa=energies, abscissa_name="pulse_energy_J",
@@ -796,7 +807,8 @@ def run_echo(tau1: float, tau2, levels: LevelScheme, pulse: PulseSpec,
              seed=None, initial=None, pump: PumpSettings | None = None,
              injected: InjectedDecoherence | None = None,
              integrator: IntegratorConfig | None = None,
-             expm_steps: int = 1024) -> EchoResult:
+             expm_steps: int = 1024, *,
+             _engine: _SequenceEngine | None = None) -> EchoResult:
     """Three equal pulses at 0, tau1, tau1+tau2; scan tau2, read p_up.
 
     A static detuning acquired over tau1 unwinds over tau2, so the
@@ -804,7 +816,8 @@ def run_echo(tau1: float, tau2, levels: LevelScheme, pulse: PulseSpec,
     condition tau2 = tau1 and, for a purely static bath, is independent
     of tau1 + tau2. An ``injected`` channel multiplies the ground
     coherence by its cumulative envelope and is what a decay fit
-    recovers.
+    recovers. ``_engine`` is a prebuilt engine for this pulse, shared
+    by the points of :func:`run_echo_decay`.
     """
     tau2 = np.asarray(tau2, dtype=float)
     if tau2.ndim != 1 or len(tau2) == 0:
@@ -823,8 +836,8 @@ def run_echo(tau1: float, tau2, levels: LevelScheme, pulse: PulseSpec,
 
     samples = _resolve_ensemble(bath, ensemble_mode, bath_samples, seed)
     rho0 = _prepare_initial(initial, pump, levels, dissipators)
-    engine = _SequenceEngine(levels, pulse, dissipators, integrator,
-                             expm_steps)
+    engine = _engine if _engine is not None else _SequenceEngine(
+        levels, pulse, dissipators, integrator, expm_steps)
 
     sil1 = tau1 - 2.0 * w
     sil2 = tau2 - 2.0 * w
@@ -897,22 +910,31 @@ class EchoDecayResult:
 
 def run_echo_decay(tau1_values, levels: LevelScheme, pulse: PulseSpec,
                    dissipators: DissipatorSet, periods: float = 2.0,
-                   points_per_period: int = 9, **kwargs) -> EchoDecayResult:
+                   points_per_period: int = 9, *, initial=None,
+                   pump: PumpSettings | None = None,
+                   integrator: IntegratorConfig | None = None,
+                   expm_steps: int = 1024, **kwargs) -> EchoDecayResult:
     """Echo amplitude versus total time: one fringe scan per tau1.
 
     Each tau1 gets a tau2 scan of ``periods`` precession periods
-    centered on the echo condition tau2 = tau1. Keyword arguments pass
-    through to :func:`run_echo`.
+    centered on the echo condition tau2 = tau1. The initial state and
+    the pulse propagator are prepared once and shared by every point.
+    Keyword arguments pass through to :func:`run_echo`.
     """
     tau1_values = np.asarray(tau1_values, dtype=float)
     if tau1_values.ndim != 1 or len(tau1_values) == 0:
         raise ValidationError("tau1_values must be a non-empty 1-D sequence")
     larmor = levels.electron_splitting
+    rho0 = _prepare_initial(initial, pump, levels, dissipators)
+    engine = _SequenceEngine(levels, pulse, dissipators, integrator,
+                             expm_steps)
     points = []
     for tau1 in tau1_values:
         scan = ramsey_window_plan([tau1], larmor, periods,
                                   points_per_period)[0]
         points.append(run_echo(float(tau1), scan, levels, pulse, dissipators,
+                               initial=rho0, integrator=integrator,
+                               expm_steps=expm_steps, _engine=engine,
                                **kwargs))
     metadata = dict(points[0].trace.metadata)
     metadata["experiment"] = "echo_decay"

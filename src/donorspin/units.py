@@ -98,12 +98,12 @@ def parse_quantity(text, dimension: str, key: str = "value") -> float:
         meters, Hz, ...).
 
     Raises:
-        ValidationError: malformed string, unknown unit, or a unit of
-            the wrong dimension.
+        ValidationError: malformed string, unknown unit, a unit of the
+            wrong dimension, or a value that is not finite.
     """
     if isinstance(text, (int, float)) and not isinstance(text, bool):
         if dimension in ("dimensionless", "angle"):
-            return float(text)
+            return _finite(float(text), text, key)
         raise ValidationError(
             f"{key}: expected a quantity string with a {dimension} unit, "
             f"got bare number {text!r}"
@@ -129,7 +129,13 @@ def parse_quantity(text, dimension: str, key: str = "value") -> float:
         raise ValidationError(
             f"{key}: unit {unit!r} has dimension {dim}, expected {dimension}"
         )
-    return value * scale
+    return _finite(value * scale, text, key)
+
+
+def _finite(value: float, text, key: str) -> float:
+    if not math.isfinite(value):
+        raise ValidationError(f"{key}: {text!r} is not a finite quantity")
+    return value
 
 
 def format_si(value: float, unit: str) -> str:

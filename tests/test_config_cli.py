@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +316,42 @@ class TestSimulateCommand:
         assert code == 2
         assert "--config" in stderr
 
+    @pytest.mark.parametrize("value", ["1e400 T", "inf T", "nan T"])
+    def test_non_finite_quantity_exits_2(self, tmp_path, capsys, value):
+        config = write_config(tmp_path, minimal_rabi_doc())
+        code, _, stderr = run_cli(
+            ["simulate", "--config", config, "--set",
+             f"field.magnitude={value}", "--out", str(tmp_path / "out")],
+            capsys)
+        assert code == 2
+        assert "field.magnitude" in stderr
+        assert "Traceback" not in stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["ramsey", "echo"])
+    def test_zero_field_fringe_experiment_exits_2(self, tmp_path, capsys,
+                                                  kind):
+        doc = minimal_ramsey_doc()
+        doc["field"]["magnitude"] = "0 T"
+        if kind == "echo":
+            doc["experiment"] = {"kind": "echo", "tau1_values": ["5 us"]}
+        config = write_config(tmp_path, doc)
+        code, _, stderr = run_cli(["simulate", "--config", config,
+                                   "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert "positive spin precession frequency" in stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_stray_linalg_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def singular(config):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "_execute", singular)
+        config = write_config(tmp_path, minimal_rabi_doc())
+        code, _, stderr = run_cli(["simulate", "--config", config], capsys)
+        assert code == 3
+        assert "numerical failure" in stderr
+
 
 class TestEstimateCommand:
     def test_budget_report(self, tmp_path, capsys):
@@ -434,6 +473,23 @@ class TestSweepCommand:
             assert (sub / "t1_trace.csv").exists()
             assert (sub / "t1_meta.yaml").exists()
 
+    def test_zero_field_t1_sweep_exits_2_before_writing(self, tmp_path,
+                                                        capsys):
+        doc = self.t1_doc()
+        doc["dissipators"]["t1_rate"] = "auto"
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(
+            ["sweep", "--config", config, "--axis", "field.magnitude",
+             "--values", "0 T,3 T", "--jobs", "1", "--out", str(out)], capsys)
+        assert code == 2
+        assert "finite positive sweep values" in stderr
+        assert not out.exists()
+
+    def test_loglog_fit_rejects_non_finite_t1(self):
+        with pytest.raises(d.NumericsError, match="fitted T1"):
+            cli._loglog_slope([2.0, 3.0], [math.inf, 0.1])
+
     def test_single_value_sweep_matches_simulate(self, tmp_path, capsys):
         config = write_config(tmp_path, minimal_rabi_doc())
         code, stdout, _ = run_cli(
@@ -471,3 +527,14 @@ class TestSweepCommand:
         code, _, stderr = run_cli(["sweep", "--config", config], capsys)
         assert code == 2
         assert "--axis" in stderr
+
+
+def test_cli_import_leaves_out_the_ode_solver():
+    # scipy.integrate serves only the adaptive integrator, so a CLI start
+    # does not pay for importing it
+    src = Path(d.__file__).resolve().parents[1]
+    code = ("import sys, donorspin.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert result.returncode == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,6 +266,30 @@ class TestIngestTrace:
             d.ingest_trace(tmp_path / "nope.csv")
 
 
+class TestNumericJacobian:
+    def test_never_evaluates_at_the_held_point(self):
+        from donorspin.fitting import _numeric_jacobian
+
+        a = np.array([[1.0, 2.0, -1.0], [0.5, -3.0, 4.0],
+                      [2.0, 0.0, 1.0], [-1.0, 1.0, 0.5]])
+        b = np.array([0.3, -0.2, 1.0, 0.0])
+        seen = []
+
+        def residual_fn(q):
+            seen.append(q.copy())
+            return a @ q - b
+
+        # the last parameter sits on its lower bound, as beta2 does in
+        # the joint fit, so its downward side is clamped back to p
+        p = np.array([0.7, -1.2, 0.0])
+        lower = np.array([-np.inf, -np.inf, 0.0])
+        upper = np.full(3, np.inf)
+        jac = _numeric_jacobian(residual_fn, p, lower, upper, a @ p - b)
+        assert not any(np.array_equal(q, p) for q in seen)
+        assert len(seen) == 5
+        assert np.allclose(jac, a, rtol=1e-6)
+
+
 class TestSimultaneousFit:
     def test_roundtrip_recovers_calibration_and_dephasing(
             self, levels_low_field, half_pi_pulse):
@@ -297,6 +322,46 @@ class TestSimultaneousFit:
         assert np.allclose(result.rabi_model, rabi_data, atol=1e-4)
         assert len(result.dephasing_rabi_axis) == \
             len(result.dephasing_rate_curve)
+
+    def test_forward_model_runs_once_per_distinct_point(
+            self, monkeypatch, levels_low_field, half_pi_pulse):
+        # a cheap analytic stand-in for the four-level forward model
+        points = []
+
+        def rabi(energies, levels, pulse, diss, expm_steps):
+            points.append((pulse.calibration, diss.laser_dephasing_linear,
+                           diss.laser_dephasing_quadratic))
+            x = pulse.calibration * energies / half_pi_pulse.calibration
+            return np.sin(x) ** 2 * np.exp(-diss.laser_dephasing_linear * x)
+
+        def fringe(energies, levels, pulse, diss, expm_steps):
+            x = pulse.calibration * energies / half_pi_pulse.calibration
+            return 0.5 * np.exp(-(diss.laser_dephasing_linear
+                                  + diss.laser_dephasing_quadratic) * x)
+
+        monkeypatch.setattr(d.sequences, "rabi_populations", rabi)
+        monkeypatch.setattr(d.sequences, "fringe_visibilities", fringe)
+        energies = np.linspace(0.3, 2.5, 6)
+        diss = d.DissipatorSet(laser_dephasing_linear=0.2)
+        rabi_data = rabi(energies, None, half_pi_pulse, diss, 0)
+        fringe_data = fringe(energies[:3], None, half_pi_pulse, diss, 0)
+        points.clear()
+        result = d.simultaneous_fit_rabi_fringe(
+            energies, rabi_data, energies[:3], fringe_data,
+            levels_low_field, half_pi_pulse, d.DissipatorSet(),
+            initial={"calibration": 0.95 * half_pi_pulse.calibration,
+                     "beta1": 0.1})
+        assert result.fit.converged, result.fit.message
+        assert len(points) == len(set(points))
+        assert result.fit.parameters["beta1"] == pytest.approx(0.2, rel=1e-6)
+        p = result.fit.parameters
+        best = (p["calibration"], p["beta1"], p["beta2"])
+        assert best in points
+        fitted = replace(half_pi_pulse, calibration=p["calibration"])
+        fitted_diss = d.DissipatorSet(laser_dephasing_linear=p["beta1"],
+                                      laser_dephasing_quadratic=p["beta2"])
+        assert np.array_equal(result.rabi_model,
+                              rabi(energies, None, fitted, fitted_diss, 0))
 
     def test_shape_validation(self, levels_low_field, half_pi_pulse):
         with pytest.raises(d.ValidationError):

@@ -338,6 +338,62 @@ class TestEcho:
         assert decay.total_times[0] == pytest.approx(10e-6, rel=1e-3)
 
 
+class TestPropagatorBuilds:
+    """Each distinct pulse-window propagator is built once per request."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = d.sequences.pulse_window_propagator
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(d.sequences, "pulse_window_propagator", counted)
+        return calls
+
+    def test_rabi_sweep_builds_one_per_energy(self, builds, levels_low_field,
+                                              lossy):
+        pulse = pulse_for_angle(levels_low_field, math.pi / 2)
+        energies = np.linspace(0.0, 2.0, 4) * pulse.energy
+        trace = d.run_rabi_sweep(energies, levels_low_field, pulse, lossy,
+                                 expm_steps=64)
+        assert len(builds) == len(energies)
+        for observable in ("p_up", "p_down"):
+            expected = d.rabi_populations(energies, levels_low_field, pulse,
+                                          lossy, expm_steps=64,
+                                          observable=observable)
+            assert np.array_equal(getattr(trace, observable), expected)
+
+    def test_echo_decay_builds_one_and_matches_single_points(
+            self, builds, levels_5t, lossy, half_pi_pulse):
+        tau1_values = np.array([2e-7, 5e-7, 9e-7])
+        pump = d.PumpSettings(rabi=TWO_PI * 20e6, duration=2e-6, samples=32)
+        options = dict(bath=d.BathModel.gaussian(17e-9, 1.97),
+                       ensemble_mode="mc", bath_samples=64, pump=pump,
+                       injected=d.InjectedDecoherence(50e-6, 1.0),
+                       expm_steps=64)
+        decay = d.run_echo_decay(tau1_values, levels_5t, half_pi_pulse,
+                                 lossy, seed=np.random.default_rng(4),
+                                 **options)
+        assert len(builds) == 1
+
+        # one generator drawn from in turn, as the decay draws per tau1
+        rng = np.random.default_rng(4)
+        larmor = levels_5t.electron_splitting
+        singles = [d.run_echo(tau1, d.ramsey_window_plan([tau1], larmor)[0],
+                              levels_5t, half_pi_pulse, lossy, seed=rng,
+                              **options)
+                   for tau1 in tau1_values]
+        assert np.array_equal(decay.amplitudes,
+                              [p.amplitude for p in singles])
+        assert np.array_equal(decay.amplitude_stderr,
+                              [p.amplitude_stderr for p in singles])
+        for point, single in zip(decay.points, singles):
+            assert np.array_equal(point.trace.p_up, single.trace.p_up)
+
+
 class TestT1Recovery:
     def test_roundtrips_relaxation_time(self, levels_5t):
         diss = d.DissipatorSet(radiative_rate=1e9, t1_rate=10.0)
