@@ -90,20 +90,14 @@ from .lindblad import (
 )
 from .materials import FieldConfig, MaterialParams, bundled_materials, load_material
 from .sequences import (
-    ControlPulseSegment,
     EchoDecayResult,
     EchoResult,
     ExperimentTrace,
     InjectedDecoherence,
     PumpResult,
-    PumpSegment,
     PumpSettings,
     RamseyResult,
-    ReadoutSegment,
-    ScrambleSegment,
-    SequenceSpec,
     T1RecoveryResult,
-    WaitSegment,
     ensemble_average,
     extracted_rotation_angle,
     fringe_visibilities,

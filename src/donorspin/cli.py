@@ -27,6 +27,7 @@ from .config import (
     RunConfig,
     apply_overrides,
     config_digest,
+    load_config_document,
     load_run_config,
     parse_run_config,
 )
@@ -256,7 +257,8 @@ def _write_payload(run_dir: Path, payload: dict) -> list:
 # subcommands
 
 
-def _load_config(args) -> RunConfig:
+def _config_args(args) -> tuple:
+    """The config path and the overrides the shared flags ask for."""
     if not args.config:
         raise ValidationError("--config is required for this command")
     overrides = list(args.set or ())
@@ -264,7 +266,11 @@ def _load_config(args) -> RunConfig:
         overrides.append(f"seed={args.seed}")
     if args.out is not None:
         overrides.append(f"output={args.out}")
-    return load_run_config(args.config, overrides)
+    return args.config, overrides
+
+
+def _load_config(args) -> RunConfig:
+    return load_run_config(*_config_args(args))
 
 
 def cmd_simulate(args) -> int:
@@ -426,16 +432,8 @@ def cmd_sweep(args) -> int:
     if not args.axis or args.values is None:
         raise ValidationError("sweep requires --axis and --values")
     values = _axis_values(args.values)
-    config = _load_config(args)  # validates the base document
-    with open(args.config, "r", encoding="utf-8") as handle:
-        document = yaml.safe_load(handle)
-    overrides = list(args.set or ())
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
-    if args.out is not None:
-        overrides.append(f"output={args.out}")
-    if overrides:
-        document = apply_overrides(document, overrides)
+    document = load_config_document(*_config_args(args))
+    config = parse_run_config(document)  # validates the base document
     if not _document_has_path(document, args.axis):
         raise ValidationError(
             f"sweep axis {args.axis!r} does not name an existing config key")

@@ -31,6 +31,7 @@ from .units import parse_quantity
 
 __all__ = [
     "RunConfig",
+    "load_config_document",
     "load_run_config",
     "parse_run_config",
     "apply_overrides",
@@ -107,6 +108,9 @@ def _number(section, key, problems, path, default=None, minimum=None,
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.add(f"{path} must be a number")
+        return None
+    if not math.isfinite(value):
+        problems.add(f"{path} must be finite, got {value}")
         return None
     if integer and int(value) != value:
         problems.add(f"{path} must be an integer")
@@ -213,7 +217,8 @@ def config_digest(resolved: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:8]
 
 
-def load_run_config(path, overrides=()) -> RunConfig:
+def load_config_document(path, overrides=()) -> dict:
+    """The raw document of a config file with overrides applied."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = yaml.safe_load(handle)
@@ -222,9 +227,11 @@ def load_run_config(path, overrides=()) -> RunConfig:
             from err
     if not isinstance(document, dict):
         raise ValidationError(f"config {path} must hold a mapping at the top")
-    if overrides:
-        document = apply_overrides(document, overrides)
-    return parse_run_config(document)
+    return apply_overrides(document, overrides) if overrides else document
+
+
+def load_run_config(path, overrides=()) -> RunConfig:
+    return parse_run_config(load_config_document(path, overrides))
 
 
 def parse_run_config(document: dict) -> RunConfig:

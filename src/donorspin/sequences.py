@@ -3,13 +3,19 @@
 Every experiment here is a composition of three exactly reusable
 pieces: a pulse-window superoperator (numerically integrated once per
 pulse shape and energy), the analytic between-pulse propagator, and an
-average over the frozen Overhauser detuning of each donor. Because the
-detuning enters only through phase factors on coherences involving the
-spin-up level, a whole delay scan factorizes into a handful of
-detuning-independent complex amplitudes contracted with either the
-bath's characteristic function (``exact`` ensemble mode) or the
-empirical phase average of Monte Carlo samples (``mc`` mode). A
-thousand-sample Ramsey scan therefore costs milliseconds, not hours.
+average over the frozen Overhauser detuning of each donor.
+
+Ramsey and echo share one contraction: equal pulse windows separated
+by silent gaps. The detuning enters only through phase factors on
+coherences involving the spin-up level, so each gap splits the state
+into detuning groups s in (0, +1, -1) that gain exp(-i*delta*s*gap).
+A pathway is keyed by a sign tuple, one sign per gap, and its phase
+duration is sum(s * gap): a Ramsey scan has one gap, an echo two
+(tau1 fixed, tau2 scanned). The detuning-independent complex amplitude
+of each key is contracted with either the bath's characteristic
+function at that duration (``exact`` ensemble mode) or the empirical
+phase average of Monte Carlo samples (``mc`` mode). A thousand-sample
+Ramsey scan therefore costs milliseconds, not hours.
 
 Timing convention: delays are pulse-center to pulse-center, and the
 drive-free stretch between two windows of half-width w is that delay
@@ -45,12 +51,6 @@ from .lindblad import (
 )
 
 __all__ = [
-    "PumpSegment",
-    "ScrambleSegment",
-    "ControlPulseSegment",
-    "WaitSegment",
-    "ReadoutSegment",
-    "SequenceSpec",
     "ExperimentTrace",
     "InjectedDecoherence",
     "PumpSettings",
@@ -89,100 +89,6 @@ _DOWN_FLAT = _IDX[GROUND_DOWN, GROUND_DOWN]
 # position of the ground coherence inside the +,- groups
 _GC_PLUS_POS = 0   # (up, down)
 _GC_MINUS_POS = 0  # (down, up)
-
-
-# ---------------------------------------------------------------------------
-# sequence description types
-
-
-@dataclass(frozen=True)
-class PumpSegment:
-    duration: float
-    rabi: float
-
-    def describe(self) -> dict:
-        return {"kind": "pump", "duration_s": self.duration,
-                "rabi_rad_per_s": self.rabi}
-
-
-@dataclass(frozen=True)
-class ScrambleSegment:
-    def describe(self) -> dict:
-        return {"kind": "scramble"}
-
-
-@dataclass(frozen=True)
-class ControlPulseSegment:
-    pulse: PulseSpec
-
-    def describe(self) -> dict:
-        return {"kind": "control_pulse", "shape": self.pulse.shape,
-                "duration_s": self.pulse.duration,
-                "energy_J": self.pulse.energy}
-
-
-@dataclass(frozen=True)
-class WaitSegment:
-    duration: float
-
-    def describe(self) -> dict:
-        return {"kind": "wait", "duration_s": self.duration}
-
-
-@dataclass(frozen=True)
-class ReadoutSegment:
-    duration: float = 0.0
-    rabi: float = 0.0
-
-    def describe(self) -> dict:
-        return {"kind": "readout", "duration_s": self.duration,
-                "rabi_rad_per_s": self.rabi}
-
-
-_SEGMENT_TYPES = (PumpSegment, ScrambleSegment, ControlPulseSegment,
-                  WaitSegment, ReadoutSegment)
-
-
-@dataclass(frozen=True)
-class SequenceSpec:
-    """Ordered timeline of experiment segments.
-
-    Segments execute in list order, which makes them chronological and
-    non-overlapping by construction; durations must be non-negative.
-    """
-
-    segments: tuple
-    bath_samples: int = 1
-    seed: int | None = None
-
-    def __post_init__(self):
-        problems = []
-        for k, seg in enumerate(self.segments):
-            if not isinstance(seg, _SEGMENT_TYPES):
-                problems.append(f"segment {k} has unknown type "
-                                f"{type(seg).__name__}")
-                continue
-            duration = getattr(seg, "duration", 0.0)
-            if duration < 0:
-                problems.append(f"segment {k} has negative duration")
-        if self.bath_samples < 1:
-            problems.append("bath_samples must be >= 1")
-        if problems:
-            raise ValidationError("invalid sequence: " + "; ".join(problems),
-                                  problems)
-        object.__setattr__(self, "segments", tuple(self.segments))
-
-    @property
-    def total_duration(self) -> float:
-        total = 0.0
-        for seg in self.segments:
-            total += getattr(seg, "duration", 0.0)
-            if isinstance(seg, ControlPulseSegment):
-                total += 2.0 * seg.pulse.half_window
-        return total
-
-    def describe(self) -> list:
-        return [seg.describe() for seg in self.segments]
 
 
 @dataclass
@@ -399,6 +305,7 @@ class _SequenceEngine:
                  expm_steps: int = 1024):
         self.levels = levels
         self.pulse = pulse
+        self.expm_steps = expm_steps
         self.window = pulse_window_propagator(
             levels, pulse, dissipators, config=integrator,
             expm_steps=expm_steps)
@@ -418,12 +325,14 @@ class _SequenceEngine:
 
         Returns {s: vector} with s in (0, +1, -1) such that the full
         silence propagation of ``u`` is the sum over s of
-        exp(-i*delta*s*tau) times the returned vectors.
+        exp(-i*delta*s*tau) times the returned vectors. ``u`` may be
+        one branch of a state, whose populations are complex; they
+        stay complex so that the branches still sum to the state.
         """
         out = {}
         v0 = np.zeros(16, dtype=complex)
         v0[_S_ZERO] = u[_S_ZERO] * np.exp(self.z[_S_ZERO] * tau)
-        pops = self.silence.population_matrix(float(tau)) @ np.real(u[_DIAG_FLAT])
+        pops = self.silence.population_matrix(float(tau)) @ u[_DIAG_FLAT]
         v0[_DIAG_FLAT] = pops
         out[0] = v0
         vp = np.zeros(16, dtype=complex)
@@ -450,7 +359,7 @@ class _SequenceEngine:
         t0 = weights[_S_ZERO] @ f0
         pops = self.pop_stack(taus)
         t0 = t0 + np.einsum("i,nij,j->n", np.real(row[_DIAG_FLAT]) + 0j,
-                            pops, np.real(u[_DIAG_FLAT]) + 0j)
+                            pops, u[_DIAG_FLAT])
         terms[0] = t0
         for s, idx, gc_pos in ((1, _S_PLUS, _GC_PLUS_POS),
                                (-1, _S_MINUS, _GC_MINUS_POS)):
@@ -529,6 +438,45 @@ def _clip_populations(values: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
+def _contract(engine, rho0, gaps, mults, scan, scan_mult, bath, mode,
+              samples, metadata, abscissa, abscissa_name) -> ExperimentTrace:
+    """Equal pulse windows separated by silent gaps, the last one scanned.
+
+    The window acts on ``rho0``; each fixed gap (with its injected
+    ground-coherence factor from ``mults``) splits every branch into
+    its detuning groups and is followed by another window. The scanned
+    gap ``scan`` (factors ``scan_mult``) is contracted against the
+    final window's p_up and p_down rows. A key holds one sign per gap,
+    and its phase duration is sum(s * gap).
+    """
+    branches = {(): engine.window @ rho0.reshape(16)}
+    for gap, mult in zip(gaps, mults):
+        branches = {key + (s,): engine.window @ v
+                    for key, u in branches.items()
+                    for s, v in engine.group_vectors(u, gap, mult).items()}
+
+    def durations(key):
+        return sum((s * gap for s, gap in zip(key, gaps)), key[-1] * scan)
+
+    results = {}
+    for name, flat in (("p_up", _UP_FLAT), ("p_down", _DOWN_FLAT)):
+        row = engine.window[flat]
+        terms = {key + (s,): t for key, u in branches.items()
+                 for s, t in engine.row_terms(row, u, scan,
+                                              scan_mult).items()}
+        mean, stderr = _ensemble_reduce(terms, bath, mode, samples, durations)
+        results[name] = (_clip_populations(mean), stderr)
+    metadata = dict(
+        metadata, ensemble_mode=mode if bath is not None else "none",
+        bath_samples=len(samples) if samples is not None else 0,
+        expm_steps=engine.expm_steps)
+    return ExperimentTrace(
+        abscissa=abscissa, abscissa_name=abscissa_name,
+        p_up=results["p_up"][0], p_down=results["p_down"][0],
+        p_up_stderr=results["p_up"][1], p_down_stderr=results["p_down"][1],
+        metadata=metadata).validate()
+
+
 # ---------------------------------------------------------------------------
 # single-pulse experiments
 
@@ -584,12 +532,10 @@ def run_rabi_sweep(energies, levels: LevelScheme, pulse: PulseSpec,
     p_up, p_down = _pulse_populations(energies, levels, pulse, dissipators,
                                       rho0, integrator, expm_steps,
                                       (_UP_FLAT, _DOWN_FLAT))
-    spec = SequenceSpec((ControlPulseSegment(pulse), ReadoutSegment()))
     trace = ExperimentTrace(
         abscissa=energies, abscissa_name="pulse_energy_J",
         p_up=p_up, p_down=p_down,
-        metadata={"experiment": "rabi", "sequence": spec.describe(),
-                  "expm_steps": expm_steps})
+        metadata={"experiment": "rabi", "expm_steps": expm_steps})
     return trace.validate()
 
 
@@ -701,37 +647,13 @@ def run_ramsey(tau, levels: LevelScheme, pulse: PulseSpec,
     rho0 = _prepare_initial(initial, pump, levels, dissipators)
     engine = _SequenceEngine(levels, pulse, dissipators, integrator,
                              expm_steps)
-    v1 = engine.window @ rho0.reshape(16)
-
     all_tau = np.concatenate(windows)
-    silences = np.maximum(all_tau - 2.0 * w, 0.0)
     mult = injected.ratio(0.0, all_tau) if injected is not None \
         else np.ones_like(all_tau)
-
-    results = {}
-    for name, flat in (("p_up", _UP_FLAT), ("p_down", _DOWN_FLAT)):
-        row = engine.window[flat]
-        terms = engine.row_terms(row, v1, silences, mult)
-        shift_terms = {(s,): terms[s] for s in (0, 1, -1)}
-        mean, stderr = _ensemble_reduce(
-            shift_terms, bath, ensemble_mode, samples,
-            lambda key: key[0] * silences)
-        results[name] = (_clip_populations(mean), stderr)
-
-    spec = SequenceSpec((ControlPulseSegment(pulse), WaitSegment(0.0),
-                         ControlPulseSegment(pulse), ReadoutSegment()),
-                        bath_samples if samples is not None else 1)
-    metadata = {
-        "experiment": "ramsey", "sequence": spec.describe(),
-        "ensemble_mode": ensemble_mode if bath is not None else "none",
-        "bath_samples": len(samples) if samples is not None else 0,
-        "expm_steps": expm_steps,
-    }
-    trace = ExperimentTrace(
-        abscissa=all_tau, abscissa_name="tau_s",
-        p_up=results["p_up"][0], p_down=results["p_down"][0],
-        p_up_stderr=results["p_up"][1], p_down_stderr=results["p_down"][1],
-        metadata=metadata).validate()
+    trace = _contract(engine, rho0, (), (),
+                      np.maximum(all_tau - 2.0 * w, 0.0), mult, bath,
+                      ensemble_mode, samples, {"experiment": "ramsey"},
+                      all_tau, "tau_s")
 
     centers, vis, vis_err, fits = [], [], [], []
     start = 0
@@ -839,45 +761,13 @@ def run_echo(tau1: float, tau2, levels: LevelScheme, pulse: PulseSpec,
     engine = _engine if _engine is not None else _SequenceEngine(
         levels, pulse, dissipators, integrator, expm_steps)
 
-    sil1 = tau1 - 2.0 * w
-    sil2 = tau2 - 2.0 * w
     mult1 = float(injected.ratio(0.0, tau1)) if injected is not None else 1.0
     mult2 = injected.ratio(tau1, tau1 + tau2) if injected is not None \
         else np.ones_like(tau2)
-
-    v1 = engine.window @ rho0.reshape(16)
-    mids = engine.group_vectors(v1, sil1, mult1)
-
-    results = {}
-    for name, flat in (("p_up", _UP_FLAT), ("p_down", _DOWN_FLAT)):
-        row = engine.window[flat]
-        shift_terms = {}
-        for s1, u in mids.items():
-            y = engine.window @ u
-            terms = engine.row_terms(row, y, sil2, mult2)
-            for s2 in (0, 1, -1):
-                shift_terms[(s1, s2)] = terms[s2]
-        mean, stderr = _ensemble_reduce(
-            shift_terms, bath, ensemble_mode, samples,
-            lambda key: key[0] * sil1 + key[1] * sil2)
-        results[name] = (_clip_populations(mean), stderr)
-
-    spec = SequenceSpec((ControlPulseSegment(pulse), WaitSegment(0.0),
-                         ControlPulseSegment(pulse), WaitSegment(0.0),
-                         ControlPulseSegment(pulse), ReadoutSegment()),
-                        bath_samples if samples is not None else 1)
-    metadata = {
-        "experiment": "echo", "sequence": spec.describe(),
-        "tau1_s": float(tau1),
-        "ensemble_mode": ensemble_mode if bath is not None else "none",
-        "bath_samples": len(samples) if samples is not None else 0,
-        "expm_steps": expm_steps,
-    }
-    trace = ExperimentTrace(
-        abscissa=tau2, abscissa_name="tau2_s",
-        p_up=results["p_up"][0], p_down=results["p_down"][0],
-        p_up_stderr=results["p_up"][1], p_down_stderr=results["p_down"][1],
-        metadata=metadata).validate()
+    trace = _contract(engine, rho0, (tau1 - 2.0 * w,), (mult1,),
+                      tau2 - 2.0 * w, mult2, bath, ensemble_mode, samples,
+                      {"experiment": "echo", "tau1_s": float(tau1)},
+                      tau2, "tau2_s")
 
     fringe = fit_fringe(tau2, trace.p_up, known_frequency=larmor,
                         stderr=trace.p_up_stderr)
@@ -984,13 +874,10 @@ def run_t1_recovery(wait_values, levels: LevelScheme,
         rho = silence.propagate(pumped.final.matrix, float(wait))
         p_up[k] = float(rho[GROUND_UP, GROUND_UP].real)
         p_down[k] = float(rho[GROUND_DOWN, GROUND_DOWN].real)
-    spec = SequenceSpec((PumpSegment(pump.duration, pump.rabi),
-                         WaitSegment(float(wait_values[-1])),
-                         ReadoutSegment()))
     trace = ExperimentTrace(
         abscissa=wait_values, abscissa_name="wait_s",
         p_up=_clip_populations(p_up), p_down=_clip_populations(p_down),
-        metadata={"experiment": "t1_recovery", "sequence": spec.describe(),
+        metadata={"experiment": "t1_recovery",
                   "pump_fidelity": pumped.fidelity,
                   "t1_rate_per_s": dissipators.t1_rate}).validate()
     if fit_recovery:

@@ -14,7 +14,11 @@ import yaml
 
 import donorspin as d
 from donorspin import cli
-from donorspin.config import apply_overrides, config_digest
+from donorspin.config import (
+    apply_overrides,
+    config_digest,
+    load_config_document,
+)
 
 
 def minimal_rabi_doc():
@@ -328,6 +332,20 @@ class TestSimulateCommand:
         assert "Traceback" not in stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [".inf", "-.inf", ".nan"])
+    @pytest.mark.parametrize("key", ["seed", "experiment.points_per_period",
+                                     "pulse.calibration",
+                                     "experiment.periods"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, minimal_ramsey_doc())
+        code, _, stderr = run_cli(
+            ["simulate", "--config", config, "--set", f"{key}={value}",
+             "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert f"{key} must be finite" in stderr
+        assert "Traceback" not in stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind", ["ramsey", "echo"])
     def test_zero_field_fringe_experiment_exits_2(self, tmp_path, capsys,
                                                   kind):
@@ -472,6 +490,24 @@ class TestSweepCommand:
         for sub in sub_dirs:
             assert (sub / "t1_trace.csv").exists()
             assert (sub / "t1_meta.yaml").exists()
+
+    def test_base_document_read_once(self, tmp_path, capsys, monkeypatch):
+        reads = []
+
+        def counted(*args):
+            reads.append(args)
+            return load_config_document(*args)
+
+        monkeypatch.setattr(cli, "load_config_document", counted)
+        config = write_config(tmp_path, self.t1_doc())
+        code, _, _ = run_cli(
+            ["sweep", "--config", config, "--axis", "dissipators.t1_rate",
+             "--values", "10 1/s,20 1/s", "--jobs", "1", "--seed", "4",
+             "--set", "experiment.count=5", "--out", str(tmp_path / "out")],
+            capsys)
+        assert code == 0
+        assert reads == [(config, ["experiment.count=5", "seed=4",
+                                   f"output={tmp_path / 'out'}"])]
 
     def test_zero_field_t1_sweep_exits_2_before_writing(self, tmp_path,
                                                         capsys):

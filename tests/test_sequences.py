@@ -23,33 +23,17 @@ def ramsey_delays(half_pi_pulse):
     return np.array([2.0 * w, 2.0 * w + 3.1e-11, 2.0 * w + 7.3e-11])
 
 
-def brute_force_ramsey(tau, levels, pulse, dissipators, detuning=0.0):
-    """Reference route: full master-equation evolution of both pulses."""
+def brute_force_p_up(arrivals, levels, pulse, dissipators, detuning=0.0):
+    """Reference route: full master-equation evolution of a pulse train."""
     w = pulse.half_window
-    second = replace(pulse, arrival_time=float(tau))
-    result = d.evolve(d.DensityMatrix.pure(d.GROUND_DOWN), levels,
-                      [pulse, second], dissipators, t_span=(-w, tau + w),
+    pulses = [replace(pulse, arrival_time=float(t)) for t in arrivals]
+    result = d.evolve(d.DensityMatrix.pure(d.GROUND_DOWN), levels, pulses,
+                      dissipators, t_span=(-w, arrivals[-1] + w),
                       spin_detuning=detuning)
     return result.final.p_up
 
 
-class TestSegmentsAndTraces:
-    def test_sequence_spec_duration(self, half_pi_pulse):
-        spec = d.SequenceSpec((d.PumpSegment(1e-6, 1e8),
-                               d.ControlPulseSegment(half_pi_pulse),
-                               d.WaitSegment(2e-9),
-                               d.ReadoutSegment()))
-        expected = 1e-6 + 2.0 * half_pi_pulse.half_window + 2e-9
-        assert spec.total_duration == pytest.approx(expected, rel=1e-12)
-        kinds = [entry["kind"] for entry in spec.describe()]
-        assert kinds == ["pump", "control_pulse", "wait", "readout"]
-
-    def test_sequence_spec_validation(self):
-        with pytest.raises(d.ValidationError):
-            d.SequenceSpec((d.WaitSegment(-1e-9),))
-        with pytest.raises(d.ValidationError):
-            d.SequenceSpec(("wait",))
-
+class TestTraces:
     def test_trace_validation_catches_population_sum(self):
         with pytest.raises(d.ValidationError):
             d.ExperimentTrace(abscissa=np.array([0.0, 1.0]),
@@ -178,7 +162,8 @@ class TestRamseyDualRoute:
                                          half_pi_pulse, ramsey_delays):
         result = d.run_ramsey(ramsey_delays, levels_5t, half_pi_pulse, lossy)
         for k, tau in enumerate(ramsey_delays):
-            brute = brute_force_ramsey(tau, levels_5t, half_pi_pulse, lossy)
+            brute = brute_force_p_up((0.0, tau), levels_5t, half_pi_pulse,
+                                     lossy)
             assert result.trace.p_up[k] == pytest.approx(brute, abs=5e-5)
 
     def test_zero_delay_composes_windows(self, levels_5t, lossy,
@@ -201,8 +186,8 @@ class TestRamseyDualRoute:
                               quiet, bath=bath, ensemble_mode="exact")
         bound = delta * 2.0 * half_pi_pulse.half_window + 1e-4
         for k, tau in enumerate(ramsey_delays):
-            brute = brute_force_ramsey(tau, levels_5t, half_pi_pulse, quiet,
-                                       detuning=delta)
+            brute = brute_force_p_up((0.0, tau), levels_5t, half_pi_pulse,
+                                     quiet, detuning=delta)
             assert abs(result.trace.p_up[k] - brute) < bound
 
     def test_injected_channel_scales_fringe(self, levels_5t, quiet,
@@ -222,6 +207,42 @@ class TestRamseyDualRoute:
         shrink = np.abs(damped.trace.p_up - baselines) \
             / np.abs(plain.trace.p_up - baselines)
         assert np.allclose(shrink, factors, rtol=1e-6)
+
+
+class TestEchoDualRoute:
+    """The fixed tau1 gap branches every pathway before the tau2 scan."""
+
+    TAU1 = 2e-9
+    POINTS = (0, 7, 13)
+
+    @pytest.fixture(scope="class")
+    def scan(self, levels_5t):
+        return d.ramsey_window_plan([self.TAU1],
+                                    levels_5t.electron_splitting)[0]
+
+    def test_matches_brute_force_no_bath(self, levels_5t, lossy,
+                                         half_pi_pulse, scan):
+        result = d.run_echo(self.TAU1, scan, levels_5t, half_pi_pulse, lossy)
+        for k in self.POINTS:
+            brute = brute_force_p_up((0.0, self.TAU1, self.TAU1 + scan[k]),
+                                     levels_5t, half_pi_pulse, lossy)
+            assert result.trace.p_up[k] == pytest.approx(brute, abs=5e-5)
+
+    def test_detuned_matches_brute_force_within_window_bound(
+            self, levels_5t, quiet, half_pi_pulse, scan):
+        # the detuning turns tau1 by 0.38 rad, so every branch of the
+        # first gap, populations included, carries its own phase; the
+        # routes may differ by the phase accrued across three windows
+        delta = TWO_PI * 30e6
+        bath = spike_bath(delta, 1.97)
+        result = d.run_echo(self.TAU1, scan, levels_5t, half_pi_pulse, quiet,
+                            bath=bath, ensemble_mode="exact")
+        bound = delta * 3.0 * 2.0 * half_pi_pulse.half_window + 1e-4
+        for k in self.POINTS:
+            brute = brute_force_p_up((0.0, self.TAU1, self.TAU1 + scan[k]),
+                                     levels_5t, half_pi_pulse, quiet,
+                                     detuning=delta)
+            assert abs(result.trace.p_up[k] - brute) < bound
 
 
 class TestRamseyEnsembles:
