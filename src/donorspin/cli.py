@@ -30,6 +30,7 @@ from .config import (
     load_config_document,
     load_run_config,
     parse_run_config,
+    plain_data,
 )
 from .errors import NumericsError, ValidationError
 from .estimators import ID_VARIANTS, decoherence_budget
@@ -79,24 +80,8 @@ def write_trace_file(path: Path, header, rows, comments=()) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _plain(value):
-    """Recursively convert numpy scalars/arrays for YAML output."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
-        return value if math.isfinite(value) else repr(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
-
-
 def _write_meta(path: Path, document: dict) -> None:
-    path.write_text(yaml.safe_dump(_plain(document), sort_keys=True),
+    path.write_text(yaml.safe_dump(plain_data(document), sort_keys=True),
                     encoding="utf-8")
 
 
@@ -388,25 +373,29 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _axis_values(text: str) -> list:
+def _axis_values(text: str) -> tuple:
+    """The sweep values as given, and their numbers (a unit may follow)."""
     values = [v.strip() for v in text.split(",") if v.strip()]
     if not values:
         raise ValidationError("sweep needs at least one value")
-    for value in values:
+    return values, [_axis_number(value) for value in values]
+
+
+def _axis_number(value: str) -> float:
+    try:
         loaded = yaml.safe_load(value)
-        if isinstance(loaded, (int, float)) and not isinstance(loaded, bool):
-            continue
-        if isinstance(loaded, str):
-            parts = loaded.split()
-            try:
-                float(parts[0])
-                continue
-            except (ValueError, IndexError):
-                pass
-        raise ValidationError(
-            f"sweep axis values must be numeric (optionally with a unit), "
-            f"got {value!r}")
-    return values
+    except yaml.YAMLError:
+        loaded = None
+    if isinstance(loaded, (int, float)) and not isinstance(loaded, bool):
+        return float(loaded)
+    if isinstance(loaded, str):
+        try:
+            return float(loaded.split()[0])
+        except (ValueError, IndexError):
+            pass
+    raise ValidationError(
+        f"sweep axis values must be numeric (optionally with a unit), "
+        f"got {value!r}")
 
 
 def _document_has_path(document: dict, path: str) -> bool:
@@ -431,7 +420,7 @@ def _sweep_one(base_document: dict, axis: str, value: str) -> dict:
 def cmd_sweep(args) -> int:
     if not args.axis or args.values is None:
         raise ValidationError("sweep requires --axis and --values")
-    values = _axis_values(args.values)
+    values, numeric_values = _axis_values(args.values)
     document = load_config_document(*_config_args(args))
     config = parse_run_config(document)  # validates the base document
     if not _document_has_path(document, args.axis):
@@ -446,12 +435,6 @@ def cmd_sweep(args) -> int:
     else:
         payloads = [_sweep_one(document, args.axis, v) for v in values]
 
-    numeric_values = []
-    for value in values:
-        loaded = yaml.safe_load(value)
-        numeric = loaded if isinstance(loaded, (int, float)) \
-            else float(str(loaded).split()[0])
-        numeric_values.append(float(numeric))
     slope = None
     if payloads[0]["kind"] == "t1" and len(values) >= 2:
         slope = _loglog_slope(numeric_values,

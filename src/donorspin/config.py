@@ -572,13 +572,17 @@ def _parse_experiment(section, problems):
         experiment["injected"] = _parse_injected(
             section.get("injected"), problems, f"{path}.injected")
     elif kind == "t1":
+        # the recovery fit has three parameters, so it needs 4 waits
         waits = _quantity_list(section, "waits", "time", problems,
                                f"{path}.waits")
+        if waits is not None and len(waits) < 4:
+            problems.add(f"{path}.waits must hold at least 4 entries, "
+                         f"got {len(waits)}")
         if waits is None:
             max_wait = _quantity(section, "max_wait", "time", problems,
                                  f"{path}.max_wait")
             count = _number(section, "count", problems, f"{path}.count",
-                            default=25, minimum=2, integer=True)
+                            default=25, minimum=4, integer=True)
             if max_wait is not None and count is not None:
                 waits = list(np.linspace(0.0, max_wait, count))
             else:

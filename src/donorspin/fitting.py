@@ -388,27 +388,35 @@ def fit_curve(model, x, y, weights=None, max_iterations: int = 500) -> FitResult
         model = CurveModel.for_kind(model, x, y)
     x, y, w = _validate_xy(x, y, weights, len(model.parameters))
     sw = np.sqrt(w)
-    p0 = [p.init for p in model.parameters]
-    lower = [p.lower for p in model.parameters]
-    upper = [p.upper for p in model.parameters]
 
     def residual_fn(p):
         return (model.evaluate(p, x) - y) * sw
 
-    p, info = _lm_minimize(residual_fn, p0, lower, upper, max_iterations)
-    names = model.parameter_names
-    n_free = len(names)
-    dof = max(len(x) - n_free, 1)
-    chi2_red = info["cost"] / dof
+    return _least_squares(model.kind, model.parameters, residual_fn,
+                          max_iterations)
+
+
+def _least_squares(kind, specs, residual_fn, max_iterations) -> FitResult:
+    """Run LM from the :class:`ParameterSpec` inits and summarize the fit.
+
+    The covariance is the reduced chi-square times the pseudo-inverse
+    of J^T J, from the last Jacobian of the run (or one computed at the
+    result when no iteration ran).
+    """
+    names = tuple(spec.name for spec in specs)
+    lower = np.array([spec.lower for spec in specs])
+    upper = np.array([spec.upper for spec in specs])
+    p, info = _lm_minimize(residual_fn, [spec.init for spec in specs],
+                           lower, upper, max_iterations)
+    dof = max(info["residual"].size - len(names), 1)
     jac = info["jacobian"]
     if jac is None:
-        jac = _numeric_jacobian(residual_fn, p, np.asarray(lower),
-                                np.asarray(upper), info["residual"])
-    cov = chi2_red * np.linalg.pinv(jac.T @ jac)
+        jac = _numeric_jacobian(residual_fn, p, lower, upper, info["residual"])
+    cov = info["cost"] / dof * np.linalg.pinv(jac.T @ jac)
     cov = 0.5 * (cov + cov.T)
     sigma = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FitResult(
-        model_kind=model.kind,
+        model_kind=kind,
         parameters=dict(zip(names, map(float, p))),
         uncertainties=dict(zip(names, map(float, sigma))),
         covariance=cov,
@@ -448,6 +456,20 @@ class FringeFit:
     residual_norm: float
 
 
+def _inverse_variance(stderr, y):
+    """Weights 1/stderr^2, or ones without ``stderr``.
+
+    A zero error is floored at 1e-3 of the smallest positive one.
+    """
+    if stderr is None:
+        return np.ones_like(y)
+    stderr = np.asarray(stderr, dtype=float)
+    if np.any(stderr < 0):
+        raise ValidationError("stderr values must be non-negative")
+    floor = stderr[stderr > 0].min() if np.any(stderr > 0) else 1.0
+    return 1.0 / np.maximum(stderr, 1e-3 * floor) ** 2
+
+
 def _linear_fringe(x, y, w, omega):
     design = np.stack([np.ones_like(x), np.cos(omega * x),
                        np.sin(omega * x)], axis=1)
@@ -473,14 +495,7 @@ def fit_fringe(x, y, known_frequency: float | None = None, stderr=None,
     if x.ndim != 1 or y.shape != x.shape or len(x) < 4:
         raise ValidationError("fringe fit needs >= 4 points of equal-length "
                               "x and y")
-    if stderr is not None:
-        stderr = np.asarray(stderr, dtype=float)
-        if np.any(stderr < 0):
-            raise ValidationError("stderr values must be non-negative")
-        floor = stderr[stderr > 0].min() if np.any(stderr > 0) else 1.0
-        w = 1.0 / np.maximum(stderr, 1e-3 * floor) ** 2
-    else:
-        w = np.ones_like(y)
+    w = _inverse_variance(stderr, y)
 
     if known_frequency is not None:
         if known_frequency <= 0:
@@ -580,12 +595,7 @@ def simultaneous_fit_rabi_fringe(rabi_energies, rabi_p_up,
         raise ValidationError("fringe energies and visibilities must match")
 
     def dataset_w(stderr, y, share):
-        if stderr is None:
-            w = np.ones_like(y)
-        else:
-            stderr = np.asarray(stderr, dtype=float)
-            floor = stderr[stderr > 0].min() if np.any(stderr > 0) else 1.0
-            w = 1.0 / np.maximum(stderr, 1e-3 * floor) ** 2
+        w = _inverse_variance(stderr, y)
         return w * (share / w.sum())
 
     w_all = np.concatenate([
@@ -628,31 +638,12 @@ def simultaneous_fit_rabi_fringe(rabi_energies, rabi_p_up,
         models[p.tobytes()] = model
         return (model - y_all) * sw
 
-    p0 = [init["calibration"], init["beta1"], init["beta2"]]
-    lower = [np.finfo(float).tiny, 0.0, 0.0]
-    upper = [math.inf, math.inf, math.inf]
-    p, info = _lm_minimize(residual_fn, p0, lower, upper, max_iterations)
-
-    names = ("calibration", "beta1", "beta2")
-    dof = max(y_all.size - 3, 1)
-    chi2_red = info["cost"] / dof
-    jac = info["jacobian"]
-    if jac is None:
-        jac = _numeric_jacobian(residual_fn, p, np.asarray(lower),
-                                np.asarray(upper), info["residual"])
-    cov = chi2_red * np.linalg.pinv(jac.T @ jac)
-    cov = 0.5 * (cov + cov.T)
-    sigma = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    fit = FitResult(
-        model_kind="four-level pulse response",
-        parameters=dict(zip(names, map(float, p))),
-        uncertainties=dict(zip(names, map(float, sigma))),
-        covariance=cov,
-        residual_norm=math.sqrt(info["cost"]),
-        iterations=info["iterations"],
-        converged=info["converged"],
-        message=info["message"],
-    )
+    specs = (ParameterSpec("calibration", init["calibration"], _TINY),
+             ParameterSpec("beta1", init["beta1"], 0.0),
+             ParameterSpec("beta2", init["beta2"], 0.0))
+    fit = _least_squares("four-level pulse response", specs, residual_fn,
+                         max_iterations)
+    p = fit.parameter_array()
     best = models.get(p.tobytes())
     if best is None:  # the model failed at p: raise its error here
         best = forward(p)

@@ -12,21 +12,23 @@ follows the instantaneous Rabi envelope,
 
     gamma(t) = beta1 * Omega_R(t) + beta2 * Omega_R(t)^2.
 
-Two integration methods are provided. The adaptive embedded Runge-Kutta
-method follows the vectorized master equation directly. The fixed-step
-method advances with the matrix exponential of the instantaneous
-generator, which is exact for piecewise-constant dynamics. Pulse-free
-stretches are never integrated numerically: with the drive off the
-generator is constant and block-diagonal, so populations advance with a
-small matrix exponential and each coherence picks up an exact
-phase-and-decay factor. That removes the stiffness of picosecond pulses
-separated by microsecond delays.
+One private stepper, ``_advance``, serves both the state integrator
+and the pulse-window propagator, with two methods. The adaptive
+embedded Runge-Kutta method (DOP853) follows the vectorized master
+equation directly. The fixed-step method advances with the matrix
+exponential of the midpoint generator, which is exact for
+piecewise-constant dynamics. Pulse-free stretches are never integrated
+numerically: with the drive off the generator is constant and
+block-diagonal, so populations advance with a small matrix exponential
+and each coherence picks up an exact phase-and-decay factor. That
+removes the stiffness of picosecond pulses separated by microsecond
+delays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -286,7 +288,9 @@ class IntegratorConfig:
 
     ``max_step`` bounds the step of the adaptive method and sets the
     step of the fixed matrix-exponential method (an automatic step is
-    chosen when it is infinite). Tolerances must lie in (0, 1e-3].
+    chosen when it is infinite). An adaptive step shorter than
+    ``min_step``, other than the last one, aborts the run. Tolerances
+    must lie in (0, 1e-3].
     """
 
     method: str = "adaptive-rk"
@@ -334,7 +338,8 @@ def integrate_master(rho0, hamiltonian, dissipators: DissipatorSet,
         dissipators: channel rates.
         config: integration controls.
         t_span: pair (t0, t1), t1 > t0.
-        t_eval: optional increasing sample times inside the span.
+        t_eval: optional increasing sample times inside the span; t1 is
+            appended when they stop short of it.
         rabi: optional callable giving the Rabi envelope feeding the
             laser dephasing rate (defaults to zero).
 
@@ -345,7 +350,6 @@ def integrate_master(rho0, hamiltonian, dissipators: DissipatorSet,
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
         raise ValidationError(f"t_span must be increasing, got {t_span}")
-    rho = _rho_in(rho0)
     h_func = hamiltonian if callable(hamiltonian) else (lambda t: hamiltonian)
     rabi_func = rabi if rabi is not None else (lambda t: 0.0)
 
@@ -354,67 +358,75 @@ def integrate_master(rho0, hamiltonian, dissipators: DissipatorSet,
         if np.any(np.diff(t_eval) <= 0) or t_eval[0] < t0 or t_eval[-1] > t1:
             raise ValidationError("t_eval must be increasing and inside t_span")
 
-    if config.method == "fixed-expm":
-        times, states = _integrate_expm(rho, h_func, dissipators, rabi_func,
-                                        config, t0, t1, t_eval)
-    else:
-        times, states = _integrate_adaptive(rho, h_func, dissipators, rabi_func,
-                                            config, t0, t1, t_eval)
-    final = DensityMatrix(states[-1], times[-1])
-    return EvolutionResult(np.asarray(times), states, final)
+    def generator(t):
+        return liouvillian(h_func(t), dissipators, float(rabi_func(t)))
 
-
-def _integrate_adaptive(rho, h_func, dissipators, rabi_func, config, t0, t1, t_eval):
-    from scipy.integrate import solve_ivp  # only the adaptive paths need it
-
-    def rhs(t, y):
+    def rhs(t, y):  # the matrix form is cheaper than assembling the generator
         return lindblad_rhs(y.reshape(_DIM, _DIM), h_func(t), dissipators,
                             rabi_func(t)).ravel()
 
-    kwargs = {}
-    if math.isfinite(config.max_step):
-        kwargs["max_step"] = config.max_step
-    sol = solve_ivp(rhs, (t0, t1), rho.ravel(), method="DOP853",
-                    rtol=config.rel_tol, atol=config.abs_tol,
-                    t_eval=t_eval, dense_output=False, **kwargs)
-    if not sol.success:
-        last = float(sol.t[-1]) if sol.t.size else t0
-        raise IntegrationFailure(f"adaptive integration failed: {sol.message}", last)
-    if config.min_step > 0 and sol.t.size > 1:
-        steps = np.diff(sol.t)
-        if steps.size and steps.min() < config.min_step:
-            where = float(sol.t[int(np.argmin(steps))])
+    steps = 1024 if math.isinf(config.max_step) else 1
+    times, states = _advance(_rho_in(rho0).ravel(), t0, t1, config, generator,
+                             steps, t_eval, rhs)
+    states = [s.reshape(_DIM, _DIM) for s in states]
+    return EvolutionResult(times, states, DensityMatrix(states[-1], times[-1]))
+
+
+def _advance(y0, t0, t1, config: IntegratorConfig, generator, steps: int,
+             t_eval=None, rhs=None):
+    """Advance ``y0`` from ``t0`` to ``t1`` under dy/dt = generator(t) @ y.
+
+    ``y0`` is a vectorized state or the 16x16 identity of a propagator.
+    ``fixed-expm`` steps the midpoint exponential on
+    max(steps, ceil(span / max_step)) equal steps, broken at every
+    sample. ``adaptive-rk`` runs DOP853 on ``rhs(t, y)`` (by default
+    generator(t) @ y on the flattened ``y``) and raises
+    :class:`IntegrationFailure` as soon as a step other than the last
+    one falls below ``min_step``. Returns the sample times, with t1
+    appended when the samples stop short of it, and the state at each.
+    """
+    stops = [] if t_eval is None else [float(t) for t in t_eval]
+    n_samples = len(stops)
+    if not stops or stops[-1] < t1:
+        stops.append(t1)
+    if config.method == "fixed-expm":
+        span = t1 - t0
+        n = steps if math.isinf(config.max_step) \
+            else max(steps, int(math.ceil(span / config.max_step)))
+        y, a, states = np.array(y0, dtype=complex), t0, []
+        for b in stops:
+            m = int(math.ceil((b - a) / span * n))
+            h = (b - a) / max(m, 1)
+            for k in range(m):
+                y = expm(generator(a + (k + 0.5) * h) * h) @ y
+            states.append(y)
+            a = b
+        return np.asarray(stops), states
+
+    from scipy.integrate import DOP853  # only the adaptive method needs it
+
+    shape = y0.shape
+    fun = rhs or (lambda t, y: (generator(t) @ y.reshape(shape)).ravel())
+    solver = DOP853(fun, t0, y0.ravel(), t1, rtol=config.rel_tol,
+                    atol=config.abs_tol, max_step=config.max_step)
+    samples, states = np.asarray(stops[:n_samples]), []
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise IntegrationFailure(f"adaptive integration failed: {message}",
+                                     float(solver.t))
+        if solver.status == "running" and solver.step_size < config.min_step:
             raise IntegrationFailure(
-                f"step size fell below min_step={config.min_step:.3e} s", where)
-    times = sol.t
-    states = [sol.y[:, k].reshape(_DIM, _DIM) for k in range(sol.y.shape[1])]
-    return times, states
-
-
-def _integrate_expm(rho, h_func, dissipators, rabi_func, config, t0, t1, t_eval):
-    span = t1 - t0
-    step = config.max_step if math.isfinite(config.max_step) else span / 1024.0
-    n = max(1, int(math.ceil(span / step)))
-    h = span / n
-    sample = list(t_eval) if t_eval is not None else [t1]
-    times, states = [], []
-    vec = rho.ravel().copy()
-    next_sample = 0
-    t = t0
-    for k in range(n):
-        tm = t0 + (k + 0.5) * h
-        om = float(rabi_func(tm))
-        gen = liouvillian(h_func(tm), dissipators, om)
-        vec = expm(gen * h) @ vec
-        t = t0 + (k + 1) * h
-        while next_sample < len(sample) and sample[next_sample] <= t + 1e-15 * span:
-            times.append(sample[next_sample])
-            states.append(vec.reshape(_DIM, _DIM).copy())
-            next_sample += 1
-    if not times or times[-1] < t1:
-        times.append(t1)
-        states.append(vec.reshape(_DIM, _DIM))
-    return np.asarray(times), states
+                f"step size fell below min_step={config.min_step:.3e} s",
+                float(solver.t))
+        reached = int(np.searchsorted(samples, solver.t, "right"))
+        if reached > len(states):
+            dense = solver.dense_output()
+            states += [dense(t).reshape(shape)
+                       for t in samples[len(states):reached]]
+    if len(stops) > n_samples:
+        states.append(solver.y.reshape(shape))
+    return np.asarray(stops), states
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +470,8 @@ def pulse_window_propagator(levels: LevelScheme, pulse: PulseSpec,
     phases exactly and converges quadratically in the envelope; the
     adaptive method integrates the 16x16 propagator equation instead.
     """
-    config = config or IntegratorConfig(method="fixed-expm")
+    config = _window_config(config or IntegratorConfig(method="fixed-expm"),
+                            pulse)
     t0, t1 = pulse.window()
     l_const, l_drive, l_deph = pulse_liouvillian_parts(
         levels, pulse, dissipators, spin_detuning)
@@ -468,33 +481,15 @@ def pulse_window_propagator(levels: LevelScheme, pulse: PulseSpec,
         gamma = dissipators.laser_dephasing_rate(om)
         return l_const + om * l_drive + gamma * l_deph
 
-    if config.method == "fixed-expm":
-        n = expm_steps
-        if math.isfinite(config.max_step):
-            n = max(n, int(math.ceil((t1 - t0) / config.max_step)))
-        h = (t1 - t0) / n
-        w = np.eye(16, dtype=complex)
-        for k in range(n):
-            tm = t0 + (k + 0.5) * h
-            w = expm(generator(tm) * h) @ w
-        return w
+    return _advance(np.eye(16, dtype=complex), t0, t1, config, generator,
+                    expm_steps)[1][-1]
 
-    # adaptive method on the propagator equation dW/dt = L(t) W
-    from scipy.integrate import solve_ivp
 
-    max_step = min(config.max_step, pulse.duration / 50.0)
-
-    def rhs(t, y):
-        return (generator(t) @ y.reshape(16, 16)).ravel()
-
-    sol = solve_ivp(rhs, (t0, t1), np.eye(16, dtype=complex).ravel(),
-                    method="DOP853", rtol=config.rel_tol, atol=config.abs_tol,
-                    max_step=max_step)
-    if not sol.success:
-        last = float(sol.t[-1]) if sol.t.size else t0
-        raise IntegrationFailure(f"pulse window integration failed: {sol.message}",
-                                 last)
-    return sol.y[:, -1].reshape(16, 16)
+def _window_config(config: IntegratorConfig, pulse: PulseSpec):
+    """Adaptive steps across a pulse window are capped at duration / 50."""
+    if config.method != "adaptive-rk":
+        return config
+    return replace(config, max_step=min(config.max_step, pulse.duration / 50.0))
 
 
 class SilencePropagator:
@@ -646,19 +641,12 @@ def evolve(rho0, levels: LevelScheme, pulses, dissipators: DissipatorSet,
         inner = samples[(samples > cursor) & (samples <= w1)]
         h_func = lambda t, _p=pulse: build_hamiltonian(levels, [_p], t, spin_detuning)
         rabi_func = lambda t, _p=pulse: float(envelope_value(_p, t))
-        cfg = config
-        if config.method == "adaptive-rk":
-            cap = min(config.max_step, pulse.duration / 50.0)
-            cfg = IntegratorConfig(method=config.method, rel_tol=config.rel_tol,
-                                   abs_tol=config.abs_tol, max_step=cap,
-                                   min_step=config.min_step)
-        res = integrate_master(rho, h_func, dissipators, cfg, (cursor, w1),
+        res = integrate_master(rho, h_func, dissipators,
+                               _window_config(config, pulse), (cursor, w1),
                                t_eval=inner if inner.size else None,
                                rabi=rabi_func)
-        for ts, st in zip(res.times, res.states):
-            if inner.size and ts in inner:
-                out_t.append(float(ts))
-                out_s.append(st)
+        out_t += [float(ts) for ts in inner]
+        out_s += res.states[:inner.size]
         sample_pos += int(inner.size)
         rho = res.final.matrix
         cursor = w1

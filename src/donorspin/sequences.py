@@ -300,18 +300,12 @@ class _SequenceEngine:
     """Pulse propagator plus grouped silence factors for one pulse shape."""
 
     def __init__(self, levels: LevelScheme, pulse: PulseSpec,
-                 dissipators: DissipatorSet,
-                 integrator: IntegratorConfig | None = None,
-                 expm_steps: int = 1024):
-        self.levels = levels
-        self.pulse = pulse
+                 dissipators: DissipatorSet, expm_steps: int = 1024):
         self.expm_steps = expm_steps
-        self.window = pulse_window_propagator(
-            levels, pulse, dissipators, config=integrator,
-            expm_steps=expm_steps)
+        self.window = pulse_window_propagator(levels, pulse, dissipators,
+                                              expm_steps=expm_steps)
         self.silence = SilencePropagator(levels, dissipators)
         self.z = self.silence.coherence_rate.ravel()
-        self.half_window = pulse.half_window
 
     # -- silences ------------------------------------------------------
     def pop_stack(self, taus: np.ndarray) -> np.ndarray:
@@ -482,7 +476,7 @@ def _contract(engine, rho0, gaps, mults, scan, scan_mult, bath, mode,
 
 
 def _pulse_populations(energies, levels, pulse, dissipators, initial,
-                       integrator, expm_steps, flats):
+                       expm_steps, flats, integrator=None):
     """Populations after one control pulse, one propagator per energy.
 
     Returns one clipped (n,) array per flat density-matrix index in
@@ -509,13 +503,12 @@ def rabi_populations(energies, levels: LevelScheme, pulse: PulseSpec,
     if flat is None:
         raise ValidationError(f"unknown observable {observable!r}")
     return _pulse_populations(energies, levels, pulse, dissipators, initial,
-                              integrator, expm_steps, (flat,))[0]
+                              expm_steps, (flat,), integrator)[0]
 
 
 def run_rabi_sweep(energies, levels: LevelScheme, pulse: PulseSpec,
                    dissipators: DissipatorSet, initial=None,
                    pump: PumpSettings | None = None,
-                   integrator: IntegratorConfig | None = None,
                    expm_steps: int = 1024) -> ExperimentTrace:
     """Spin-flip probability against single-pulse energy.
 
@@ -530,8 +523,7 @@ def run_rabi_sweep(energies, levels: LevelScheme, pulse: PulseSpec,
         raise ValidationError("pulse energies must be non-negative")
     rho0 = _prepare_initial(initial, pump, levels, dissipators)
     p_up, p_down = _pulse_populations(energies, levels, pulse, dissipators,
-                                      rho0, integrator, expm_steps,
-                                      (_UP_FLAT, _DOWN_FLAT))
+                                      rho0, expm_steps, (_UP_FLAT, _DOWN_FLAT))
     trace = ExperimentTrace(
         abscissa=energies, abscissa_name="pulse_energy_J",
         p_up=p_up, p_down=p_down,
@@ -540,7 +532,6 @@ def run_rabi_sweep(energies, levels: LevelScheme, pulse: PulseSpec,
 
 
 def extracted_rotation_angle(levels: LevelScheme, pulse: PulseSpec,
-                             integrator: IntegratorConfig | None = None,
                              expm_steps: int = 1024) -> float:
     """Ground-spin rotation angle realized by one pulse.
 
@@ -550,8 +541,7 @@ def extracted_rotation_angle(levels: LevelScheme, pulse: PulseSpec,
     the impulsive approximation holds.
     """
     quiet = DissipatorSet()
-    w = pulse_window_propagator(levels, pulse, quiet, config=integrator,
-                                expm_steps=expm_steps)
+    w = pulse_window_propagator(levels, pulse, quiet, expm_steps=expm_steps)
     v0 = DensityMatrix.pure(GROUND_DOWN).matrix.reshape(16)
     p_up = float(np.real(w[_UP_FLAT] @ v0))
     p_up = min(max(p_up, 0.0), 1.0)
@@ -616,7 +606,6 @@ def run_ramsey(tau, levels: LevelScheme, pulse: PulseSpec,
                ensemble_mode: str = "exact", bath_samples: int = 1000,
                seed=None, initial=None, pump: PumpSettings | None = None,
                injected: InjectedDecoherence | None = None,
-               integrator: IntegratorConfig | None = None,
                expm_steps: int = 1024) -> RamseyResult:
     """Two-pulse interferometer scanned over the inter-pulse delay.
 
@@ -645,8 +634,7 @@ def run_ramsey(tau, levels: LevelScheme, pulse: PulseSpec,
 
     samples = _resolve_ensemble(bath, ensemble_mode, bath_samples, seed)
     rho0 = _prepare_initial(initial, pump, levels, dissipators)
-    engine = _SequenceEngine(levels, pulse, dissipators, integrator,
-                             expm_steps)
+    engine = _SequenceEngine(levels, pulse, dissipators, expm_steps)
     all_tau = np.concatenate(windows)
     mult = injected.ratio(0.0, all_tau) if injected is not None \
         else np.ones_like(all_tau)
@@ -684,7 +672,6 @@ def run_ramsey(tau, levels: LevelScheme, pulse: PulseSpec,
 
 def fringe_visibilities(energies, levels: LevelScheme, pulse: PulseSpec,
                         dissipators: DissipatorSet, initial=None,
-                        integrator: IntegratorConfig | None = None,
                         expm_steps: int = 256) -> np.ndarray:
     """Ramsey fringe amplitude against pulse energy (fixed short delay).
 
@@ -702,7 +689,7 @@ def fringe_visibilities(energies, levels: LevelScheme, pulse: PulseSpec,
                                     larmor, periods=2.0)[0]
         window = window[window >= 2.0 * p.half_window]
         result = run_ramsey(window, levels, p, dissipators, initial=initial,
-                            integrator=integrator, expm_steps=expm_steps)
+                            expm_steps=expm_steps)
         out[k] = result.visibilities[0]
     return out
 
@@ -728,7 +715,6 @@ def run_echo(tau1: float, tau2, levels: LevelScheme, pulse: PulseSpec,
              ensemble_mode: str = "exact", bath_samples: int = 1000,
              seed=None, initial=None, pump: PumpSettings | None = None,
              injected: InjectedDecoherence | None = None,
-             integrator: IntegratorConfig | None = None,
              expm_steps: int = 1024, *,
              _engine: _SequenceEngine | None = None) -> EchoResult:
     """Three equal pulses at 0, tau1, tau1+tau2; scan tau2, read p_up.
@@ -759,7 +745,7 @@ def run_echo(tau1: float, tau2, levels: LevelScheme, pulse: PulseSpec,
     samples = _resolve_ensemble(bath, ensemble_mode, bath_samples, seed)
     rho0 = _prepare_initial(initial, pump, levels, dissipators)
     engine = _engine if _engine is not None else _SequenceEngine(
-        levels, pulse, dissipators, integrator, expm_steps)
+        levels, pulse, dissipators, expm_steps)
 
     mult1 = float(injected.ratio(0.0, tau1)) if injected is not None else 1.0
     mult2 = injected.ratio(tau1, tau1 + tau2) if injected is not None \
@@ -802,7 +788,6 @@ def run_echo_decay(tau1_values, levels: LevelScheme, pulse: PulseSpec,
                    dissipators: DissipatorSet, periods: float = 2.0,
                    points_per_period: int = 9, *, initial=None,
                    pump: PumpSettings | None = None,
-                   integrator: IntegratorConfig | None = None,
                    expm_steps: int = 1024, **kwargs) -> EchoDecayResult:
     """Echo amplitude versus total time: one fringe scan per tau1.
 
@@ -816,15 +801,14 @@ def run_echo_decay(tau1_values, levels: LevelScheme, pulse: PulseSpec,
         raise ValidationError("tau1_values must be a non-empty 1-D sequence")
     larmor = levels.electron_splitting
     rho0 = _prepare_initial(initial, pump, levels, dissipators)
-    engine = _SequenceEngine(levels, pulse, dissipators, integrator,
-                             expm_steps)
+    engine = _SequenceEngine(levels, pulse, dissipators, expm_steps)
     points = []
     for tau1 in tau1_values:
         scan = ramsey_window_plan([tau1], larmor, periods,
                                   points_per_period)[0]
         points.append(run_echo(float(tau1), scan, levels, pulse, dissipators,
-                               initial=rho0, integrator=integrator,
-                               expm_steps=expm_steps, _engine=engine,
+                               initial=rho0, expm_steps=expm_steps,
+                               _engine=engine,
                                **kwargs))
     metadata = dict(points[0].trace.metadata)
     metadata["experiment"] = "echo_decay"

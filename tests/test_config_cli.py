@@ -360,6 +360,26 @@ class TestSimulateCommand:
         assert "positive spin precession frequency" in stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("experiment.count", "3"),
+        ("experiment.waits", "[0 s, 0.1 s, 0.2 s]"),
+    ])
+    def test_short_t1_scan_exits_2_before_running(self, tmp_path, capsys,
+                                                  monkeypatch, key, value):
+        # the recovery fit has three parameters: a shorter scan is listed
+        # as a config problem before the pump and the waits run
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli, "run_t1_recovery", must_not_run)
+        code, _, stderr = run_cli(
+            ["simulate", "--config", "configs/t1.yaml", "--set",
+             f"{key}={value}", "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert key in stderr
+        assert "4" in stderr
+        assert not (tmp_path / "out").exists()
+
     def test_stray_linalg_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def singular(config):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -557,6 +577,19 @@ class TestSweepCommand:
              "--values", "fast,slow"], capsys)
         assert code == 2
         assert "numeric" in stderr
+
+    def test_unparsable_axis_value_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, minimal_rabi_doc())
+        code, _, stderr = run_cli(
+            ["sweep", "--config", config, "--axis", "seed",
+             "--values", "[1,2]"], capsys)
+        assert code == 2
+        assert "numeric" in stderr
+        assert "Traceback" not in stderr
+
+    def test_axis_values_parsed_with_their_numbers(self):
+        assert cli._axis_values(" 2 T, 3,1e3 Hz,") == (
+            ["2 T", "3", "1e3 Hz"], [2.0, 3.0, 1000.0])
 
     def test_sweep_requires_axis_and_values(self, tmp_path, capsys):
         config = write_config(tmp_path, minimal_rabi_doc())

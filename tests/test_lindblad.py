@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import donorspin as d
+from donorspin.hamiltonian import envelope_value
 from donorspin.lindblad import (
     DensityMatrix,
     SilencePropagator,
     lindblad_rhs,
     liouvillian,
+    pulse_liouvillian_parts,
     pulse_window_propagator,
 )
 from conftest import pulse_for_angle, random_density_matrix
@@ -165,6 +167,38 @@ class TestIntegrateMaster:
         assert np.allclose(result.times, t_eval)
         assert len(result.states) == 7
 
+    @pytest.mark.parametrize("max_step", [1e-12, 3e-11])
+    def test_fixed_samples_land_on_their_times(self, lossy, max_step):
+        # the fixed grid is broken at each sample, so a sample is the
+        # state at its own time, not at the next step boundary
+        rng = np.random.default_rng(9)
+        h = random_hamiltonian(rng)
+        rho0 = DensityMatrix.pure(d.GROUND_UP)
+        t_eval = np.linspace(0.0, 1e-9, 7)
+        adaptive = d.integrate_master(rho0, h, lossy, d.IntegratorConfig(),
+                                      t_span=(0.0, 1e-9), t_eval=t_eval)
+        fixed = d.integrate_master(
+            rho0, h, lossy,
+            d.IntegratorConfig(method="fixed-expm", max_step=max_step),
+            t_span=(0.0, 1e-9), t_eval=t_eval)
+        assert np.array_equal(fixed.times, t_eval)
+        for a, f in zip(adaptive.states, fixed.states, strict=True):
+            assert np.max(np.abs(a - f)) < 1e-8
+
+    def test_min_step_guard_checks_steps_not_samples(self, lossy):
+        # dense samples are read from the interpolant; only the solver's
+        # own steps count against min_step
+        h = np.diag([0.0, 1e9, 2e9, 3e9]).astype(complex)
+        rho0 = DensityMatrix.pure(d.GROUND_UP)
+        t_eval = np.linspace(0.0, 1e-9, 20001)
+        result = d.integrate_master(
+            rho0, h, lossy,
+            config=d.IntegratorConfig(method="adaptive-rk", min_step=1e-13),
+            t_span=(0.0, 1e-9), t_eval=t_eval)
+        assert len(result.states) == t_eval.size
+        oracle = expm(liouvillian(h, lossy) * 1e-9) @ rho0.matrix.reshape(16)
+        assert np.max(np.abs(result.final.matrix.ravel() - oracle)) < 1e-8
+
     def test_min_step_guard_raises(self, lossy):
         rng = np.random.default_rng(13)
         h = random_hamiltonian(rng) * 1e3
@@ -236,6 +270,28 @@ class TestPulseWindowPropagator:
         # shrink the defect by roughly four
         assert fine < 0.35 * coarse
 
+    def test_adaptive_matches_solve_ivp(self, levels_5t, lossy,
+                                        half_pi_pulse):
+        from scipy.integrate import solve_ivp
+
+        config = d.IntegratorConfig(method="adaptive-rk", rel_tol=1e-9,
+                                    abs_tol=1e-11)
+        w = pulse_window_propagator(levels_5t, half_pi_pulse, lossy,
+                                    config=config)
+        parts = pulse_liouvillian_parts(levels_5t, half_pi_pulse, lossy)
+
+        def rhs(t, y):
+            om = float(envelope_value(half_pi_pulse, t))
+            gen = (parts[0] + om * parts[1]
+                   + lossy.laser_dephasing_rate(om) * parts[2])
+            return (gen @ y.reshape(16, 16)).ravel()
+
+        sol = solve_ivp(rhs, half_pi_pulse.window(),
+                        np.eye(16, dtype=complex).ravel(), method="DOP853",
+                        rtol=1e-9, atol=1e-11,
+                        max_step=half_pi_pulse.duration / 50.0)
+        assert np.array_equal(w, sol.y[:, -1].reshape(16, 16))
+
     def test_quiet_propagator_is_trace_preserving(self, levels_5t,
                                                   half_pi_pulse, quiet):
         w = pulse_window_propagator(levels_5t, half_pi_pulse, quiet)
@@ -274,6 +330,20 @@ class TestEvolve:
         expected = (prop @ DensityMatrix.pure(d.GROUND_DOWN).matrix
                     .reshape(16)).reshape(4, 4)
         assert np.max(np.abs(result.final.matrix - expected)) < 1e-7
+
+    def test_sample_inside_a_window_leaves_the_final_state(self, levels_5t,
+                                                           lossy):
+        # the window integration still runs to the window's end after a
+        # sample inside it
+        pulse = pulse_for_angle(levels_5t, math.pi / 2, shape="rectangular")
+        w = pulse.half_window
+        rho0 = DensityMatrix.pure(d.GROUND_DOWN)
+        plain = d.evolve(rho0, levels_5t, [pulse], lossy, t_span=(-w, 2 * w))
+        sampled = d.evolve(rho0, levels_5t, [pulse], lossy,
+                           t_span=(-w, 2 * w), t_eval=[0.0, 2 * w])
+        assert np.array_equal(sampled.times, [0.0, 2 * w])
+        assert np.max(np.abs(sampled.final.matrix
+                             - plain.final.matrix)) < 1e-8
 
     def test_overlapping_pulses_rejected(self, levels_5t, lossy,
                                          half_pi_pulse):
