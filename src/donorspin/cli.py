@@ -555,7 +555,7 @@ def main(argv=None) -> int:
         for problem in err.problems:
             print(f"  - {problem}", file=sys.stderr)
         return 2
-    except (NumericsError, np.linalg.LinAlgError) as err:
+    except (NumericsError, np.linalg.LinAlgError, FloatingPointError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except OSError as err:

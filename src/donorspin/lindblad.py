@@ -17,12 +17,14 @@ and the pulse-window propagator, with two methods. The adaptive
 embedded Runge-Kutta method (DOP853) follows the vectorized master
 equation directly. The fixed-step method advances with the matrix
 exponential of the midpoint generator, which is exact for
-piecewise-constant dynamics. Pulse-free stretches are never integrated
-numerically: with the drive off the generator is constant and
-block-diagonal, so populations advance with a small matrix exponential
-and each coherence picks up an exact phase-and-decay factor. That
-removes the stiffness of picosecond pulses separated by microsecond
-delays.
+piecewise-constant dynamics; it exponentiates each distinct midpoint
+generator once (keeping at most 512 for later steps), in time-ordered
+batches of at most 64 steps. Pulse-free stretches are never
+integrated numerically: with the drive off the generator is constant
+and block-diagonal, so populations advance with a small matrix
+exponential and each coherence picks up an exact phase-and-decay
+factor. That removes the stiffness of picosecond pulses separated by
+microsecond delays.
 """
 
 from __future__ import annotations
@@ -373,16 +375,17 @@ def integrate_master(rho0, hamiltonian, dissipators: DissipatorSet,
 
 
 def _advance(y0, t0, t1, config: IntegratorConfig, generator, steps: int,
-             t_eval=None, rhs=None):
-    """Advance ``y0`` from ``t0`` to ``t1`` under dy/dt = generator(t) @ y.
+             t_eval=None, rhs=None, key=float):
+    """Advance ``y0`` from ``t0`` to ``t1`` under dy/dt = L(t) @ y.
 
+    L(t) = generator(key(t)); ``key`` defaults to the time itself.
     ``y0`` is a vectorized state or the 16x16 identity of a propagator.
     ``fixed-expm`` steps the midpoint exponential on
     max(steps, ceil(span / max_step)) equal steps, broken at every
-    sample. ``adaptive-rk`` runs DOP853 on ``rhs(t, y)`` (by default
-    generator(t) @ y on the flattened ``y``) and raises
-    :class:`IntegrationFailure` as soon as a step other than the last
-    one falls below ``min_step``. Returns the sample times, with t1
+    sample, reusing the exponential of a repeated key. ``adaptive-rk``
+    runs DOP853 on ``rhs(t, y)`` (by default L(t) @ y on the flattened
+    ``y``) and raises :class:`IntegrationFailure` as soon as a step
+    other than the last one falls below ``min_step``. Returns the sample times, with t1
     appended when the samples stop short of it, and the state at each.
     """
     stops = [] if t_eval is None else [float(t) for t in t_eval]
@@ -397,8 +400,9 @@ def _advance(y0, t0, t1, config: IntegratorConfig, generator, steps: int,
         for b in stops:
             m = int(math.ceil((b - a) / span * n))
             h = (b - a) / max(m, 1)
-            for k in range(m):
-                y = expm(generator(a + (k + 0.5) * h) * h) @ y
+            mid = a + (np.arange(m) + 0.5) * h
+            keys = np.fromiter(map(key, mid.tolist()), float, m)
+            y = _midpoint_product(y, keys, generator, h)
             states.append(y)
             a = b
         return np.asarray(stops), states
@@ -406,7 +410,7 @@ def _advance(y0, t0, t1, config: IntegratorConfig, generator, steps: int,
     from scipy.integrate import DOP853  # only the adaptive method needs it
 
     shape = y0.shape
-    fun = rhs or (lambda t, y: (generator(t) @ y.reshape(shape)).ravel())
+    fun = rhs or (lambda t, y: (generator(key(t)) @ y.reshape(shape)).ravel())
     solver = DOP853(fun, t0, y0.ravel(), t1, rtol=config.rel_tol,
                     atol=config.abs_tol, max_step=config.max_step)
     samples, states = np.asarray(stops[:n_samples]), []
@@ -427,6 +431,39 @@ def _advance(y0, t0, t1, config: IntegratorConfig, generator, steps: int,
     if len(stops) > n_samples:
         states.append(solver.y.reshape(shape))
     return np.asarray(stops), states
+
+
+_BLOCK, _HELD = 64, 512  # steps per batched expm call; exponentials kept
+
+
+def _midpoint_product(y, keys, generator, h):
+    """Left-multiply ``y`` by expm(generator(k) * h) for each key in turn.
+
+    Keys are compared by their bytes. Each block of ``_BLOCK`` steps
+    exponentiates its keys not already kept in one batched call; an
+    exponential a later step needs is kept while fewer than ``_HELD``
+    are, and recomputed past that. Equal keys give equal bytes, so the
+    product is the one a per-step loop gives.
+    """
+    uniq, ids = np.unique(keys.view(np.int64), return_inverse=True)
+    uniq = uniq.view(float)
+    left = np.bincount(ids).tolist()  # uses still to come, per key
+    held = {}
+    for start in range(0, keys.size, _BLOCK):
+        block = ids[start:start + _BLOCK].tolist()
+        new = [i for i in dict.fromkeys(block) if i not in held]
+        made = dict(zip(new, expm(np.stack(
+            [generator(float(uniq[i])) for i in new]) * h))) if new else {}
+        for i in block:
+            y = (held[i] if i in held else made[i]) @ y
+            left[i] -= 1
+            if not left[i]:
+                held.pop(i, None)
+        for i in new:
+            if left[i] and len(held) < _HELD:
+                held[i] = made[i].copy()
+        del made  # frees the block's exponentials before the next batch
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +513,13 @@ def pulse_window_propagator(levels: LevelScheme, pulse: PulseSpec,
     l_const, l_drive, l_deph = pulse_liouvillian_parts(
         levels, pulse, dissipators, spin_detuning)
 
-    def generator(t):
-        om = float(envelope_value(pulse, t))
+    def generator(om):
         gamma = dissipators.laser_dephasing_rate(om)
         return l_const + om * l_drive + gamma * l_deph
 
     return _advance(np.eye(16, dtype=complex), t0, t1, config, generator,
-                    expm_steps)[1][-1]
+                    expm_steps,
+                    key=lambda t: float(envelope_value(pulse, t)))[1][-1]
 
 
 def _window_config(config: IntegratorConfig, pulse: PulseSpec):
@@ -510,32 +547,20 @@ class SilencePropagator:
         gen = liouvillian(h0, dissipators, rabi=0.0)
 
         pop_idx = np.diag(_IDX)
-        off_mask = np.ones(16, dtype=bool)
-        off_mask[pop_idx] = False
-
         self.pop_generator = np.real(gen[np.ix_(pop_idx, pop_idx)]).copy()
 
         # structural checks: populations feed only populations, each
         # coherence only itself
-        resid = np.max(np.abs(gen[np.ix_(pop_idx, np.where(off_mask)[0])]))
-        off_rows = gen[off_mask][:, :]
-        off_diag = np.zeros((16, 16), dtype=complex)
-        off_ids = np.where(off_mask)[0]
-        for row, flat in enumerate(off_ids):
-            off_diag[flat, flat] = off_rows[row, flat]
-        resid = max(resid, float(np.max(np.abs(
-            off_rows - off_diag[off_ids, :]))))
+        allowed = np.eye(16, dtype=bool)
+        allowed[np.ix_(pop_idx, pop_idx)] = True
+        resid = float(np.max(np.abs(gen[~allowed])))
         scale = max(1.0, float(np.max(np.abs(gen))))
         if resid > 1e-12 * scale:
             raise NumericsError(
                 "silence generator is not element-diagonal; integrate instead")
 
-        self.coherence_rate = np.zeros((_DIM, _DIM), dtype=complex)
-        for i in range(_DIM):
-            for j in range(_DIM):
-                if i != j:
-                    flat = _IDX[i, j]
-                    self.coherence_rate[i, j] = gen[flat, flat]
+        self.coherence_rate = np.diag(gen).reshape(_DIM, _DIM).copy()
+        np.fill_diagonal(self.coherence_rate, 0.0)
 
         # phase sensitivity to a shift of the spin-up level:
         # d(rate_ij)/d(detuning) = -i (delta_{i,up} - delta_{j,up})

@@ -390,6 +390,18 @@ class TestSimulateCommand:
         assert code == 3
         assert "numerical failure" in stderr
 
+    def test_stray_floating_point_error_exits_3(self, tmp_path, capsys,
+                                                monkeypatch):
+        def overflow(config):
+            raise FloatingPointError("overflow encountered in exp")
+
+        monkeypatch.setattr(cli, "_execute", overflow)
+        config = write_config(tmp_path, minimal_rabi_doc())
+        code, _, stderr = run_cli(["simulate", "--config", config], capsys)
+        assert code == 3
+        assert "numerical failure" in stderr
+        assert "Traceback" not in stderr
+
 
 class TestEstimateCommand:
     def test_budget_report(self, tmp_path, capsys):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import donorspin as d
+import donorspin.lindblad as lindblad
 from donorspin.hamiltonian import envelope_value
 from donorspin.lindblad import (
     DensityMatrix,
@@ -300,6 +303,126 @@ class TestPulseWindowPropagator:
         assert out.trace_error() < 1e-9
         assert out.hermiticity_error() < 1e-10
         assert out.purity() == pytest.approx(1.0, abs=1e-8)
+
+
+def per_step_window(levels, pulse, dissipators, steps):
+    """The window propagator as a plain loop: one scalar envelope call
+    and one exponential per midpoint step."""
+    l_const, l_drive, l_deph = pulse_liouvillian_parts(levels, pulse,
+                                                       dissipators)
+    a, b = pulse.window()
+    h = (b - a) / steps
+    y = np.eye(16, dtype=complex)
+    for k in range(steps):
+        om = float(envelope_value(pulse, a + (k + 0.5) * h))
+        gen = (l_const + om * l_drive
+               + dissipators.laser_dephasing_rate(om) * l_deph)
+        y = expm(gen * h) @ y
+    return y
+
+
+def per_step_master(rho0, h_func, dissipators, t1, n, t_eval):
+    """Fixed-step integrate_master as a plain loop over its grid, which
+    is broken at every sample."""
+    y, a, states = rho0.ravel(), 0.0, []
+    for b in t_eval:
+        m = int(math.ceil((b - a) / t1 * n))
+        h = (b - a) / max(m, 1)
+        for k in range(m):
+            t = a + (k + 0.5) * h
+            y = expm(liouvillian(h_func(t), dissipators, 0.0) * h) @ y
+        states.append(y.reshape(4, 4))
+        a = b
+    return states
+
+
+@pytest.fixture
+def expm_count(monkeypatch):
+    """Number of matrices the stepper exponentiates."""
+    counted = []
+
+    def counting(a):
+        counted.append(1 if np.ndim(a) == 2 else len(a))
+        return expm(a)
+
+    monkeypatch.setattr(lindblad, "expm", counting)
+    return counted
+
+
+class TestFixedStepper:
+    @pytest.mark.parametrize("steps", [64, 1024])
+    @pytest.mark.parametrize("arrival", [0.0, 3.3e-10])
+    @pytest.mark.parametrize("shape", ["gaussian", "sech2", "rectangular"])
+    def test_window_equals_the_per_step_loop(self, levels_5t, lossy, shape,
+                                             arrival, steps):
+        pulse = replace(pulse_for_angle(levels_5t, 1.3, shape=shape),
+                        arrival_time=arrival)
+        assert np.array_equal(
+            pulse_window_propagator(levels_5t, pulse, lossy,
+                                    expm_steps=steps),
+            per_step_window(levels_5t, pulse, lossy, steps))
+
+    @pytest.mark.parametrize("max_step", [1e-12, math.inf])
+    def test_master_samples_equal_the_per_step_loop(self, lossy, max_step):
+        rng = np.random.default_rng(9)
+        h = random_hamiltonian(rng)
+
+        def h_func(t):
+            return h * math.cos(3e9 * t)
+
+        rho0 = DensityMatrix.pure(d.GROUND_UP).matrix
+        t_eval = np.linspace(0.0, 1e-9, 7)
+        result = d.integrate_master(
+            rho0, h_func, lossy,
+            d.IntegratorConfig(method="fixed-expm", max_step=max_step),
+            t_span=(0.0, 1e-9), t_eval=t_eval)
+        n = 1024 if math.isinf(max_step) else 1000
+        expected = per_step_master(rho0, h_func, lossy, 1e-9, n, t_eval)
+        assert np.array_equal(np.array(result.states), np.array(expected))
+
+    @pytest.mark.parametrize("shape, energy", [("rectangular", 1e-15),
+                                               ("gaussian", 0.0)])
+    def test_flat_window_exponentiates_once(self, levels_5t, lossy, shape,
+                                            energy, expm_count):
+        pulse = d.PulseSpec(shape=shape, duration=1.9e-12, energy=energy)
+        pulse_window_propagator(levels_5t, pulse, lossy, expm_steps=1024)
+        assert sum(expm_count) == 1
+
+    def test_gaussian_window_shares_mirror_steps(self, levels_5t, lossy,
+                                                 half_pi_pulse, expm_count):
+        pulse_window_propagator(levels_5t, half_pi_pulse, lossy,
+                                expm_steps=1024)
+        assert sum(expm_count) < 1024
+
+    def test_long_window_holds_bounded_memory(self, levels_5t, lossy,
+                                              half_pi_pulse, expm_count):
+        # the exponentials kept for later steps are capped, so a long
+        # window holds little more than a short one
+        tracemalloc.start()
+        try:
+            pulse_window_propagator(levels_5t, half_pi_pulse, lossy,
+                                    expm_steps=16384)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(expm_count) < 16384
+        assert peak < 4 * 2**20
+
+    def test_stiff_laser_dephasing_stays_physical(self, levels_low_field):
+        # the joint fit probes beta2 = 1.49e-8 s, where gamma * h is about
+        # 1.7e5 on a 64-step grid; the midpoint exponential stays bounded
+        # there, unlike integrators whose correction terms are not
+        # dissipative (4th-order Magnus reached populations of 1e275)
+        pulse = pulse_for_angle(levels_low_field, 2.2 * math.pi / 2)
+        stiff = d.DissipatorSet(laser_dephasing_linear=4.8e-3,
+                                laser_dephasing_quadratic=1.49e-8)
+        w = pulse_window_propagator(levels_low_field, pulse, stiff,
+                                    expm_steps=64)
+        rho = w @ DensityMatrix.ground_down().matrix.reshape(16)
+        out = DensityMatrix(rho.reshape(4, 4))
+        assert out.trace_error() < 1e-9
+        assert np.all(out.populations > -1e-9)
+        assert np.all(out.populations < 1.0 + 1e-9)
 
 
 class TestRelaxationModel:
