@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from .bath import (
     BathModel,
-    OverhauserSample,
     T2StarSummary,
     ga_field_values,
-    sample_overhauser,
     t2_star_theory,
     zn_dispersion,
 )
@@ -24,7 +22,6 @@ from .constants import (
     BOHR_MAGNETON,
     HBAR,
     NUCLEAR_MAGNETON,
-    PLANCK,
     VACUUM_PERMEABILITY,
     density_at_origin,
     zeeman_frequency_hz,
@@ -68,10 +65,8 @@ from .hamiltonian import (
     EXCITED_UPPER,
     GROUND_DOWN,
     GROUND_UP,
-    AdiabaticityReport,
     LevelScheme,
     PulseSpec,
-    adiabaticity_diagnostic,
     build_hamiltonian,
     effective_rabi,
     energy_for_rotation_angle,
@@ -98,7 +93,6 @@ from .sequences import (
     PumpSettings,
     RamseyResult,
     T1RecoveryResult,
-    ensemble_average,
     extracted_rotation_angle,
     fringe_visibilities,
     optical_pump,
@@ -109,7 +103,6 @@ from .sequences import (
     run_rabi_sweep,
     run_ramsey,
     run_t1_recovery,
-    scramble,
 )
 
 __version__ = "0.1.0"

@@ -34,12 +34,10 @@ from .materials import MaterialParams
 
 __all__ = [
     "BathModel",
-    "OverhauserSample",
     "T2StarSummary",
     "ga_field_values",
     "zn_dispersion",
     "t2_star_theory",
-    "sample_overhauser",
 ]
 
 _DISPERSION_MODES = ("continuum", "lattice-sum")
@@ -195,40 +193,12 @@ class BathModel:
 
     def sample_detunings(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n frozen per-donor detunings, rad/s."""
-        ga, zn = self._draw_components(rng, n)
-        return _angular_from_field(ga + zn, self.electron_g)
-
-    def _draw_components(self, rng, n):
         if n < 1:
             raise ValidationError(f"sample count must be >= 1, got {n}")
         ga = rng.choice(np.asarray(self.ga_field_values), size=n)
         zn = rng.normal(0.0, self.zn_dispersion, size=n) if self.zn_dispersion > 0 \
             else np.zeros(n)
-        return ga, zn
-
-
-@dataclass(frozen=True)
-class OverhauserSample:
-    """One donor's frozen nuclear field, split by origin."""
-
-    detuning: float        # rad/s shift of the spin splitting
-    ga_component: float    # tesla
-    zn_component: float    # tesla
-
-
-def sample_overhauser(bath: BathModel, seed, n: int) -> list[OverhauserSample]:
-    """Draw ``n`` reproducible Overhauser samples.
-
-    ``seed`` may be an integer or a numpy Generator. The donor-nucleus
-    component is uniform over the multiplet; the bath component is a
-    zero-mean Gaussian of width ``zn_dispersion``.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
-    ga, zn = bath._draw_components(rng, n)
-    det = _angular_from_field(ga + zn, bath.electron_g)
-    return [OverhauserSample(float(det[i]), float(ga[i]), float(zn[i]))
-            for i in range(n)]
+        return _angular_from_field(ga + zn, self.electron_g)
 
 
 @dataclass(frozen=True)

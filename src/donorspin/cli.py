@@ -261,7 +261,7 @@ def _load_config(args) -> RunConfig:
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     payload = _execute(config)
-    run_dir = _make_run_dir(config.output, config_digest(config.resolved))
+    run_dir = _make_run_dir(config.output, payload["meta"]["config_digest"])
     written = _write_payload(run_dir, payload)
     print(run_dir)
     for path in written:
@@ -281,10 +281,11 @@ def cmd_estimate(args) -> int:
                               f"got {variant!r}")
     budget = decoherence_budget(config.material, theta2=theta2,
                                 variant=variant)
-    run_dir = _make_run_dir(config.output, config_digest(config.resolved))
+    digest = config_digest(config.resolved)
+    run_dir = _make_run_dir(config.output, digest)
     report = {
         "config": config.resolved,
-        "config_digest": config_digest(config.resolved),
+        "config_digest": digest,
         "seed": config.seed,
         "budget": budget.as_report(),
     }
@@ -409,12 +410,7 @@ def _document_has_path(document: dict, path: str) -> bool:
 
 def _sweep_one(base_document: dict, axis: str, value: str) -> dict:
     document = apply_overrides(base_document, [f"{axis}={value}"])
-    config = parse_run_config(document)
-    payload = _execute(config)
-    payload["output"] = config.output
-    payload["digest"] = config_digest(config.resolved)
-    payload["value"] = value
-    return payload
+    return _execute(parse_run_config(document))
 
 
 def cmd_sweep(args) -> int:
@@ -440,8 +436,8 @@ def cmd_sweep(args) -> int:
         slope = _loglog_slope(numeric_values,
                               [p["summary"]["fitted_t1_s"] for p in payloads])
 
-    sweep_dir = _make_run_dir(config.output,
-                              config_digest(config.resolved))
+    digest = config_digest(config.resolved)
+    sweep_dir = _make_run_dir(config.output, digest)
     summary_rows = []
     summary_keys = sorted({k for p in payloads for k in p["summary"]
                            if isinstance(p["summary"][k], (int, float))
@@ -460,7 +456,7 @@ def cmd_sweep(args) -> int:
         "axis": args.axis,
         "values": values,
         "config": config.resolved,
-        "config_digest": config_digest(config.resolved),
+        "config_digest": digest,
         "seed": config.seed,
         "summaries": {v: p["summary"] for v, p in zip(values, payloads)},
     }
@@ -470,8 +466,7 @@ def cmd_sweep(args) -> int:
     write_trace_file(sweep_dir / "sweep_summary.csv",
                      [_slug(args.axis)] + summary_keys, summary_rows,
                      comments=[f"sweep over {args.axis}",
-                               f"config digest: "
-                               f"{config_digest(config.resolved)}"])
+                               f"config digest: {digest}"])
     _write_meta(sweep_dir / "sweep_meta.yaml", sweep_meta)
     print(sweep_dir)
     return 0

@@ -258,7 +258,7 @@ def parse_run_config(document: dict) -> RunConfig:
     if magnitude is not None:
         try:
             field_config = FieldConfig(magnitude, tuple(orientation))
-        except (ValidationError, TypeError) as err:
+        except (ValidationError, TypeError, ValueError) as err:
             problems.add(f"field: {err}")
     if field_config is not None:
         resolved["field"] = {
@@ -327,7 +327,7 @@ def parse_run_config(document: dict) -> RunConfig:
                 laser_dephasing_linear=laser_linear,
                 laser_dephasing_quadratic=laser_quadratic,
             )
-        except (ValidationError, TypeError) as err:
+        except (ValidationError, TypeError, ValueError) as err:
             problems.add(f"dissipators: {err}")
     if dissipators is not None:
         resolved["dissipators"] = {

@@ -15,12 +15,9 @@ __all__ = [
     "NUCLEAR_MAGNETON",
     "VACUUM_PERMEABILITY",
     "HBAR",
-    "PLANCK",
     "TWO_PI",
     "zeeman_splitting",
     "zeeman_frequency_hz",
-    "angular_from_hz",
-    "hz_from_angular",
     "density_at_origin",
 ]
 
@@ -29,7 +26,6 @@ BOHR_MAGNETON = 9.2740100783e-24  # J/T
 NUCLEAR_MAGNETON = 5.0507837461e-27  # J/T
 VACUUM_PERMEABILITY = 1.25663706212e-6  # T m / A
 HBAR = 1.054571817e-34  # J s
-PLANCK = 6.62607015e-34  # J s
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,16 +42,6 @@ def zeeman_splitting(g_factor: float, field: float) -> float:
 def zeeman_frequency_hz(g_factor: float, field: float) -> float:
     """Same splitting expressed as an ordinary frequency in Hz."""
     return zeeman_splitting(g_factor, field) / TWO_PI
-
-
-def angular_from_hz(frequency_hz: float) -> float:
-    """Ordinary frequency in Hz to angular frequency in rad/s."""
-    return TWO_PI * frequency_hz
-
-
-def hz_from_angular(omega: float) -> float:
-    """Angular frequency in rad/s to ordinary frequency in Hz."""
-    return omega / TWO_PI
 
 
 def density_at_origin(bohr_radius: float) -> float:

@@ -103,7 +103,6 @@ class LatticeSumResult:
     ``sum_b_squared`` is f * (mu0^2/16 pi^2) (mu_Zn^4/hbar^2) *
     sum_j (1 - 3 cos^2 theta_j)^2 / r_j^6 in rad^2/s^2. ``converged``
     certifies the sum changed by at most 1% when the cutoff grew 25%.
-    ``stderr`` is populated in Monte Carlo occupation mode.
     """
 
     sum_b_squared: float
@@ -112,77 +111,44 @@ class LatticeSumResult:
     field_direction: tuple
     converged: bool
     growth_change: float
-    mode: str
-    stderr: float | None = None
 
 
-def _geometry_factors(sites: np.ndarray, direction: np.ndarray) -> np.ndarray:
+def _geometric_sum(material: MaterialParams, direction: np.ndarray,
+                   cutoff: float):
+    sites = zn_sites_within(material.lattice_a, material.lattice_c, cutoff)
     r = np.linalg.norm(sites, axis=1)
     cos_t = (sites @ direction) / r
-    return (1.0 - 3.0 * cos_t ** 2) ** 2 / r ** 6
-
-
-def _powder_directions(n: int = 256) -> np.ndarray:
-    # deterministic Fibonacci-sphere quadrature
-    k = np.arange(n) + 0.5
-    phi = math.pi * (1.0 + math.sqrt(5.0)) * k
-    z = 1.0 - 2.0 * k / n
-    s = np.sqrt(1.0 - z ** 2)
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
-
-
-def _geometric_sum(material: MaterialParams, direction, cutoff: float):
-    sites = zn_sites_within(material.lattice_a, material.lattice_c, cutoff)
-    if isinstance(direction, str):
-        dirs = _powder_directions()
-        total = float(np.mean([np.sum(_geometry_factors(sites, d))
-                               for d in dirs]))
-    else:
-        total = float(np.sum(_geometry_factors(sites, direction)))
-    return total, len(sites)
+    return float(np.sum((1.0 - 3.0 * cos_t ** 2) ** 2 / r ** 6)), len(sites)
 
 
 def dipolar_lattice_sum(material: MaterialParams, field_direction=None,
-                        cutoff: float = 1.0e-8, max_cutoff: float | None = None,
-                        mode: str = "deterministic", seed=None,
-                        draws: int = 256) -> LatticeSumResult:
+                        cutoff: float = 1.0e-8,
+                        max_cutoff: float | None = None) -> LatticeSumResult:
     """Evaluate the dipolar coupling sum over the zinc sublattice.
 
     The sum runs over zinc sites around a central bath site at the
-    origin (excluded), with theta_j measured from the field direction.
-    ``field_direction`` accepts a 3-vector or the string ``"powder"``
-    for a deterministic angular average; the default is the material's
-    transverse-field geometry (x, perpendicular to the c axis).
+    origin (excluded), with theta_j measured from the field direction,
+    a 3-vector; the default is the material's transverse-field geometry
+    (x, perpendicular to the c axis).
 
     The cutoff is grown by 25% steps until the sum is stable to 1%;
     failure to stabilize before ``max_cutoff`` (default four times the
     starting cutoff) raises :class:`LatticeSumError` carrying the
-    partial sums. ``mode="monte-carlo"`` replaces the abundance
-    prefactor with random site occupations (and a random choice of
-    central site) over ``draws`` realizations, reporting a standard
-    error.
+    partial sums.
     """
     if cutoff < 3.0e-9:
         raise ValidationError(
             f"cutoff {cutoff:.3e} m is too small; at least 3 nm required")
-    if mode not in ("deterministic", "monte-carlo"):
-        raise ValidationError(
-            f"unknown mode {mode!r}; choose deterministic or monte-carlo")
-    if isinstance(field_direction, str):
-        if field_direction != "powder":
-            raise ValidationError(
-                f"unknown field direction {field_direction!r}; "
-                "pass a 3-vector or 'powder'")
-        direction = "powder"
-        direction_out = ("powder",)
-    else:
+    try:
         vec = np.array([1.0, 0.0, 0.0]) if field_direction is None \
             else np.asarray(field_direction, dtype=float)
-        norm = np.linalg.norm(vec)
-        if vec.shape != (3,) or norm == 0:
-            raise ValidationError("field_direction must be a nonzero 3-vector")
-        direction = vec / norm
-        direction_out = tuple(direction)
+    except (TypeError, ValueError):
+        vec = np.zeros(0)
+    norm = np.linalg.norm(vec)
+    if vec.shape != (3,) or norm == 0:
+        raise ValidationError("field_direction must be a nonzero 3-vector, "
+                              f"got {field_direction!r}")
+    direction = vec / norm
 
     max_cutoff = 4.0 * cutoff if max_cutoff is None else float(max_cutoff)
     f = material.zinc67_abundance
@@ -205,45 +171,10 @@ def dipolar_lattice_sum(material: MaterialParams, field_direction=None,
                 f"dipolar sum failed to stabilize to 1% below the "
                 f"{max_cutoff:.3e} m cutoff ceiling", partials)
 
-    if mode == "deterministic":
-        return LatticeSumResult(
-            sum_b_squared=f * prefactor * s_here, cutoff_radius=current,
-            site_count=count, field_direction=direction_out, converged=True,
-            growth_change=change, mode=mode)
-
-    if draws < 2:
-        raise ValidationError(f"draws must be >= 2, got {draws}")
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
-    # the two basis sites are the inequivalent central-site choices;
-    # shifting the origin to one of them and re-masking by radius keeps
-    # the neighbor geometry exact
-    basis = [np.zeros(3),
-             np.array([material.lattice_a / 2.0,
-                       material.lattice_a / (2.0 * math.sqrt(3.0)),
-                       material.lattice_c / 2.0])]
-    wide = zn_sites_within(material.lattice_a, material.lattice_c,
-                           current + 2.0 * material.lattice_c,
-                           include_origin=True)
-    totals = np.empty(draws)
-    for d in range(draws):
-        center = basis[int(rng.integers(len(basis)))]
-        rel = wide - center
-        r = np.linalg.norm(rel, axis=1)
-        mask = (r > 1e-13) & (r <= current)
-        neighbors = rel[mask]
-        dirs = _powder_directions() if isinstance(direction, str) \
-            else [direction]
-        geom = np.mean([_geometry_factors(neighbors, dv) for dv in dirs],
-                       axis=0)
-        occupied = rng.random(len(neighbors)) < f
-        totals[d] = float(np.sum(geom[occupied]))
-    mean = prefactor * float(np.mean(totals))
-    stderr = prefactor * float(np.std(totals, ddof=1)) / math.sqrt(draws)
     return LatticeSumResult(
-        sum_b_squared=mean, cutoff_radius=current, site_count=count,
-        field_direction=direction_out, converged=True, growth_change=change,
-        mode=mode, stderr=stderr)
+        sum_b_squared=f * prefactor * s_here, cutoff_radius=current,
+        site_count=count, field_direction=tuple(direction), converged=True,
+        growth_change=change)
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,6 @@ class FitResult:
     iterations: int
     converged: bool
     message: str = ""
-    model_comparison: dict | None = None
 
     def parameter_array(self, names=None) -> np.ndarray:
         names = names or list(self.parameters)
@@ -375,12 +374,12 @@ def _validate_xy(x, y, weights, n_params):
     return x, y, w
 
 
-def fit_curve(model, x, y, weights=None, max_iterations: int = 500) -> FitResult:
+def fit_curve(model, x, y, weights=None) -> FitResult:
     """Fit a :class:`CurveModel` (or a kind name) to data.
 
     ``weights`` are inverse variances. Convergence follows the fixed
     contract: relative parameter step below 1e-8 or relative residual
-    change below 1e-10, within ``max_iterations``. A singular Jacobian
+    change below 1e-10, within 500 iterations. A singular Jacobian
     produces a non-converged result with diagnostics, never an
     exception.
     """
@@ -392,8 +391,7 @@ def fit_curve(model, x, y, weights=None, max_iterations: int = 500) -> FitResult
     def residual_fn(p):
         return (model.evaluate(p, x) - y) * sw
 
-    return _least_squares(model.kind, model.parameters, residual_fn,
-                          max_iterations)
+    return _least_squares(model.kind, model.parameters, residual_fn, 500)
 
 
 def _least_squares(kind, specs, residual_fn, max_iterations) -> FitResult:
@@ -565,9 +563,7 @@ def simultaneous_fit_rabi_fringe(rabi_energies, rabi_p_up,
                                  levels, pulse_template, dissipator_template,
                                  initial: dict | None = None,
                                  rabi_stderr=None, fringe_stderr=None,
-                                 dataset_weights=(1.0, 1.0),
-                                 expm_steps: int = 256,
-                                 max_iterations: int = 200) -> SimultaneousFitResult:
+                                 expm_steps: int = 256) -> SimultaneousFitResult:
     """Joint fit of a pulse-energy sweep and its fringe-amplitude curve.
 
     Free parameters are the energy-to-Rabi calibration ``k`` (the ratio
@@ -577,7 +573,7 @@ def simultaneous_fit_rabi_fringe(rabi_energies, rabi_p_up,
     population sweep) and of a two-pulse interferometer (for the fringe
     amplitudes). Points are weighted by inverse variance where standard
     errors are given, normalized so each dataset carries the same total
-    weight (tunable via ``dataset_weights``).
+    weight. The fit stops after 200 iterations.
 
     Forward-model failures at trial parameters are logged and rejected
     through a large residual penalty instead of aborting the fit.
@@ -594,14 +590,12 @@ def simultaneous_fit_rabi_fringe(rabi_energies, rabi_p_up,
             or fringe_energies.ndim != 1:
         raise ValidationError("fringe energies and visibilities must match")
 
-    def dataset_w(stderr, y, share):
+    def dataset_w(stderr, y):
         w = _inverse_variance(stderr, y)
-        return w * (share / w.sum())
+        return w * (1.0 / w.sum())
 
-    w_all = np.concatenate([
-        dataset_w(rabi_stderr, rabi_p_up, dataset_weights[0]),
-        dataset_w(fringe_stderr, fringe_visibility, dataset_weights[1]),
-    ])
+    w_all = np.concatenate([dataset_w(rabi_stderr, rabi_p_up),
+                            dataset_w(fringe_stderr, fringe_visibility)])
     y_all = np.concatenate([rabi_p_up, fringe_visibility])
     sw = np.sqrt(w_all)
 
@@ -642,7 +636,7 @@ def simultaneous_fit_rabi_fringe(rabi_energies, rabi_p_up,
              ParameterSpec("beta1", init["beta1"], 0.0),
              ParameterSpec("beta2", init["beta2"], 0.0))
     fit = _least_squares("four-level pulse response", specs, residual_fn,
-                         max_iterations)
+                         200)
     p = fit.parameter_array()
     best = models.get(p.tobytes())
     if best is None:  # the model failed at p: raise its error here
@@ -723,32 +717,27 @@ def ingest_trace(path) -> IngestedTrace:
     header: list[str] | None = None
     rows: list[list[float]] = []
     problems: list[str] = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    comments.append(line.lstrip("#").strip())
-                    continue
-                cells = [c.strip() for c in line.split(",")]
-                if header is None:
-                    header = cells
-                    continue
-                if len(cells) != len(header):
-                    problems.append(
-                        f"line {lineno}: expected {len(header)} columns, "
-                        f"got {len(cells)}")
-                    continue
-                try:
-                    rows.append([float(c) for c in cells])
-                except ValueError:
-                    problems.append(f"line {lineno}: non-numeric value")
-    except OSError:
-        # propagate unchanged so callers can treat it as an input/output
-        # failure rather than a validation problem
-        raise
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                comments.append(line.lstrip("#").strip())
+                continue
+            cells = [c.strip() for c in line.split(",")]
+            if header is None:
+                header = cells
+                continue
+            if len(cells) != len(header):
+                problems.append(
+                    f"line {lineno}: expected {len(header)} columns, "
+                    f"got {len(cells)}")
+                continue
+            try:
+                rows.append([float(c) for c in cells])
+            except ValueError:
+                problems.append(f"line {lineno}: non-numeric value")
 
     if header is None:
         problems.append("no header row found")

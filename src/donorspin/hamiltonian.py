@@ -23,7 +23,7 @@ valid far from resonance. All frequencies are angular (rad/s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,6 @@ __all__ = [
     "effective_rabi",
     "pulse_rotation_angle",
     "energy_for_rotation_angle",
-    "adiabaticity_diagnostic",
-    "AdiabaticityReport",
 ]
 
 GROUND_DOWN, GROUND_UP, EXCITED_LOWER, EXCITED_UPPER = 0, 1, 2, 3
@@ -268,22 +266,3 @@ def energy_for_rotation_angle(pulse: PulseSpec, levels: LevelScheme,
     paths = (1.0 / levels.optical_detuning
              + 1.0 / (levels.optical_detuning + levels.hole_splitting))
     return 2.0 * angle / (pulse.calibration * paths)
-
-
-@dataclass(frozen=True)
-class AdiabaticityReport:
-    ratio: float
-    threshold: float
-    passes: bool
-
-
-def adiabaticity_diagnostic(pulse: PulseSpec, levels: LevelScheme,
-                            threshold: float = 10.0) -> AdiabaticityReport:
-    """Detuning times pulse duration, the margin for adiabatic elimination.
-
-    The effective two-level description needs this ratio to be large;
-    ``passes`` reports ratio >= threshold (default 10).
-    """
-    ratio = levels.optical_detuning * pulse.duration
-    return AdiabaticityReport(ratio=ratio, threshold=threshold,
-                              passes=bool(ratio >= threshold))

@@ -59,9 +59,7 @@ __all__ = [
     "EchoResult",
     "EchoDecayResult",
     "T1RecoveryResult",
-    "scramble",
     "optical_pump",
-    "readout_photon_signal",
     "rabi_populations",
     "fringe_visibilities",
     "run_rabi_sweep",
@@ -69,7 +67,6 @@ __all__ = [
     "run_echo",
     "run_echo_decay",
     "run_t1_recovery",
-    "ensemble_average",
     "extracted_rotation_angle",
     "ramsey_window_plan",
 ]
@@ -182,14 +179,6 @@ def _as_matrix(state) -> np.ndarray:
     return np.asarray(state, dtype=complex)
 
 
-def scramble(state):
-    """Replace any state by equal incoherent ground populations."""
-    scrambled = DensityMatrix.scrambled().matrix
-    if isinstance(state, DensityMatrix):
-        return DensityMatrix(scrambled, state.time)
-    return scrambled
-
-
 @dataclass(frozen=True)
 class PumpSettings:
     """Continuous-wave spin-initialization drive."""
@@ -256,6 +245,8 @@ def optical_pump(state, levels: LevelScheme, rabi: float, duration: float,
         times[k + 1] = (k + 1) * dt
         excited[k + 1] = np.real(vec[_IDX[EXCITED_LOWER, EXCITED_LOWER]]
                                  + vec[_IDX[EXCITED_UPPER, EXCITED_UPPER]])
+    if not (np.all(np.isfinite(vec)) and np.all(np.isfinite(excited))):
+        raise NumericsError("optical pump produced a non-finite state")
     final = DensityMatrix(vec.reshape(4, 4), duration)
     return PumpResult(
         final=final,
@@ -267,28 +258,11 @@ def optical_pump(state, levels: LevelScheme, rabi: float, duration: float,
     )
 
 
-def readout_photon_signal(state, levels: LevelScheme, rabi: float,
-                          duration: float, dissipators: DissipatorSet,
-                          samples: int = 256):
-    """Photon-count readout emulation: expected photons under the drive.
-
-    Runs the same resonant drive as :func:`optical_pump` and integrates
-    the emission-rate curve. The signal is proportional to the spin-up
-    population entering readout; direct ``p_up`` remains the reference
-    observable.
-    """
-    result = optical_pump(state, levels, rabi, duration, dissipators, samples)
-    integrate = getattr(np, "trapezoid", None) or np.trapz
-    signal = float(integrate(result.emission_rate, result.times))
-    return signal, result
-
-
 def _prepare_initial(initial, pump, levels, dissipators):
     if pump is not None:
-        start = scramble(_as_matrix(initial)) if initial is not None \
-            else DensityMatrix.scrambled().matrix
-        return optical_pump(start, levels, pump.rabi, pump.duration,
-                            dissipators, pump.samples).final.matrix
+        return optical_pump(DensityMatrix.scrambled().matrix, levels,
+                            pump.rabi, pump.duration, dissipators,
+                            pump.samples).final.matrix
     return _as_matrix(initial)
 
 
@@ -425,6 +399,8 @@ def _check_sampling(taus: np.ndarray, larmor: float, label: str):
 
 
 def _clip_populations(values: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise NumericsError("population is not finite")
     if np.any(values < -tol) or np.any(values > 1.0 + tol):
         raise NumericsError(
             f"population left [0, 1] by more than {tol}: "
@@ -835,7 +811,7 @@ class T1RecoveryResult:
 
 def run_t1_recovery(wait_values, levels: LevelScheme,
                     dissipators: DissipatorSet, pump: PumpSettings,
-                    initial=None, fit_recovery: bool = True) -> T1RecoveryResult:
+                    initial=None) -> T1RecoveryResult:
     """Pump, wait, read: population recovery toward the thermal mixture.
 
     The spin-flip channel drives the ground populations to 1/2 each at
@@ -843,8 +819,9 @@ def run_t1_recovery(wait_values, levels: LevelScheme,
     the wait time returns the relaxation time.
     """
     wait_values = np.asarray(wait_values, dtype=float)
-    if wait_values.ndim != 1 or len(wait_values) < 2:
-        raise ValidationError("wait_values must hold at least two delays")
+    if wait_values.ndim != 1 or len(wait_values) < 4:
+        raise ValidationError("wait_values must hold at least four delays "
+                              "to fit the three-parameter recovery")
     if np.any(wait_values < 0):
         raise ValidationError("wait values must be non-negative")
     start = _as_matrix(initial) if initial is not None \
@@ -864,49 +841,7 @@ def run_t1_recovery(wait_values, levels: LevelScheme,
         metadata={"experiment": "t1_recovery",
                   "pump_fidelity": pumped.fidelity,
                   "t1_rate_per_s": dissipators.t1_rate}).validate()
-    if fit_recovery:
-        result = fit_curve("exp_decay", wait_values, trace.p_up)
-        fitted = result.parameters["t_decay"]
-    else:
-        result = None
-        fitted = math.nan
-    return T1RecoveryResult(trace=trace, fitted_t1=fitted, fit=result,
-                            pump=pumped)
-
-
-# ---------------------------------------------------------------------------
-# generic ensemble averaging
-
-
-def ensemble_average(run, bath: BathModel, n: int, seed=None) -> ExperimentTrace:
-    """Average per-donor traces over sampled Overhauser detunings.
-
-    ``run(detuning)`` must return an :class:`ExperimentTrace` on a
-    fixed abscissa. The mean trace carries standard errors. The main
-    experiment runners use an algebraically identical factorized path;
-    this generic version exists for custom experiments and for checking
-    that factorization.
-    """
-    if n < 1:
-        raise ValidationError(f"sample count must be >= 1, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
-    detunings = bath.sample_detunings(rng, n)
-    traces = [run(float(d)) for d in detunings]
-    first = traces[0]
-    for t in traces[1:]:
-        if not np.array_equal(t.abscissa, first.abscissa):
-            raise ValidationError("per-sample traces disagree on the abscissa")
-    ups = np.stack([t.p_up for t in traces])
-    downs = np.stack([t.p_down for t in traces])
-    scale = math.sqrt(n) if n > 1 else 1.0
-    metadata = dict(first.metadata)
-    metadata.update({"bath_samples": n, "ensemble_mode": "mc-generic"})
-    return ExperimentTrace(
-        abscissa=first.abscissa, abscissa_name=first.abscissa_name,
-        p_up=ups.mean(axis=0), p_down=downs.mean(axis=0),
-        p_up_stderr=(ups.std(axis=0, ddof=1) / scale if n > 1
-                     else np.zeros_like(first.p_up)),
-        p_down_stderr=(downs.std(axis=0, ddof=1) / scale if n > 1
-                       else np.zeros_like(first.p_down)),
-        metadata=metadata).validate()
+    result = fit_curve("exp_decay", wait_values, trace.p_up)
+    return T1RecoveryResult(trace=trace,
+                            fitted_t1=result.parameters["t_decay"],
+                            fit=result, pump=pumped)

@@ -151,21 +151,6 @@ class TestBathModel:
 
 
 class TestSampling:
-    def test_reproducible(self, material):
-        bath = d.BathModel.from_material(material)
-        first = d.sample_overhauser(bath, 42, 10)
-        second = d.sample_overhauser(bath, 42, 10)
-        assert [s.detuning for s in first] == [s.detuning for s in second]
-
-    def test_components_consistent(self, material):
-        bath = d.BathModel.from_material(material)
-        for s in d.sample_overhauser(bath, 7, 50):
-            assert any(math.isclose(s.ga_component, v, rel_tol=1e-12)
-                       for v in bath.ga_field_values)
-            expected = (s.ga_component + s.zn_component) * \
-                bath.electron_g * MU_B / HBAR
-            assert s.detuning == pytest.approx(expected, rel=1e-6)
-
     def test_moments_match_model(self, material):
         bath = d.BathModel.from_material(material)
         rng = np.random.default_rng(1)

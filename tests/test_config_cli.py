@@ -380,6 +380,34 @@ class TestSimulateCommand:
         assert "4" in stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("dissipators.branching", '[["a", "b"], ["c", "d"]]'),
+        ("field.orientation", '["x", 0, 0]'),
+    ])
+    def test_non_numeric_entry_exits_2(self, tmp_path, capsys, key, value):
+        code, _, stderr = run_cli(
+            ["simulate", "--config", "configs/rabi.yaml", "--set",
+             f"{key}={value}", "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert f"- {key.split('.')[0]}:" in stderr
+        assert "Traceback" not in stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, override", [
+        ("configs/rabi.yaml", 'experiment.energies=["0 nJ", "1e300 nJ"]'),
+        ("configs/pump.yaml", "experiment.rabi_frequency=1e300 MHz"),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_exits_3(self, tmp_path, capsys, config,
+                                       override):
+        code, _, stderr = run_cli(
+            ["simulate", "--config", config, "--set", override,
+             "--out", str(tmp_path / "out")], capsys)
+        assert code == 3
+        assert "numerical failure" in stderr
+        assert "Traceback" not in stderr
+        assert not (tmp_path / "out").exists()
+
     def test_stray_linalg_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def singular(config):
             raise np.linalg.LinAlgError("Singular matrix")

@@ -148,15 +148,3 @@ class TestEffectiveModel:
         pulse = d.PulseSpec(shape="gaussian", duration=1.9e-12, energy=energy)
         assert d.pulse_rotation_angle(pulse, levels) == pytest.approx(
             angle, rel=1e-10)
-
-    def test_adiabaticity_oracle(self, levels_5t, half_pi_pulse):
-        report = d.adiabaticity_diagnostic(half_pi_pulse, levels_5t)
-        assert report.ratio == pytest.approx(42.619, rel=1e-3)
-        assert report.passes
-
-    def test_adiabaticity_fails_below_threshold(self, material):
-        levels = d.LevelScheme.from_material(material, d.FieldConfig(5.0),
-                                             TWO_PI * 1e11)
-        pulse = d.PulseSpec(shape="gaussian", duration=1e-14, energy=1e-15)
-        report = d.adiabaticity_diagnostic(pulse, levels)
-        assert not report.passes

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import donorspin as d
-from donorspin.sequences import readout_photon_signal
+from donorspin import BathModel, ExperimentTrace, ValidationError
 from conftest import pulse_for_angle, spike_bath
 
 TWO_PI = 2.0 * math.pi
@@ -33,6 +33,40 @@ def brute_force_p_up(arrivals, levels, pulse, dissipators, detuning=0.0):
     return result.final.p_up
 
 
+def ensemble_average(run, bath: BathModel, n: int, seed=None) -> ExperimentTrace:
+    """Average per-donor traces over sampled Overhauser detunings.
+
+    ``run(detuning)`` must return an :class:`ExperimentTrace` on a
+    fixed abscissa. The mean trace carries standard errors. The main
+    experiment runners use an algebraically identical factorized path;
+    this generic version exists for custom experiments and for checking
+    that factorization.
+    """
+    if n < 1:
+        raise ValidationError(f"sample count must be >= 1, got {n}")
+    rng = seed if isinstance(seed, np.random.Generator) \
+        else np.random.default_rng(seed)
+    detunings = bath.sample_detunings(rng, n)
+    traces = [run(float(d)) for d in detunings]
+    first = traces[0]
+    for t in traces[1:]:
+        if not np.array_equal(t.abscissa, first.abscissa):
+            raise ValidationError("per-sample traces disagree on the abscissa")
+    ups = np.stack([t.p_up for t in traces])
+    downs = np.stack([t.p_down for t in traces])
+    scale = math.sqrt(n) if n > 1 else 1.0
+    metadata = dict(first.metadata)
+    metadata.update({"bath_samples": n, "ensemble_mode": "mc-generic"})
+    return ExperimentTrace(
+        abscissa=first.abscissa, abscissa_name=first.abscissa_name,
+        p_up=ups.mean(axis=0), p_down=downs.mean(axis=0),
+        p_up_stderr=(ups.std(axis=0, ddof=1) / scale if n > 1
+                     else np.zeros_like(first.p_up)),
+        p_down_stderr=(downs.std(axis=0, ddof=1) / scale if n > 1
+                       else np.zeros_like(first.p_down)),
+        metadata=metadata).validate()
+
+
 class TestTraces:
     def test_trace_validation_catches_population_sum(self):
         with pytest.raises(d.ValidationError):
@@ -50,12 +84,6 @@ class TestTraces:
         assert header == ["tau_s", "p_up", "p_up_stderr", "p_down",
                           "p_down_stderr"]
         assert len(rows) == 1 and len(rows[0]) == 5
-
-    def test_scramble(self):
-        rho = d.scramble(d.DensityMatrix.pure(d.GROUND_UP))
-        assert rho.p_up == pytest.approx(0.5)
-        assert rho.p_down == pytest.approx(0.5)
-        assert rho.purity() == pytest.approx(0.5)
 
 
 class TestInjectedDecoherence:
@@ -87,13 +115,6 @@ class TestOpticalPump:
         result = d.optical_pump(d.DensityMatrix.scrambled(), levels_5t,
                                 rabi=0.0, duration=1e-6, dissipators=lossy)
         assert result.fidelity == pytest.approx(0.5, abs=1e-6)
-
-    def test_readout_signal_tracks_spin_up(self, levels_5t, lossy):
-        up, _ = readout_photon_signal(d.DensityMatrix.pure(d.GROUND_UP),
-                                      levels_5t, TWO_PI * 20e6, 5e-6, lossy)
-        down, _ = readout_photon_signal(d.DensityMatrix.pure(d.GROUND_DOWN),
-                                        levels_5t, TWO_PI * 20e6, 5e-6, lossy)
-        assert up > 10.0 * max(down, 1e-12)
 
     def test_validation(self, levels_5t, lossy):
         with pytest.raises(d.ValidationError):
@@ -271,7 +292,7 @@ class TestRamseyEnsembles:
             return d.run_ramsey(window, levels_5t, half_pi_pulse, quiet,
                                 bath=one, ensemble_mode="exact").trace
 
-        generic = d.ensemble_average(per_donor, bath, n=150, seed=5)
+        generic = ensemble_average(per_donor, bath, n=150, seed=5)
         factorized = d.run_ramsey(window, levels_5t, half_pi_pulse, quiet,
                                   bath=bath, ensemble_mode="mc",
                                   bath_samples=150, seed=5)
@@ -428,13 +449,17 @@ class TestT1Recovery:
         assert result.trace.p_up[-1] == pytest.approx(0.5, abs=0.01)
         assert result.trace.metadata["t1_rate_per_s"] == 10.0
 
-    def test_fit_can_be_skipped(self, levels_5t):
+    def test_fewer_than_four_waits_rejected_before_pumping(
+            self, levels_5t, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the pump ran before the wait check")
+
+        monkeypatch.setattr(d.sequences, "optical_pump", must_not_run)
         diss = d.DissipatorSet(radiative_rate=1e9, t1_rate=10.0)
         pump = d.PumpSettings(rabi=TWO_PI * 20e6, duration=5e-6, samples=64)
-        result = d.run_t1_recovery(np.array([0.0, 0.1]), levels_5t, diss,
-                                   pump, fit_recovery=False)
-        assert result.fit is None
-        assert math.isnan(result.fitted_t1)
+        with pytest.raises(d.ValidationError, match="four delays"):
+            d.run_t1_recovery(np.array([0.0, 0.1, 0.2]), levels_5t, diss,
+                              pump)
 
 
 class TestValidation:
