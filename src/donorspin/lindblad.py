@@ -517,6 +517,10 @@ def pulse_window_propagator(levels: LevelScheme, pulse: PulseSpec,
         gamma = dissipators.laser_dephasing_rate(om)
         return l_const + om * l_drive + gamma * l_deph
 
+    with np.errstate(all="ignore"):
+        if not np.all(np.isfinite(generator(pulse.peak_rabi))):
+            raise NumericsError(f"pulse energy {pulse.energy:.6g} J makes the "
+                                "generator at the envelope peak non-finite")
     return _advance(np.eye(16, dtype=complex), t0, t1, config, generator,
                     expm_steps,
                     key=lambda t: float(envelope_value(pulse, t)))[1][-1]

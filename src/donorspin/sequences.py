@@ -86,6 +86,7 @@ _DOWN_FLAT = _IDX[GROUND_DOWN, GROUND_DOWN]
 # position of the ground coherence inside the +,- groups
 _GC_PLUS_POS = 0   # (up, down)
 _GC_MINUS_POS = 0  # (down, up)
+_MC_BLOCK, _STD_COLUMNS = 512, 16  # mc samples per block; points per std
 
 
 @dataclass
@@ -343,6 +344,10 @@ def _ensemble_reduce(terms_by_shift, bath, mode, samples, durations_of):
     ``terms_by_shift`` maps a shift key to a (n,) complex array;
     ``durations_of(key)`` returns the (n,) array of phase durations for
     that key. Returns (mean, stderr or None).
+
+    ``mc`` memory grows as 8 bytes x samples x points, plus one fixed
+    block of ``_MC_BLOCK`` samples; stderr takes ``_STD_COLUMNS`` points
+    at a time.
     """
     keys = list(terms_by_shift)
     if bath is None:
@@ -354,20 +359,26 @@ def _ensemble_reduce(terms_by_shift, bath, mode, samples, durations_of):
             total = total + bath.characteristic_function(durations_of(k)) \
                 * terms_by_shift[k]
         return np.real(total), None
-    # Monte Carlo over frozen detunings: dynamics are linear in the
-    # phase factors, so averaging the phases is exactly averaging the
-    # per-donor traces
+    # Monte Carlo over frozen detunings: dynamics are linear in the phase
+    # factors, so averaging the phases exactly averages per-donor traces
     n_points = len(next(iter(terms_by_shift.values())))
-    per_sample = np.zeros((len(samples), n_points), dtype=complex)
-    for k in keys:
-        arg = np.multiply.outer(samples, durations_of(k))
-        per_sample += np.exp(-1j * arg) * terms_by_shift[k][None, :]
-    values = np.real(per_sample)
+    pairs = [(durations_of(k), terms_by_shift[k]) for k in keys]
+    values = np.empty((len(samples), n_points))
+    for start in range(0, len(samples), _MC_BLOCK):
+        block = samples[start:start + _MC_BLOCK]
+        acc = np.zeros((len(block), n_points), dtype=complex)
+        for durations, terms in pairs:
+            acc += np.exp(-1j * np.multiply.outer(block, durations)) \
+                * terms[None, :]
+        values[start:start + len(block)] = acc.real
     mean = values.mean(axis=0)
+    stderr = np.zeros(n_points)
     if len(samples) > 1:
-        stderr = values.std(axis=0, ddof=1) / math.sqrt(len(samples))
-    else:
-        stderr = np.zeros(n_points)
+        # a lone column slice sums pairwise, not row by row: never leave one
+        starts = list(range(0, max(n_points - 1, 1), _STD_COLUMNS))
+        for a, b in zip(starts, starts[1:] + [n_points]):
+            stderr[a:b] = values[:, a:b].std(axis=0, ddof=1) \
+                / math.sqrt(len(samples))
     return mean, stderr
 
 
@@ -555,10 +566,6 @@ class RamseyResult:
     visibilities: np.ndarray
     visibility_stderr: np.ndarray
     window_fits: list
-
-    @property
-    def metadata(self) -> dict:
-        return self.trace.metadata
 
 
 def _ramsey_windows_input(tau):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -11,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import donorspin as d
 from donorspin import cli
@@ -408,6 +412,23 @@ class TestSimulateCommand:
         assert "Traceback" not in stderr
         assert not (tmp_path / "out").exists()
 
+    def test_huge_pulse_energy_stderr_holds_only_the_message(self, tmp_path):
+        # a separate process, so that a numpy RuntimeWarning would reach
+        # stderr as a user sees it
+        root = Path(d.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "donorspin", "simulate", "--config",
+             str(root / "configs" / "rabi.yaml"), "--set",
+             'experiment.energies=["0 nJ", "1e300 nJ"]',
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 3
+        assert result.stderr.splitlines() == [
+            "numerical failure: pulse energy 1e+291 J makes the generator "
+            "at the envelope peak non-finite"]
+        assert not (tmp_path / "out").exists()
+
     def test_stray_linalg_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def singular(config):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -636,6 +657,29 @@ class TestSweepCommand:
         code, _, stderr = run_cli(["sweep", "--config", config], capsys)
         assert code == 2
         assert "--axis" in stderr
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(st.integers(min_value=-5, max_value=1500),
+                 st.sampled_from([".nan", ".inf", "abc", "1.5"])))
+def test_mc_sample_count_keeps_the_exit_code_contract(tmp_path_factory,
+                                                      samples):
+    # counts stay small, so no draw can exhaust memory
+    out = tmp_path_factory.mktemp("mc")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(["simulate", "--config", "configs/ramsey.yaml",
+                         "--set", "bath.ensemble=mc",
+                         "--set", f"bath.samples={samples}",
+                         "--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        meta = yaml.safe_load(
+            (run_dir_from(stdout.getvalue()) / "ramsey_meta.yaml").read_text())
+        assert meta["config"]["bath"]["samples"] == samples
+    else:
+        assert not isinstance(samples, int) or samples < 1
 
 
 def test_cli_import_leaves_out_the_ode_solver():

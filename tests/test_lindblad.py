@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -303,6 +304,21 @@ class TestPulseWindowPropagator:
         assert out.trace_error() < 1e-9
         assert out.hermiticity_error() < 1e-10
         assert out.purity() == pytest.approx(1.0, abs=1e-8)
+
+    def test_non_finite_drive_rejected_before_stepping(self, levels_5t,
+                                                       lossy, monkeypatch):
+        # 1e300 nJ overflows the peak Rabi rate; inf * 0 in the generator
+        # would fill the whole window with NaN
+        def no_steps(*args, **kwargs):
+            raise AssertionError("the window was stepped")
+
+        monkeypatch.setattr(lindblad, "_advance", no_steps)
+        pulse = d.PulseSpec("gaussian", 1.9e-12, 1e291)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(d.NumericsError,
+                               match=r"pulse energy 1e\+291 J"):
+                pulse_window_propagator(levels_5t, pulse, lossy)
 
 
 def per_step_window(levels, pulse, dissipators, steps):

@@ -15,40 +15,34 @@ TEST_ONLY = (
     ("extracted_rotation_angle", "rotation-angle reference of the "
                                  "acceptance and dual-route tests"),
     ("zeeman_frequency_hz", "pins the 137.9 GHz splitting anchor"),
+    ("pulse_rotation_angle", "oracle of test_energy_for_angle_roundtrip"),
 )
 
 
 class _Module:
-    """One package module: its lines, exports and top-level definitions."""
+    """One package module: its exports and the names its code reads."""
 
     def __init__(self, path: Path):
         self.name = path.name
-        self.lines = path.read_text(encoding="utf-8").splitlines()
-        tree = ast.parse("\n".join(self.lines))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         self.exports = []
-        self.export_lines = set()
-        self.definitions = {}
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                self.definitions[node.name] = node.lineno
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    for elt in getattr(target, "elts", [target]):
-                        if isinstance(elt, ast.Name):
-                            self.definitions[elt.id] = node.lineno
-                if any(isinstance(t, ast.Name) and t.id == "__all__"
-                       for t in node.targets):
-                    self.exports = [elt.value for elt in node.value.elts]
-                    self.export_lines = set(range(node.lineno,
-                                                  node.end_lineno + 1))
+        self.references = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                self.exports = [elt.value for elt in node.value.elts]
+            elif isinstance(node, ast.Name) \
+                    and isinstance(node.ctx, ast.Load):
+                self.references.add(node.id)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                self.references.add(node.attr)
 
     def mentions(self, name: str) -> bool:
-        """A line names ``name`` besides its definition and ``__all__``."""
-        pattern = re.compile(rf"\b{re.escape(name)}\b")
-        skip = self.export_lines | {self.definitions.get(name)}
-        return any(pattern.search(line)
-                   for number, line in enumerate(self.lines, start=1)
-                   if number not in skip)
+        """Code reads ``name``: docstrings, comments and ``__all__``
+        strings do not count, nor does the definition itself."""
+        return name in self.references
 
 
 def _outside_text() -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import donorspin as d
 from donorspin import BathModel, ExperimentTrace, ValidationError
+from donorspin.sequences import _ensemble_reduce
 from conftest import pulse_for_angle, spike_bath
 
 TWO_PI = 2.0 * math.pi
@@ -314,6 +316,74 @@ class TestRamseyEnsembles:
         # windows, hence the 2w offset in the envelope argument
         silence = centers - 2.0 * half_pi_pulse.half_window
         assert np.allclose(ratio, bath.envelope(silence), rtol=1e-4)
+
+
+def one_shot_mc_reduce(terms_by_shift, samples, durations_of):
+    """The Monte Carlo reduction with every sample's complex sum held at
+    once: the oracle of the blocked reduction, which must match it byte
+    for byte."""
+    n_points = len(next(iter(terms_by_shift.values())))
+    per_sample = np.zeros((len(samples), n_points), dtype=complex)
+    for k in terms_by_shift:
+        arg = np.multiply.outer(samples, durations_of(k))
+        per_sample += np.exp(-1j * arg) * terms_by_shift[k][None, :]
+    values = np.real(per_sample)
+    mean = values.mean(axis=0)
+    if len(samples) > 1:
+        stderr = values.std(axis=0, ddof=1) / math.sqrt(len(samples))
+    else:
+        stderr = np.zeros(n_points)
+    return mean, stderr
+
+
+def mc_reduction_inputs(gaps, n_points, n_samples, seed):
+    """Contraction-shaped terms: one sign per gap plus one for the scan,
+    with phase durations sum(s * gap) + s_scan * scan."""
+    rng = np.random.default_rng(seed)
+    scan = np.linspace(1e-9, 2.2e-8, n_points)
+    keys = [()]
+    for _ in range(len(gaps) + 1):
+        keys = [key + (s,) for key in keys for s in (0, 1, -1)]
+    terms = {key: 0.3 * (rng.normal(size=n_points)
+                         + 1j * rng.normal(size=n_points)) for key in keys}
+
+    def durations(key):
+        return sum((s * gap for s, gap in zip(key, gaps)), key[-1] * scan)
+
+    bath = d.BathModel.gaussian(17e-9, 1.97)
+    return terms, bath, bath.sample_detunings(rng, n_samples), durations
+
+
+class TestBlockedMcReduction:
+    # Ramsey: 3 keys over 228 points (12 windows of 19); echo: 9 keys
+    # over 33 points, which leaves one column past the last full
+    # 16-column block of the stderr
+    @pytest.mark.parametrize("gaps, n_points", [((), 228), ((4e-9,), 33)],
+                             ids=["ramsey", "echo"])
+    @pytest.mark.parametrize("n_samples", [1, 2, 511, 512, 513, 1025])
+    def test_matches_one_shot_byte_for_byte(self, gaps, n_points, n_samples):
+        terms, bath, samples, durations = mc_reduction_inputs(
+            gaps, n_points, n_samples, seed=n_samples)
+        assert len(terms) == 3 ** (len(gaps) + 1)
+        mean, stderr = _ensemble_reduce(terms, bath, "mc", samples,
+                                        durations)
+        want_mean, want_stderr = one_shot_mc_reduce(terms, samples,
+                                                    durations)
+        assert mean.tobytes() == want_mean.tobytes()
+        assert stderr.tobytes() == want_stderr.tobytes()
+
+    def test_peak_memory_holds_one_real_value_per_sample(self):
+        # 20,000 x 228 real values take 36.5 MB; the one-shot reduction
+        # peaked at 244 MB on several complex arrays of that shape
+        terms, bath, samples, durations = mc_reduction_inputs(
+            (), 228, 20_000, seed=3)
+        tracemalloc.start()
+        try:
+            _ensemble_reduce(terms, bath, "mc", samples, durations)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
 
 
 class TestEcho:
