@@ -142,7 +142,6 @@ class RunConfig:
     """
 
     material: MaterialParams
-    field_config: FieldConfig
     levels: LevelScheme
     dissipators: DissipatorSet
     pulse: PulseSpec | None
@@ -464,7 +463,6 @@ def parse_run_config(document: dict) -> RunConfig:
     resolved = plain_data(resolved)
     return RunConfig(
         material=material,
-        field_config=field_config,
         levels=levels,
         dissipators=dissipators,
         pulse=pulse,
@@ -556,7 +554,8 @@ def _parse_experiment(section, problems):
             section, "points_per_period", problems,
             f"{path}.points_per_period", default=9, minimum=8, integer=True)
         experiment["injected"] = _parse_injected(
-            section.get("injected"), problems, f"{path}.injected")
+            _get_map(section, "injected", problems), problems,
+            f"{path}.injected")
     elif kind == "echo":
         tau1_values = _quantity_list(section, "tau1_values", "time", problems,
                                      f"{path}.tau1_values")
@@ -570,7 +569,8 @@ def _parse_experiment(section, problems):
             section, "points_per_period", problems,
             f"{path}.points_per_period", default=9, minimum=8, integer=True)
         experiment["injected"] = _parse_injected(
-            section.get("injected"), problems, f"{path}.injected")
+            _get_map(section, "injected", problems), problems,
+            f"{path}.injected")
     elif kind == "t1":
         # the recovery fit has three parameters, so it needs 4 waits
         waits = _quantity_list(section, "waits", "time", problems,

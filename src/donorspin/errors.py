@@ -4,6 +4,9 @@ The command line front end maps these onto process exit codes, so new
 error types should subclass one of the three roots below.
 """
 
+__all__ = ["DonorSpinError", "ValidationError", "NumericsError",
+           "IntegrationFailure", "LatticeSumError"]
+
 
 class DonorSpinError(Exception):
     """Base class for all package errors."""

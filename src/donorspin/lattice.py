@@ -5,13 +5,13 @@ import numpy as np
 __all__ = ["zn_sites_within"]
 
 
-def zn_sites_within(lattice_a, lattice_c, cutoff, include_origin=False):
+def zn_sites_within(lattice_a, lattice_c, cutoff):
     """Zn site positions within a radial cutoff of a Zn site at the origin.
 
     The Zn sublattice of wurtzite is hexagonal close packed: a hexagonal
     cell with basis sites (0, 0, 0) and (2/3, 1/3, 1/2) in lattice
     coordinates. Returns an (n, 3) array of positions in meters, origin
-    excluded unless requested. The c axis is along z.
+    excluded. The c axis is along z.
     """
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
@@ -30,7 +30,4 @@ def zn_sites_within(lattice_a, lattice_c, cutoff, include_origin=False):
 
     pts = np.concatenate([cells + b for b in basis])
     r2 = np.einsum("ij,ij->i", pts, pts)
-    mask = r2 <= cutoff * cutoff
-    if not include_origin:
-        mask &= r2 > (1e-6 * lattice_a) ** 2
-    return pts[mask]
+    return pts[(r2 <= cutoff * cutoff) & (r2 > (1e-6 * lattice_a) ** 2)]

@@ -602,6 +602,25 @@ class SilencePropagator:
         out[np.arange(_DIM), np.arange(_DIM)] = pops
         return out
 
+    def split_by_detuning(self, vec: np.ndarray, taus) -> dict:
+        """Advance a flat state across each gap in ``taus``, by detuning group.
+
+        Returns {s: (n, 16)} for s in (0, +1, -1) such that the state
+        after gap ``taus[k]`` at detuning delta is the sum over s of
+        exp(-i*delta*s*taus[k]) * out[s][k]; s is read from
+        :attr:`detuning_sign`. ``vec`` may be one branch of a state,
+        whose populations are complex; they stay complex so that the
+        branches still sum to the state.
+        """
+        taus = np.asarray(taus, dtype=float)
+        pop_idx = np.diag(_IDX)
+        moved = np.exp(np.multiply.outer(taus, self.coherence_rate.ravel())) \
+            * vec
+        moved[:, pop_idx] = [self.population_matrix(float(tau)) @ vec[pop_idx]
+                             for tau in taus]
+        groups = -self.detuning_sign.imag.ravel()
+        return {s: np.where(groups == s, moved, 0.0) for s in (0, 1, -1)}
+
 
 def evolve(rho0, levels: LevelScheme, pulses, dissipators: DissipatorSet,
            config: IntegratorConfig | None = None, t_span=(0.0, 0.0),

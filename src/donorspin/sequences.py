@@ -7,15 +7,18 @@ average over the frozen Overhauser detuning of each donor.
 
 Ramsey and echo share one contraction: equal pulse windows separated
 by silent gaps. The detuning enters only through phase factors on
-coherences involving the spin-up level, so each gap splits the state
-into detuning groups s in (0, +1, -1) that gain exp(-i*delta*s*gap).
-A pathway is keyed by a sign tuple, one sign per gap, and its phase
-duration is sum(s * gap): a Ramsey scan has one gap, an echo two
-(tau1 fixed, tau2 scanned). The detuning-independent complex amplitude
-of each key is contracted with either the bath's characteristic
-function at that duration (``exact`` ensemble mode) or the empirical
-phase average of Monte Carlo samples (``mc`` mode). A thousand-sample
-Ramsey scan therefore costs milliseconds, not hours.
+coherences involving the spin-up level, so
+:meth:`SilencePropagator.split_by_detuning` splits the state across a
+gap into detuning groups s in (0, +1, -1) that gain
+exp(-i*delta*s*gap); one such split serves a fixed gap (one length) and
+the scanned gap (every length at once). A pathway is keyed by a sign
+tuple, one sign per gap, and its phase duration is sum(s * gap): a
+Ramsey scan has one gap, an echo two (tau1 fixed, tau2 scanned). The
+detuning-independent complex amplitude of each key is contracted with
+either the bath's characteristic function at that duration (``exact``
+ensemble mode) or the empirical phase average of Monte Carlo samples
+(``mc`` mode). A thousand-sample Ramsey scan therefore costs
+milliseconds, not hours.
 
 Timing convention: delays are pulse-center to pulse-center, and the
 drive-free stretch between two windows of half-width w is that delay
@@ -25,14 +28,14 @@ minus 2w. A zero delay composes the two windows back to back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
 
 from .bath import BathModel
 from .errors import NumericsError, ValidationError
-from .fitting import FitResult, FringeFit, fit_curve, fit_fringe
+from .fitting import FitResult, fit_curve, fit_fringe
 from .hamiltonian import (
     EXCITED_LOWER,
     EXCITED_UPPER,
@@ -72,20 +75,10 @@ __all__ = [
 ]
 
 _IDX = np.arange(16).reshape(4, 4)
-_DIAG_FLAT = np.diag(_IDX)
-_S_PLUS = np.array([_IDX[GROUND_UP, GROUND_DOWN],
-                    _IDX[GROUND_UP, EXCITED_LOWER],
-                    _IDX[GROUND_UP, EXCITED_UPPER]])
-_S_MINUS = np.array([_IDX[GROUND_DOWN, GROUND_UP],
-                     _IDX[EXCITED_LOWER, GROUND_UP],
-                     _IDX[EXCITED_UPPER, GROUND_UP]])
-_S_ZERO = np.array(sorted(
-    set(range(16)) - set(_DIAG_FLAT) - set(_S_PLUS) - set(_S_MINUS)))
 _UP_FLAT = _IDX[GROUND_UP, GROUND_UP]
 _DOWN_FLAT = _IDX[GROUND_DOWN, GROUND_DOWN]
-# position of the ground coherence inside the +,- groups
-_GC_PLUS_POS = 0   # (up, down)
-_GC_MINUS_POS = 0  # (down, up)
+_GROUND_COHERENCES = [_IDX[GROUND_UP, GROUND_DOWN],
+                      _IDX[GROUND_DOWN, GROUND_UP]]
 _MC_BLOCK, _STD_COLUMNS = 512, 16  # mc samples per block; points per std
 
 
@@ -99,7 +92,6 @@ class ExperimentTrace:
     p_down: np.ndarray
     p_up_stderr: np.ndarray | None = None
     p_down_stderr: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.abscissa = np.asarray(self.abscissa, dtype=float)
@@ -268,74 +260,7 @@ def _prepare_initial(initial, pump, levels, dissipators):
 
 
 # ---------------------------------------------------------------------------
-# the contraction engine
-
-
-class _SequenceEngine:
-    """Pulse propagator plus grouped silence factors for one pulse shape."""
-
-    def __init__(self, levels: LevelScheme, pulse: PulseSpec,
-                 dissipators: DissipatorSet, expm_steps: int = 1024):
-        self.expm_steps = expm_steps
-        self.window = pulse_window_propagator(levels, pulse, dissipators,
-                                              expm_steps=expm_steps)
-        self.silence = SilencePropagator(levels, dissipators)
-        self.z = self.silence.coherence_rate.ravel()
-
-    # -- silences ------------------------------------------------------
-    def pop_stack(self, taus: np.ndarray) -> np.ndarray:
-        out = np.empty((len(taus), 4, 4))
-        for k, tau in enumerate(taus):
-            out[k] = self.silence.population_matrix(float(tau))
-        return out
-
-    def group_vectors(self, u: np.ndarray, tau: float, ground_mult: float):
-        """Split one silence application into detuning-sensitivity groups.
-
-        Returns {s: vector} with s in (0, +1, -1) such that the full
-        silence propagation of ``u`` is the sum over s of
-        exp(-i*delta*s*tau) times the returned vectors. ``u`` may be
-        one branch of a state, whose populations are complex; they
-        stay complex so that the branches still sum to the state.
-        """
-        out = {}
-        v0 = np.zeros(16, dtype=complex)
-        v0[_S_ZERO] = u[_S_ZERO] * np.exp(self.z[_S_ZERO] * tau)
-        pops = self.silence.population_matrix(float(tau)) @ u[_DIAG_FLAT]
-        v0[_DIAG_FLAT] = pops
-        out[0] = v0
-        vp = np.zeros(16, dtype=complex)
-        vp[_S_PLUS] = u[_S_PLUS] * np.exp(self.z[_S_PLUS] * tau)
-        vp[_S_PLUS[_GC_PLUS_POS]] *= ground_mult
-        out[1] = vp
-        vm = np.zeros(16, dtype=complex)
-        vm[_S_MINUS] = u[_S_MINUS] * np.exp(self.z[_S_MINUS] * tau)
-        vm[_S_MINUS[_GC_MINUS_POS]] *= ground_mult
-        out[-1] = vm
-        return out
-
-    def row_terms(self, row: np.ndarray, u: np.ndarray, taus: np.ndarray,
-                  ground_mult: np.ndarray):
-        """Contract ``row . silence(tau) . u`` split by detuning group.
-
-        ``taus`` and ``ground_mult`` are arrays over the scan; returns
-        {s: (n,) complex}.
-        """
-        taus = np.asarray(taus, dtype=float)
-        terms = {}
-        weights = row * u
-        f0 = np.exp(np.multiply.outer(self.z[_S_ZERO], taus))
-        t0 = weights[_S_ZERO] @ f0
-        pops = self.pop_stack(taus)
-        t0 = t0 + np.einsum("i,nij,j->n", np.real(row[_DIAG_FLAT]) + 0j,
-                            pops, u[_DIAG_FLAT])
-        terms[0] = t0
-        for s, idx, gc_pos in ((1, _S_PLUS, _GC_PLUS_POS),
-                               (-1, _S_MINUS, _GC_MINUS_POS)):
-            f = np.exp(np.multiply.outer(self.z[idx], taus))
-            f[gc_pos] *= ground_mult
-            terms[s] = weights[idx] @ f
-        return terms
+# the contraction
 
 
 def _ensemble_reduce(terms_by_shift, bath, mode, samples, durations_of):
@@ -403,7 +328,9 @@ def _check_sampling(taus: np.ndarray, larmor: float, label: str):
     if steps.size == 0:
         return
     limit = (2.0 * math.pi / larmor) / 8.0
-    if steps.max() > limit * (1.0 + 1e-9):
+    # a step is a difference of two delays, each rounded to its spacing
+    slack = limit * 1e-9 + 2.0 * np.spacing(np.max(np.abs(taus)))
+    if steps.max() > limit + slack:
         raise ValidationError(
             f"{label} step {steps.max():.3e} s would alias the spin "
             f"precession; use a step of at most {limit:.3e} s")
@@ -419,43 +346,48 @@ def _clip_populations(values: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def _contract(engine, rho0, gaps, mults, scan, scan_mult, bath, mode,
-              samples, metadata, abscissa, abscissa_name) -> ExperimentTrace:
+def _split_gap(silence, u, taus, mults):
+    """Split one branch across a gap; ``mults`` scale its ground coherence."""
+    groups = silence.split_by_detuning(u, taus)
+    for s in (1, -1):
+        groups[s][:, _GROUND_COHERENCES] *= np.asarray(mults)[:, None]
+    return groups
+
+
+def _contract(window, silence, rho0, gaps, mults, scan, scan_mult, bath,
+              mode, samples, abscissa, abscissa_name) -> ExperimentTrace:
     """Equal pulse windows separated by silent gaps, the last one scanned.
 
     The window acts on ``rho0``; each fixed gap (with its injected
     ground-coherence factor from ``mults``) splits every branch into
     its detuning groups and is followed by another window. The scanned
-    gap ``scan`` (factors ``scan_mult``) is contracted against the
-    final window's p_up and p_down rows. A key holds one sign per gap,
-    and its phase duration is sum(s * gap).
+    gap ``scan`` (factors ``scan_mult``) splits each branch once, and
+    that split is contracted against the final window's p_up and p_down
+    rows. A key holds one sign per gap, and its phase duration is
+    sum(s * gap).
     """
-    branches = {(): engine.window @ rho0.reshape(16)}
+    branches = {(): window @ rho0.reshape(16)}
     for gap, mult in zip(gaps, mults):
-        branches = {key + (s,): engine.window @ v
+        branches = {key + (s,): window @ v[0]
                     for key, u in branches.items()
-                    for s, v in engine.group_vectors(u, gap, mult).items()}
+                    for s, v in _split_gap(silence, u, [gap], [mult]).items()}
+    scanned = {key + (s,): v
+               for key, u in branches.items()
+               for s, v in _split_gap(silence, u, scan, scan_mult).items()}
 
     def durations(key):
         return sum((s * gap for s, gap in zip(key, gaps)), key[-1] * scan)
 
     results = {}
     for name, flat in (("p_up", _UP_FLAT), ("p_down", _DOWN_FLAT)):
-        row = engine.window[flat]
-        terms = {key + (s,): t for key, u in branches.items()
-                 for s, t in engine.row_terms(row, u, scan,
-                                              scan_mult).items()}
+        terms = {key: v @ window[flat] for key, v in scanned.items()}
         mean, stderr = _ensemble_reduce(terms, bath, mode, samples, durations)
         results[name] = (_clip_populations(mean), stderr)
-    metadata = dict(
-        metadata, ensemble_mode=mode if bath is not None else "none",
-        bath_samples=len(samples) if samples is not None else 0,
-        expm_steps=engine.expm_steps)
     return ExperimentTrace(
         abscissa=abscissa, abscissa_name=abscissa_name,
         p_up=results["p_up"][0], p_down=results["p_down"][0],
-        p_up_stderr=results["p_up"][1], p_down_stderr=results["p_down"][1],
-        metadata=metadata).validate()
+        p_up_stderr=results["p_up"][1],
+        p_down_stderr=results["p_down"][1]).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +443,8 @@ def run_rabi_sweep(energies, levels: LevelScheme, pulse: PulseSpec,
     rho0 = _prepare_initial(initial, pump, levels, dissipators)
     p_up, p_down = _pulse_populations(energies, levels, pulse, dissipators,
                                       rho0, expm_steps, (_UP_FLAT, _DOWN_FLAT))
-    trace = ExperimentTrace(
-        abscissa=energies, abscissa_name="pulse_energy_J",
-        p_up=p_up, p_down=p_down,
-        metadata={"experiment": "rabi", "expm_steps": expm_steps})
-    return trace.validate()
+    return ExperimentTrace(abscissa=energies, abscissa_name="pulse_energy_J",
+                           p_up=p_up, p_down=p_down).validate()
 
 
 def extracted_rotation_angle(levels: LevelScheme, pulse: PulseSpec,
@@ -565,7 +494,6 @@ class RamseyResult:
     window_centers: np.ndarray
     visibilities: np.ndarray
     visibility_stderr: np.ndarray
-    window_fits: list
 
 
 def _ramsey_windows_input(tau):
@@ -617,16 +545,16 @@ def run_ramsey(tau, levels: LevelScheme, pulse: PulseSpec,
 
     samples = _resolve_ensemble(bath, ensemble_mode, bath_samples, seed)
     rho0 = _prepare_initial(initial, pump, levels, dissipators)
-    engine = _SequenceEngine(levels, pulse, dissipators, expm_steps)
+    window = pulse_window_propagator(levels, pulse, dissipators,
+                                     expm_steps=expm_steps)
     all_tau = np.concatenate(windows)
     mult = injected.ratio(0.0, all_tau) if injected is not None \
         else np.ones_like(all_tau)
-    trace = _contract(engine, rho0, (), (),
-                      np.maximum(all_tau - 2.0 * w, 0.0), mult, bath,
-                      ensemble_mode, samples, {"experiment": "ramsey"},
-                      all_tau, "tau_s")
+    trace = _contract(window, SilencePropagator(levels, dissipators), rho0,
+                      (), (), np.maximum(all_tau - 2.0 * w, 0.0), mult, bath,
+                      ensemble_mode, samples, all_tau, "tau_s")
 
-    centers, vis, vis_err, fits = [], [], [], []
+    centers, vis, vis_err = [], [], []
     start = 0
     for win in windows:
         stop = start + len(win)
@@ -636,11 +564,9 @@ def run_ramsey(tau, levels: LevelScheme, pulse: PulseSpec,
                 if trace.p_up_stderr is not None else None
             fit = fit_fringe(win, trace.p_up[start:stop],
                              known_frequency=larmor, stderr=stderr)
-            fits.append(fit)
             vis.append(fit.visibility)
             vis_err.append(fit.visibility_stderr)
         else:
-            fits.append(None)
             vis.append(math.nan)
             vis_err.append(math.nan)
         start = stop
@@ -649,7 +575,6 @@ def run_ramsey(tau, levels: LevelScheme, pulse: PulseSpec,
         window_centers=np.asarray(centers),
         visibilities=np.asarray(vis),
         visibility_stderr=np.asarray(vis_err),
-        window_fits=fits,
     )
 
 
@@ -685,11 +610,9 @@ def fringe_visibilities(energies, levels: LevelScheme, pulse: PulseSpec,
 class EchoResult:
     """One echo point: fringe scan at fixed tau1, swept tau2."""
 
-    tau1: float
     total_time: float
     amplitude: float
     amplitude_stderr: float
-    fringe: FringeFit
     trace: ExperimentTrace
 
 
@@ -699,7 +622,7 @@ def run_echo(tau1: float, tau2, levels: LevelScheme, pulse: PulseSpec,
              seed=None, initial=None, pump: PumpSettings | None = None,
              injected: InjectedDecoherence | None = None,
              expm_steps: int = 1024, *,
-             _engine: _SequenceEngine | None = None) -> EchoResult:
+             _window: np.ndarray | None = None) -> EchoResult:
     """Three equal pulses at 0, tau1, tau1+tau2; scan tau2, read p_up.
 
     A static detuning acquired over tau1 unwinds over tau2, so the
@@ -707,8 +630,8 @@ def run_echo(tau1: float, tau2, levels: LevelScheme, pulse: PulseSpec,
     condition tau2 = tau1 and, for a purely static bath, is independent
     of tau1 + tau2. An ``injected`` channel multiplies the ground
     coherence by its cumulative envelope and is what a decay fit
-    recovers. ``_engine`` is a prebuilt engine for this pulse, shared
-    by the points of :func:`run_echo_decay`.
+    recovers. ``_window`` is a prebuilt pulse-window propagator for
+    this pulse, shared by the points of :func:`run_echo_decay`.
     """
     tau2 = np.asarray(tau2, dtype=float)
     if tau2.ndim != 1 or len(tau2) == 0:
@@ -727,25 +650,22 @@ def run_echo(tau1: float, tau2, levels: LevelScheme, pulse: PulseSpec,
 
     samples = _resolve_ensemble(bath, ensemble_mode, bath_samples, seed)
     rho0 = _prepare_initial(initial, pump, levels, dissipators)
-    engine = _engine if _engine is not None else _SequenceEngine(
-        levels, pulse, dissipators, expm_steps)
+    window = _window if _window is not None else pulse_window_propagator(
+        levels, pulse, dissipators, expm_steps=expm_steps)
 
     mult1 = float(injected.ratio(0.0, tau1)) if injected is not None else 1.0
     mult2 = injected.ratio(tau1, tau1 + tau2) if injected is not None \
         else np.ones_like(tau2)
-    trace = _contract(engine, rho0, (tau1 - 2.0 * w,), (mult1,),
-                      tau2 - 2.0 * w, mult2, bath, ensemble_mode, samples,
-                      {"experiment": "echo", "tau1_s": float(tau1)},
-                      tau2, "tau2_s")
+    trace = _contract(window, SilencePropagator(levels, dissipators), rho0,
+                      (tau1 - 2.0 * w,), (mult1,), tau2 - 2.0 * w, mult2,
+                      bath, ensemble_mode, samples, tau2, "tau2_s")
 
     fringe = fit_fringe(tau2, trace.p_up, known_frequency=larmor,
                         stderr=trace.p_up_stderr)
     return EchoResult(
-        tau1=float(tau1),
         total_time=float(tau1 + np.mean(tau2)),
         amplitude=fringe.visibility,
         amplitude_stderr=fringe.visibility_stderr,
-        fringe=fringe,
         trace=trace,
     )
 
@@ -758,7 +678,6 @@ class EchoDecayResult:
     amplitudes: np.ndarray
     amplitude_stderr: np.ndarray
     points: list
-    metadata: dict
 
     def as_rows(self):
         header = ["echo_total_s", "amplitude", "amplitude_stderr"]
@@ -784,23 +703,20 @@ def run_echo_decay(tau1_values, levels: LevelScheme, pulse: PulseSpec,
         raise ValidationError("tau1_values must be a non-empty 1-D sequence")
     larmor = levels.electron_splitting
     rho0 = _prepare_initial(initial, pump, levels, dissipators)
-    engine = _SequenceEngine(levels, pulse, dissipators, expm_steps)
+    window = pulse_window_propagator(levels, pulse, dissipators,
+                                     expm_steps=expm_steps)
     points = []
     for tau1 in tau1_values:
         scan = ramsey_window_plan([tau1], larmor, periods,
                                   points_per_period)[0]
         points.append(run_echo(float(tau1), scan, levels, pulse, dissipators,
                                initial=rho0, expm_steps=expm_steps,
-                               _engine=engine,
-                               **kwargs))
-    metadata = dict(points[0].trace.metadata)
-    metadata["experiment"] = "echo_decay"
+                               _window=window, **kwargs))
     return EchoDecayResult(
         total_times=np.array([p.total_time for p in points]),
         amplitudes=np.array([p.amplitude for p in points]),
         amplitude_stderr=np.array([p.amplitude_stderr for p in points]),
         points=points,
-        metadata=metadata,
     )
 
 
@@ -844,10 +760,8 @@ def run_t1_recovery(wait_values, levels: LevelScheme,
         p_down[k] = float(rho[GROUND_DOWN, GROUND_DOWN].real)
     trace = ExperimentTrace(
         abscissa=wait_values, abscissa_name="wait_s",
-        p_up=_clip_populations(p_up), p_down=_clip_populations(p_down),
-        metadata={"experiment": "t1_recovery",
-                  "pump_fidelity": pumped.fidelity,
-                  "t1_rate_per_s": dissipators.t1_rate}).validate()
+        p_up=_clip_populations(p_up),
+        p_down=_clip_populations(p_down)).validate()
     result = fit_curve("exp_decay", wait_values, trace.p_up)
     return T1RecoveryResult(trace=trace,
                             fitted_t1=result.parameters["t_decay"],

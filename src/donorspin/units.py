@@ -15,6 +15,8 @@ import re
 from .constants import BOHR_MAGNETON, NUCLEAR_MAGNETON
 from .errors import ValidationError
 
+__all__ = ["known_units", "parse_quantity"]
+
 # unit token -> (dimension, scale to the SI value)
 _UNITS: dict[str, tuple[str, float]] = {
     # time
@@ -136,11 +138,3 @@ def _finite(value: float, text, key: str) -> float:
     if not math.isfinite(value):
         raise ValidationError(f"{key}: {text!r} is not a finite quantity")
     return value
-
-
-def format_si(value: float, unit: str) -> str:
-    """Format an SI value back into the given display unit."""
-    if unit not in _UNITS:
-        raise ValidationError(f"unknown unit {unit!r}")
-    _, scale = _UNITS[unit]
-    return f"{value / scale:.12g} {unit}".strip()

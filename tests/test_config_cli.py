@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import donorspin as d
@@ -350,6 +350,23 @@ class TestSimulateCommand:
         assert "Traceback" not in stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["5", "abc", "[1]"])
+    @pytest.mark.parametrize("kind", ["ramsey", "echo"])
+    def test_non_mapping_injected_exits_2(self, tmp_path, capsys, kind,
+                                          value):
+        doc = minimal_ramsey_doc()
+        if kind == "echo":
+            doc["experiment"] = {"kind": "echo", "tau1_values": ["5 us"]}
+        config = write_config(tmp_path, doc)
+        code, _, stderr = run_cli(
+            ["simulate", "--config", config, "--set",
+             f"experiment.injected={value}", "--out", str(tmp_path / "out")],
+            capsys)
+        assert code == 2
+        assert "'injected' must be a mapping" in stderr
+        assert "Traceback" not in stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind", ["ramsey", "echo"])
     def test_zero_field_fringe_experiment_exits_2(self, tmp_path, capsys,
                                                   kind):
@@ -680,6 +697,53 @@ def test_mc_sample_count_keeps_the_exit_code_contract(tmp_path_factory,
         assert meta["config"]["bath"]["samples"] == samples
     else:
         assert not isinstance(samples, int) or samples < 1
+
+
+_INJECTED = st.one_of(
+    st.sampled_from(["5", "abc", "[1]", "null"]),
+    st.builds(lambda tc, ex: f"{{time_constant: '{tc:g} us', "
+                             f"exponent: {ex:g}}}",
+              st.one_of(st.just(0.0),
+                        st.floats(min_value=1e-3, max_value=200.0)),
+              st.floats(min_value=0.5, max_value=3.0)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(injected=_INJECTED,
+       periods=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
+       points_per_period=st.integers(min_value=4, max_value=16),
+       ensemble=st.sampled_from(["exact", "mc", "sampled"]),
+       samples=st.integers(min_value=-1, max_value=300))
+@example(injected="5", periods=2.0, points_per_period=9, ensemble="exact",
+         samples=300)
+@example(injected="{time_constant: '50 us', exponent: 1}", periods=2.0,
+         points_per_period=8, ensemble="exact", samples=300)
+@example(injected="{time_constant: '50 us', exponent: 1}", periods=0.5,
+         points_per_period=9, ensemble="mc", samples=300)
+def test_echo_inputs_keep_the_exit_code_contract(
+        tmp_path_factory, injected, periods, points_per_period, ensemble,
+        samples):
+    out = tmp_path_factory.mktemp("echo")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(["simulate", "--config", "configs/echo.yaml",
+                         "--set", f"experiment.injected={injected}",
+                         "--set", f"experiment.periods={periods}",
+                         "--set", f"experiment.points_per_period="
+                                  f"{points_per_period}",
+                         "--set", f"bath.ensemble={ensemble}",
+                         "--set", f"bath.samples={samples}",
+                         "--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    parsed = yaml.safe_load(injected)
+    valid = (parsed is None or (
+        isinstance(parsed, dict)
+        and float(parsed["time_constant"].split()[0]) > 0.0
+        and parsed["exponent"] >= 1.0)) \
+        and periods >= 0.5 and points_per_period >= 8 \
+        and ensemble in ("exact", "mc") and samples >= 1
+    assert code == (0 if valid else 2), stderr.getvalue()
 
 
 def test_cli_import_leaves_out_the_ode_solver():

@@ -241,6 +241,39 @@ class TestSilencePropagator:
         actual = silence.propagate(rho, tau, detuning=delta)
         assert np.max(np.abs(actual - expected)) < 1e-9
 
+    def test_split_by_detuning_sums_to_propagation(self, lossy):
+        # splittings small enough that every phase exp(rate * tau) keeps
+        # 1e-15 accuracy, so the two routes agree to rounding
+        levels = d.LevelScheme(electron_splitting=TWO_PI * 1e9,
+                               hole_splitting=TWO_PI * 0.2e9,
+                               optical_detuning=TWO_PI * 5e9)
+        silence = SilencePropagator(levels, lossy)
+        rho = random_density_matrix(np.random.default_rng(23))
+        taus = np.array([0.0, 1e-11, 2e-10, 1e-9])
+        split = silence.split_by_detuning(rho.reshape(16), taus)
+        assert sorted(split) == [-1, 0, 1]
+        for delta in (0.0, TWO_PI * 40e6, -TWO_PI * 3e8):
+            for k, tau in enumerate(taus):
+                total = sum(np.exp(-1j * delta * s * tau) * v[k]
+                            for s, v in split.items())
+                expected = silence.propagate(rho, tau, detuning=delta)
+                assert np.max(np.abs(total - expected.ravel())) < 1e-14
+
+    def test_split_by_detuning_is_linear_over_complex_branches(self, levels_5t,
+                                                               lossy):
+        # a branch of a state has complex populations; they must not be
+        # reduced to their real parts
+        rng = np.random.default_rng(29)
+        silence = SilencePropagator(levels_5t, lossy)
+        u1, u2 = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+        a, b = 0.3 - 1.1j, -0.7 + 0.4j
+        taus = np.array([0.0, 2e-11, 5e-9])
+        whole = silence.split_by_detuning(a * u1 + b * u2, taus)
+        parts = [silence.split_by_detuning(u, taus) for u in (u1, u2)]
+        for s in (0, 1, -1):
+            assert np.max(np.abs(whole[s] - a * parts[0][s]
+                                 - b * parts[1][s])) < 1e-14
+
     def test_population_block_conserves_probability(self, levels_5t, lossy):
         silence = SilencePropagator(levels_5t, lossy)
         p = silence.population_matrix(1e-6)

@@ -57,16 +57,13 @@ def ensemble_average(run, bath: BathModel, n: int, seed=None) -> ExperimentTrace
     ups = np.stack([t.p_up for t in traces])
     downs = np.stack([t.p_down for t in traces])
     scale = math.sqrt(n) if n > 1 else 1.0
-    metadata = dict(first.metadata)
-    metadata.update({"bath_samples": n, "ensemble_mode": "mc-generic"})
     return ExperimentTrace(
         abscissa=first.abscissa, abscissa_name=first.abscissa_name,
         p_up=ups.mean(axis=0), p_down=downs.mean(axis=0),
         p_up_stderr=(ups.std(axis=0, ddof=1) / scale if n > 1
                      else np.zeros_like(first.p_up)),
         p_down_stderr=(downs.std(axis=0, ddof=1) / scale if n > 1
-                       else np.zeros_like(first.p_down)),
-        metadata=metadata).validate()
+                       else np.zeros_like(first.p_down))).validate()
 
 
 class TestTraces:
@@ -440,13 +437,12 @@ class TestEcho:
         assert fit.converged
         assert fit.parameters["t_decay"] == pytest.approx(60e-6, rel=1e-6)
 
-    def test_rows_and_metadata(self, levels_5t, quiet, half_pi_pulse):
+    def test_rows(self, levels_5t, quiet, half_pi_pulse):
         decay = d.run_echo_decay(np.array([5e-6, 10e-6]), levels_5t,
                                  half_pi_pulse, quiet)
         header, rows = decay.as_rows()
         assert header == ["echo_total_s", "amplitude", "amplitude_stderr"]
         assert len(rows) == 2
-        assert decay.metadata["experiment"] == "echo_decay"
         assert decay.total_times[0] == pytest.approx(10e-6, rel=1e-3)
 
 
@@ -517,7 +513,6 @@ class TestT1Recovery:
         assert result.fitted_t1 == pytest.approx(0.1, rel=1e-6)
         assert result.trace.p_up[0] < 0.05
         assert result.trace.p_up[-1] == pytest.approx(0.5, abs=0.01)
-        assert result.trace.metadata["t1_rate_per_s"] == 10.0
 
     def test_fewer_than_four_waits_rejected_before_pumping(
             self, levels_5t, monkeypatch):
@@ -545,6 +540,19 @@ class TestValidation:
         window = 2e-9 + np.arange(5) * period  # stride of a full period
         with pytest.raises(d.ValidationError):
             d.run_ramsey(window, levels_5t, half_pi_pulse, quiet)
+
+    def test_echo_scan_at_the_aliasing_limit_accepted(self, levels_5t, quiet,
+                                                      half_pi_pulse):
+        # at tau1 = 110 us one float step of the delays is 1.5e-8 of the
+        # scan step, so rounding alone lifts the step over the limit
+        larmor = levels_5t.electron_splitting
+        tau1 = 110e-6
+        scan = d.ramsey_window_plan([tau1], larmor, periods=2.0,
+                                    points_per_period=8)[0]
+        d.run_echo(tau1, scan, levels_5t, half_pi_pulse, quiet)
+        over = tau1 + np.arange(5) * 1.01 * (TWO_PI / larmor) / 8.0
+        with pytest.raises(d.ValidationError, match="alias"):
+            d.run_echo(tau1, over, levels_5t, half_pi_pulse, quiet)
 
     def test_unordered_delays_rejected(self, levels_5t, quiet,
                                        half_pi_pulse):
