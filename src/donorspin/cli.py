@@ -42,6 +42,7 @@ from .fitting import (
     ingest_trace,
 )
 from .lindblad import DensityMatrix
+from .materials import dump_yaml, load_yaml
 from .sequences import (
     optical_pump,
     ramsey_window_plan,
@@ -81,8 +82,7 @@ def write_trace_file(path: Path, header, rows, comments=()) -> None:
 
 
 def _write_meta(path: Path, document: dict) -> None:
-    path.write_text(yaml.safe_dump(plain_data(document), sort_keys=True),
-                    encoding="utf-8")
+    path.write_text(dump_yaml(plain_data(document)), encoding="utf-8")
 
 
 def _make_run_dir(base: str, digest: str) -> Path:
@@ -352,9 +352,8 @@ def cmd_fit(args) -> int:
                 "converged": result.converged,
                 "message": result.message,
             }
-        best = min(results.values(), key=lambda r: r.residual_norm)
-        entry["best_model"] = [k for k, r in results.items()
-                               if r is best][0]
+        entry["best_model"] = min(results,
+                                  key=lambda k: results[k].residual_norm)
         reports.append(entry)
 
     digest = config_digest(resolved)
@@ -384,7 +383,7 @@ def _axis_values(text: str) -> tuple:
 
 def _axis_number(value: str) -> float:
     try:
-        loaded = yaml.safe_load(value)
+        loaded = load_yaml(value)
     except yaml.YAMLError:
         loaded = None
     if isinstance(loaded, (int, float)) and not isinstance(loaded, bool):
@@ -439,9 +438,8 @@ def cmd_sweep(args) -> int:
     digest = config_digest(config.resolved)
     sweep_dir = _make_run_dir(config.output, digest)
     summary_rows = []
-    summary_keys = sorted({k for p in payloads for k in p["summary"]
-                           if isinstance(p["summary"][k], (int, float))
-                           and p["summary"][k] is not None})
+    summary_keys = sorted({k for p in payloads for k, v in p["summary"].items()
+                           if isinstance(v, (int, float))})
     for value, numeric, payload in zip(values, numeric_values, payloads):
         sub_dir = sweep_dir / f"{_slug(args.axis)}-{_slug(value)}"
         sub_dir.mkdir()

@@ -25,7 +25,8 @@ from .hamiltonian import (
     energy_for_rotation_angle,
 )
 from .lindblad import DissipatorSet, t1_rate_model
-from .materials import FieldConfig, MaterialParams, load_material
+from .materials import (FieldConfig, MaterialParams, dump_yaml, load_material,
+                        load_yaml)
 from .sequences import InjectedDecoherence, PumpSettings
 from .units import parse_quantity
 
@@ -55,14 +56,14 @@ class _Problems:
                 "invalid configuration: " + "; ".join(self.items), self.items)
 
 
-def _get_map(document, key, problems, required=False):
-    value = document.get(key)
+def _get_map(document, path, problems, required=False):
+    value = document.get(path.rpartition(".")[2])
     if value is None:
         if required:
-            problems.add(f"missing required section '{key}'")
+            problems.add(f"missing required section '{path}'")
         return {}
     if not isinstance(value, dict):
-        problems.add(f"section '{key}' must be a mapping")
+        problems.add(f"section '{path}' must be a mapping")
         return {}
     return value
 
@@ -162,7 +163,7 @@ class RunConfig:
 def apply_overrides(document: dict, overrides) -> dict:
     """Apply ``key.path=value`` strings onto a nested mapping."""
     problems = _Problems()
-    result = yaml.safe_load(yaml.safe_dump(document)) or {}
+    result = load_yaml(dump_yaml(document)) or {}
     for text in overrides or ():
         if "=" not in text:
             problems.add(f"override {text!r} is not of the form key=value")
@@ -173,7 +174,7 @@ def apply_overrides(document: dict, overrides) -> dict:
             problems.add(f"override {text!r} has an empty key path")
             continue
         try:
-            value = yaml.safe_load(raw_value)
+            value = load_yaml(raw_value)
         except yaml.YAMLError:
             value = raw_value
         node = result
@@ -212,7 +213,7 @@ def config_digest(resolved: dict) -> str:
     """
     identity = {k: v for k, v in plain_data(resolved).items()
                 if k != "output"}
-    canonical = yaml.safe_dump(identity, sort_keys=True)
+    canonical = dump_yaml(identity)
     return hashlib.sha256(canonical.encode()).hexdigest()[:8]
 
 
@@ -220,7 +221,7 @@ def load_config_document(path, overrides=()) -> dict:
     """The raw document of a config file with overrides applied."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = yaml.safe_load(handle)
+            document = load_yaml(handle)
     except yaml.YAMLError as err:
         raise ValidationError(f"config {path} is not valid YAML: {err}") \
             from err
@@ -425,7 +426,6 @@ def parse_run_config(document: dict) -> RunConfig:
 
     # fit -----------------------------------------------------------------
     fit_section = _get_map(document, "fit", problems)
-    fit = dict(fit_section)
     if fit_section:
         resolved["fit"] = dict(fit_section)
 
@@ -470,7 +470,7 @@ def parse_run_config(document: dict) -> RunConfig:
         ensemble_mode=ensemble_mode,
         bath_samples=int(bath_samples),
         experiment=experiment,
-        fit=fit,
+        fit=dict(fit_section),
         output=output,
         seed=int(seed),
         resolved=resolved,
@@ -535,7 +535,8 @@ def _parse_experiment(section, problems):
         experiment["energies"] = energies
         if "pump" in section:
             experiment["pump"] = _parse_pump_settings(
-                _get_map(section, "pump", problems), problems, f"{path}.pump")
+                _get_map(section, f"{path}.pump", problems), problems,
+                f"{path}.pump")
         else:
             experiment["pump"] = None
     elif kind == "ramsey":
@@ -547,30 +548,12 @@ def _parse_experiment(section, problems):
             problems.add(f"{path}: ramsey needs delay_centers or delays")
         experiment["delay_centers"] = centers
         experiment["delays"] = delays
-        experiment["periods"] = _number(section, "periods", problems,
-                                        f"{path}.periods", default=2.0,
-                                        minimum=0.5)
-        experiment["points_per_period"] = _number(
-            section, "points_per_period", problems,
-            f"{path}.points_per_period", default=9, minimum=8, integer=True)
-        experiment["injected"] = _parse_injected(
-            _get_map(section, "injected", problems), problems,
-            f"{path}.injected")
     elif kind == "echo":
         tau1_values = _quantity_list(section, "tau1_values", "time", problems,
                                      f"{path}.tau1_values")
         if tau1_values is None:
             problems.add(f"{path}: echo needs tau1_values")
         experiment["tau1_values"] = tau1_values
-        experiment["periods"] = _number(section, "periods", problems,
-                                        f"{path}.periods", default=2.0,
-                                        minimum=0.5)
-        experiment["points_per_period"] = _number(
-            section, "points_per_period", problems,
-            f"{path}.points_per_period", default=9, minimum=8, integer=True)
-        experiment["injected"] = _parse_injected(
-            _get_map(section, "injected", problems), problems,
-            f"{path}.injected")
     elif kind == "t1":
         # the recovery fit has three parameters, so it needs 4 waits
         waits = _quantity_list(section, "waits", "time", problems,
@@ -589,9 +572,20 @@ def _parse_experiment(section, problems):
                 problems.add(f"{path}: t1 needs waits or max_wait")
         experiment["waits"] = waits
         experiment["pump"] = _parse_pump_settings(
-            _get_map(section, "pump", problems), problems, f"{path}.pump")
+            _get_map(section, f"{path}.pump", problems), problems,
+            f"{path}.pump")
     elif kind == "pump":
         experiment["pump"] = _parse_pump_settings(section, problems, path)
+    if kind in ("ramsey", "echo"):
+        experiment["periods"] = _number(section, "periods", problems,
+                                        f"{path}.periods", default=2.0,
+                                        minimum=0.5)
+        experiment["points_per_period"] = _number(
+            section, "points_per_period", problems,
+            f"{path}.points_per_period", default=9, minimum=8, integer=True)
+        experiment["injected"] = _parse_injected(
+            _get_map(section, f"{path}.injected", problems), problems,
+            f"{path}.injected")
     return experiment
 
 

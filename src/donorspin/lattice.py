@@ -11,7 +11,7 @@ def zn_sites_within(lattice_a, lattice_c, cutoff):
     The Zn sublattice of wurtzite is hexagonal close packed: a hexagonal
     cell with basis sites (0, 0, 0) and (2/3, 1/3, 1/2) in lattice
     coordinates. Returns an (n, 3) array of positions in meters, origin
-    excluded. The c axis is along z.
+    excluded, in (basis, i, j, k) cell order. The c axis is along z.
     """
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
@@ -20,14 +20,25 @@ def zn_sites_within(lattice_a, lattice_c, cutoff):
     a3 = np.array([0.0, 0.0, lattice_c])
     basis = [np.zeros(3), (2.0 / 3.0) * a1 + (1.0 / 3.0) * a2 + 0.5 * a3]
 
-    # enough whole cells to cover the cutoff sphere in the oblique frame
     nmax_a = int(np.ceil(cutoff / (lattice_a * np.sqrt(3.0) / 2.0))) + 2
     nmax_c = int(np.ceil(cutoff / lattice_c)) + 2
     ia = np.arange(-nmax_a, nmax_a + 1)
-    ic = np.arange(-nmax_c, nmax_c + 1)
-    i, j, k = np.meshgrid(ia, ia, ic, indexing="ij")
-    cells = (i[..., None] * a1 + j[..., None] * a2 + k[..., None] * a3).reshape(-1, 3)
+    i, j = (g.ravel() for g in np.meshgrid(ia, ia, indexing="ij"))
+    # of the box that covers the sphere, only the (i, j) columns in the disk,
+    # each over its chord, padded by the basis offset and one cell
+    rho = np.hypot(i * lattice_a - j * (lattice_a / 2.0), j * a2[1])
+    near = rho <= cutoff + 2.0 * lattice_a
+    gap = np.clip(rho[near] - lattice_a / np.sqrt(3.0), 0.0, cutoff)
+    chord = np.sqrt(cutoff * cutoff - gap * gap)
+    kmax = np.minimum(np.floor(chord / lattice_c + 0.5).astype(int) + 1, nmax_c)
+    counts = 2 * kmax + 1
+    k = np.arange(counts.sum(), dtype=float) \
+        - np.repeat(np.cumsum(counts) - kmax - 1, counts)
+    i, j = (np.repeat(v[near], counts).astype(float) for v in (i, j))
+    cells = np.stack([i * a1[n] + j * a2[n] + k * a3[n] for n in range(3)],
+                     axis=1)
 
     pts = np.concatenate([cells + b for b in basis])
     r2 = np.einsum("ij,ij->i", pts, pts)
-    return pts[(r2 <= cutoff * cutoff) & (r2 > (1e-6 * lattice_a) ** 2)]
+    return np.compress((r2 <= cutoff * cutoff)
+                       & (r2 > (1e-6 * lattice_a) ** 2), pts, axis=0)

@@ -19,7 +19,8 @@ import yaml
 from .errors import ValidationError
 from .units import parse_quantity
 
-__all__ = ["MaterialParams", "FieldConfig", "load_material", "bundled_materials"]
+__all__ = ["MaterialParams", "FieldConfig", "load_material", "bundled_materials",
+           "load_yaml", "dump_yaml"]
 
 # profile key -> (dimension, attribute)
 _SCHEMA = {
@@ -63,16 +64,9 @@ class MaterialParams:
 
     def __post_init__(self):
         problems = []
-        for attr in ("g_electron", "g_hole"):
-            if getattr(self, attr) < 0:
-                problems.append(f"{attr} must be non-negative")
-        for attr in (
-            "gallium_moment",
-            "gallium_spin",
-            "zinc67_moment",
-            "zinc67_spin",
-            "central_cell_amplification",
-        ):
+        for attr in ("g_electron", "g_hole", "gallium_moment", "gallium_spin",
+                     "zinc67_moment", "zinc67_spin",
+                     "central_cell_amplification"):
             if getattr(self, attr) < 0:
                 problems.append(f"{attr} must be non-negative")
         if not 0.0 <= self.zinc67_abundance <= 1.0:
@@ -124,10 +118,6 @@ class FieldConfig:
             raise ValidationError("field orientation must be a nonzero vector")
         object.__setattr__(self, "orientation", tuple(vec / norm))
 
-    @property
-    def direction(self) -> np.ndarray:
-        return np.asarray(self.orientation)
-
 
 def _bundled_dir():
     return resources.files("donorspin") / "materials"
@@ -170,7 +160,7 @@ def load_material(source) -> MaterialParams:
             ) from None
         default_name = str(source)
 
-    doc = yaml.safe_load(text)
+    doc = load_yaml(text)
     if not isinstance(doc, dict):
         raise ValidationError(f"material profile {default_name!r} is not a mapping")
 
@@ -193,3 +183,18 @@ def load_material(source) -> MaterialParams:
             problems,
         )
     return MaterialParams(name=str(doc.get("name", default_name)), **values)
+
+
+# libyaml when PyYAML has it; the pure-Python classes give the same documents
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+def load_yaml(stream):
+    """One YAML document (text or open file) under the safe schema."""
+    return yaml.load(stream, Loader=_LOADER)
+
+
+def dump_yaml(data) -> str:
+    """``data`` as block-style YAML text with sorted keys."""
+    return yaml.dump(data, Dumper=_DUMPER, sort_keys=True)

@@ -363,7 +363,18 @@ class TestSimulateCommand:
              f"experiment.injected={value}", "--out", str(tmp_path / "out")],
             capsys)
         assert code == 2
-        assert "'injected' must be a mapping" in stderr
+        assert "section 'experiment.injected' must be a mapping" in stderr
+        assert "Traceback" not in stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["rabi", "t1"])
+    def test_non_mapping_pump_names_its_path(self, tmp_path, capsys, kind):
+        code, _, stderr = run_cli(
+            ["simulate", "--config", f"configs/{kind}.yaml", "--set",
+             "experiment.pump=5",
+             "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert "section 'experiment.pump' must be a mapping" in stderr
         assert "Traceback" not in stderr
         assert not (tmp_path / "out").exists()
 
@@ -469,7 +480,26 @@ class TestSimulateCommand:
         assert "Traceback" not in stderr
 
 
+def write_tiny_lattice_profile(tmp_path):
+    """A valid material profile whose lattice sum would need ~1e19 sites."""
+    profile = yaml.safe_load((Path(d.__file__).parent / "materials"
+                              / "zno-natural.yaml").read_text(encoding="utf-8"))
+    profile["lattice_a"] = "0.01 angstrom"
+    path = tmp_path / "tiny.yaml"
+    path.write_text(yaml.safe_dump(profile), encoding="utf-8")
+    return str(path)
+
+
 class TestEstimateCommand:
+    def test_tiny_lattice_exits_2_before_enumerating(self, tmp_path, capsys):
+        code, _, stderr = run_cli(
+            ["estimate", "--config", "configs/estimate.yaml", "--set",
+             f"material={write_tiny_lattice_profile(tmp_path)}",
+             "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert "zinc sites" in stderr
+        assert not (tmp_path / "out").exists()
+
     def test_budget_report(self, tmp_path, capsys):
         doc = {
             "material": "zno-natural",
@@ -755,3 +785,34 @@ def test_cli_import_leaves_out_the_ode_solver():
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert result.returncode == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(theta2=st.one_of(
+           st.sampled_from(["'90 deg'", "'1.2 rad'", "'4 rad'", "'-1 rad'",
+                            "'5 T'", "'abc'", ".nan", ".inf", "-.inf",
+                            "null", "[1, 2]", "{a: 1}"]),
+           st.floats(min_value=-4.0, max_value=4.0).map(repr)),
+       variant=st.sampled_from(["numerator-pi", "denominator-pi", "pi", "5",
+                                "[1]"]),
+       magnitude=st.sampled_from(["'5 T'", "'0 T'", "'-1 T'", "'1e400 T'",
+                                  "'5 Hz'", "5", "abc"]),
+       material=st.sampled_from(["zno-natural", "no-such-profile", "5",
+                                 "[1]", "{a: 1}", "tiny-lattice"]))
+@example(theta2="'1.5707963267948966 rad'", variant="numerator-pi",
+         magnitude="'5 T'", material="tiny-lattice")
+def test_estimate_inputs_keep_the_exit_code_contract(
+        tmp_path_factory, theta2, variant, magnitude, material):
+    out = tmp_path_factory.mktemp("estimate")
+    if material == "tiny-lattice":
+        material = write_tiny_lattice_profile(out)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(["estimate", "--config", "configs/estimate.yaml",
+                         "--set", f"fit.theta2={theta2}",
+                         "--set", f"fit.variant={variant}",
+                         "--set", f"field.magnitude={magnitude}",
+                         "--set", f"material={material}",
+                         "--out", str(out / "runs")])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from hypothesis import strategies as st
 from scipy import constants as sc
 
 import donorspin as d
+from donorspin import estimators
 from donorspin.estimators import dipolar_lattice_sum
+
+from test_units_materials import full_box_zn_sites_within
 
 MU_0 = sc.mu_0
 MU_B = sc.physical_constants["Bohr magneton"][0]
@@ -78,6 +82,46 @@ class TestInstantaneousDiffusion:
             d.t2_instantaneous_diffusion(material, 1.0, variant="pi")
 
 
+def two_enumeration_sum(material, field_direction=None, cutoff=1.0e-8,
+                        max_cutoff=None):
+    """Reference lattice sum that enumerates the sites afresh at each of
+    the two cutoffs of every growth step, on the whole-box lattice."""
+    vec = np.array([1.0, 0.0, 0.0]) if field_direction is None \
+        else np.asarray(field_direction, dtype=float)
+    direction = vec / np.linalg.norm(vec)
+    max_cutoff = 4.0 * cutoff if max_cutoff is None else max_cutoff
+    f = material.zinc67_abundance
+    prefactor = (d.VACUUM_PERMEABILITY ** 2 / (16.0 * math.pi ** 2)
+                 * material.zinc67_moment ** 4 / d.HBAR ** 2)
+
+    def geometric_sum(radius):
+        sites = full_box_zn_sites_within(material.lattice_a,
+                                         material.lattice_c, radius)
+        r = np.linalg.norm(sites, axis=1)
+        cos_t = (sites @ direction) / r
+        return float(np.sum((1.0 - 3.0 * cos_t ** 2) ** 2 / r ** 6)), \
+            len(sites)
+
+    partials = {}
+    current = cutoff
+    while True:
+        s_here, count = geometric_sum(current)
+        s_grown, _ = geometric_sum(1.25 * current)
+        partials[current] = f * prefactor * s_here
+        change = abs(s_grown - s_here) / (abs(s_grown) if s_grown else 1.0)
+        if change <= 0.01:
+            break
+        current *= 1.25
+        if current > max_cutoff:
+            raise d.LatticeSumError(
+                f"dipolar sum failed to stabilize to 1% below the "
+                f"{max_cutoff:.3e} m cutoff ceiling", partials)
+    return d.LatticeSumResult(
+        sum_b_squared=f * prefactor * s_here, cutoff_radius=current,
+        site_count=count, field_direction=tuple(direction), converged=True,
+        growth_change=change)
+
+
 class TestDipolarLatticeSum:
     def test_transverse_field_frozen(self, material):
         result = dipolar_lattice_sum(material)
@@ -115,6 +159,61 @@ class TestDipolarLatticeSum:
             dipolar_lattice_sum(material, field_direction="axial")
         with pytest.raises(d.ValidationError):
             dipolar_lattice_sum(material, field_direction=(0.0, 0.0, 0.0))
+        for cutoff in (math.inf, math.nan):
+            with pytest.raises(d.ValidationError):
+                dipolar_lattice_sum(material, cutoff=cutoff)
+        for max_cutoff in (math.nan, math.inf, 5e-9):
+            with pytest.raises(d.ValidationError):
+                dipolar_lattice_sum(material, cutoff=1e-8,
+                                    max_cutoff=max_cutoff)
+
+    def test_oversized_enumeration_rejected_before_any_site(
+            self, material, monkeypatch):
+        def no_sites(*args):
+            raise AssertionError("zn_sites_within must not be called")
+
+        monkeypatch.setattr(estimators, "zn_sites_within", no_sites)
+        # a profile with lattice_a "0.01 angstrom" is valid material data
+        tiny = material.with_(lattice_a=1e-12, lattice_c=1.6e-12)
+        with pytest.raises(d.ValidationError, match="zinc sites"):
+            dipolar_lattice_sum(tiny)
+        # so is a ceiling far past the default growth range
+        with pytest.raises(d.ValidationError, match="zinc sites"):
+            dipolar_lattice_sum(material, max_cutoff=1e-7)
+
+    @pytest.mark.parametrize("direction", [None, (0, 0, 1), (0.3, 0.5, 0.81)])
+    def test_fields_match_two_enumerations_bit_for_bit(self, material,
+                                                       direction):
+        assert dipolar_lattice_sum(material, direction) == \
+            two_enumeration_sum(material, direction)
+        # a sparse lattice converges after three growth steps
+        sparse = material.with_(lattice_a=2.0e-9, lattice_c=3.0e-9)
+        result = dipolar_lattice_sum(sparse, direction, 3.0e-9, 2.0e-8)
+        assert result.cutoff_radius == 3.0e-9 * 1.25 ** 3
+        assert result == two_enumeration_sum(sparse, direction, 3.0e-9,
+                                             2.0e-8)
+
+    @pytest.mark.parametrize("direction", [None, (0, 0, 1), (0.3, 0.5, 0.81)])
+    def test_partial_sums_match_two_enumerations_bit_for_bit(self, material,
+                                                             direction):
+        sparse = material.with_(lattice_a=2.0e-9, lattice_c=3.0e-9)
+        with pytest.raises(d.LatticeSumError) as info:
+            dipolar_lattice_sum(sparse, direction, 3.0e-9, 5.5e-9)
+        with pytest.raises(d.LatticeSumError) as expected:
+            two_enumeration_sum(sparse, direction, 3.0e-9, 5.5e-9)
+        assert len(info.value.partial_sums) == 3
+        assert info.value.partial_sums == expected.value.partial_sums
+        assert str(info.value) == str(expected.value)
+
+    def test_default_sum_peak_memory(self, material):
+        dipolar_lattice_sum(material)
+        tracemalloc.start()
+        try:
+            dipolar_lattice_sum(material)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestSpectralDiffusion:

@@ -104,14 +104,54 @@ class TestMaterials:
 
     def test_field_direction_normalized(self):
         config = d.FieldConfig(2.0, (0.0, 3.0, 4.0))
-        assert np.allclose(config.direction, (0.0, 0.6, 0.8))
+        assert np.allclose(config.orientation, (0.0, 0.6, 0.8))
 
     def test_zero_orientation_rejected(self):
         with pytest.raises(d.ValidationError):
             d.FieldConfig(1.0, (0.0, 0.0, 0.0))
 
 
+def full_box_zn_sites_within(lattice_a, lattice_c, cutoff):
+    """Reference enumeration: every cell of the oblique box that covers
+    the sphere, then the radial filter."""
+    if cutoff <= 0:
+        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    a1 = np.array([lattice_a, 0.0, 0.0])
+    a2 = np.array([-lattice_a / 2.0, lattice_a * np.sqrt(3.0) / 2.0, 0.0])
+    a3 = np.array([0.0, 0.0, lattice_c])
+    basis = [np.zeros(3), (2.0 / 3.0) * a1 + (1.0 / 3.0) * a2 + 0.5 * a3]
+
+    # enough whole cells to cover the cutoff sphere in the oblique frame
+    nmax_a = int(np.ceil(cutoff / (lattice_a * np.sqrt(3.0) / 2.0))) + 2
+    nmax_c = int(np.ceil(cutoff / lattice_c)) + 2
+    ia = np.arange(-nmax_a, nmax_a + 1)
+    ic = np.arange(-nmax_c, nmax_c + 1)
+    i, j, k = np.meshgrid(ia, ia, ic, indexing="ij")
+    cells = (i[..., None] * a1 + j[..., None] * a2 + k[..., None] * a3).reshape(-1, 3)
+
+    pts = np.concatenate([cells + b for b in basis])
+    r2 = np.einsum("ij,ij->i", pts, pts)
+    return pts[(r2 <= cutoff * cutoff) & (r2 > (1e-6 * lattice_a) ** 2)]
+
+
+_SHIPPED = d.load_material("zno-natural")
+# the whole-box reference needs 500 MB at 25 nm on the shipped lattice,
+# so that lattice is checked to 15 nm (past the default sum's 12.5 nm)
+_LATTICE_CASES = (
+    [((_SHIPPED.lattice_a, _SHIPPED.lattice_c), r)
+     for r in [*np.linspace(3e-9, 15e-9, 13), 1.25e-8]]
+    + [(pair, r) for pair in ((1.5e-9, 2.4e-9), (8.0e-10, 1.3e-9))
+       for r in np.linspace(3e-9, 25e-9, 23)])
+
+
 class TestLattice:
+    @pytest.mark.parametrize("constants,cutoff", _LATTICE_CASES)
+    def test_same_bytes_as_the_whole_box(self, constants, cutoff):
+        expected = full_box_zn_sites_within(*constants, cutoff)
+        sites = zn_sites_within(*constants, cutoff)
+        assert sites.shape == expected.shape
+        assert sites.tobytes() == expected.tobytes()
+
     def test_counts_grow_with_cutoff(self, material):
         a, c = material.lattice_a, material.lattice_c
         small = zn_sites_within(a, c, 3 * a)
