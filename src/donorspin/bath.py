@@ -29,7 +29,7 @@ from .constants import (
     density_at_origin,
 )
 from .errors import ValidationError
-from .lattice import zn_sites_within
+from .lattice import check_site_count, zn_sites_within
 from .materials import MaterialParams
 
 __all__ = [
@@ -75,7 +75,7 @@ def zn_dispersion(material: MaterialParams, mode: str = "continuum",
     n_Zn / (8 pi a^3) of the hydrogenic 1s envelope; ``lattice-sum``
     accumulates the envelope density squared over explicit wurtzite
     zinc sites out to ``cutoff`` (default ten Bohr radii, at least
-    five required).
+    five required, and at most 2.5e7 sites).
     """
     if mode not in _DISPERSION_MODES:
         raise ValidationError(
@@ -89,6 +89,7 @@ def zn_dispersion(material: MaterialParams, mode: str = "continuum",
             raise ValidationError(
                 f"lattice-sum cutoff {cutoff:.3e} m is below five Bohr radii "
                 f"({5 * a:.3e} m); the tail would be truncated")
+        check_site_count(material.lattice_a, material.lattice_c, cutoff)
         sites = zn_sites_within(material.lattice_a, material.lattice_c, cutoff)
         r = np.linalg.norm(sites, axis=1)
         density_sq_sum = float(np.sum(np.exp(-4.0 * r / a))

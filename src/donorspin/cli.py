@@ -1,13 +1,13 @@
 """Command-line front end: reproducible runs from config documents.
 
 Subcommands ``simulate``, ``estimate``, ``fit`` and ``sweep`` share the
-flags ``--config``, ``--out``, ``--seed``, ``--jobs`` and repeatable
-``--set key.path=value`` overrides. Every run writes one directory
-named ``<timestamp>-<confighash8>`` containing delimited trace files
-(``#`` comments, unit-suffixed headers) plus a metadata document with
-the fully resolved configuration and seed. Exit codes are stable for
-scripting: 0 success, 2 validation problem, 3 numerical failure,
-4 input/output failure.
+flags ``--config``, ``--out``, ``--seed`` and repeatable
+``--set key.path=value`` overrides; ``sweep`` adds ``--jobs``. Every
+run writes one directory named ``<timestamp>-<confighash8>`` containing
+delimited trace files (``#`` comments, unit-suffixed headers) plus a
+metadata document with the fully resolved configuration and seed. Exit
+codes are stable for scripting: 0 success, 2 validation problem,
+3 numerical failure, 4 input/output failure.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import yaml
 from .config import (
     RunConfig,
     apply_overrides,
+    canonical_models,
     config_digest,
     load_config_document,
     load_run_config,
@@ -33,14 +34,8 @@ from .config import (
     plain_data,
 )
 from .errors import NumericsError, ValidationError
-from .estimators import ID_VARIANTS, decoherence_budget
-from .fitting import (
-    MODEL_KINDS,
-    compare_models,
-    fit_curve,
-    fit_fringe,
-    ingest_trace,
-)
+from .estimators import decoherence_budget
+from .fitting import compare_models, fit_curve, fit_fringe, ingest_trace
 from .lindblad import DensityMatrix
 from .materials import dump_yaml, load_yaml
 from .sequences import (
@@ -51,16 +46,8 @@ from .sequences import (
     run_ramsey,
     run_t1_recovery,
 )
-from .units import parse_quantity
 
 __all__ = ["main", "build_parser"]
-
-_MODEL_ALIASES = {
-    "exp": "exp_decay",
-    "gaussian": "gaussian_decay",
-    "cubed_exp": "cubed_exp_decay",
-    "power": "power_law",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +72,13 @@ def _write_meta(path: Path, document: dict) -> None:
     path.write_text(dump_yaml(plain_data(document)), encoding="utf-8")
 
 
+def _meta_head(resolved: dict, seed: int) -> dict:
+    """The config, its digest and the seed: the head of every metadata
+    document a run writes."""
+    return {"config": resolved, "config_digest": config_digest(resolved),
+            "seed": seed}
+
+
 def _make_run_dir(base: str, digest: str) -> Path:
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
     run_dir = Path(base) / f"{stamp}-{digest}"
@@ -107,21 +101,16 @@ def _execute(config: RunConfig) -> dict:
     }[kind]
     payload = runner(config)
     payload["kind"] = kind
-    digest = config_digest(config.resolved)
+    payload["meta"] = dict(_meta_head(config.resolved, config.seed),
+                           summary=payload["summary"])
     comments = [
         "donorspin trace",
         f"experiment: {kind}",
         f"seed: {config.seed}",
-        f"config digest: {digest}",
+        f"config digest: {payload['meta']['config_digest']}",
     ]
     for entry in payload["files"].values():
         entry.setdefault("comments", comments)
-    payload["meta"] = {
-        "config": config.resolved,
-        "config_digest": digest,
-        "seed": config.seed,
-        "summary": payload["summary"],
-    }
     return payload
 
 
@@ -271,24 +260,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     config = _load_config(args)
-    section = config.fit if isinstance(config.fit, dict) else {}
-    theta2 = section.get("theta2", None)
-    theta2 = parse_quantity(theta2, "angle", key="fit.theta2") \
-        if theta2 is not None else math.pi / 2.0
-    variant = section.get("variant", ID_VARIANTS[0])
-    if variant not in ID_VARIANTS:
-        raise ValidationError(f"fit.variant must be one of {ID_VARIANTS}, "
-                              f"got {variant!r}")
-    budget = decoherence_budget(config.material, theta2=theta2,
-                                variant=variant)
-    digest = config_digest(config.resolved)
-    run_dir = _make_run_dir(config.output, digest)
-    report = {
-        "config": config.resolved,
-        "config_digest": digest,
-        "seed": config.seed,
-        "budget": budget.as_report(),
-    }
+    budget = decoherence_budget(config.material, theta2=config.fit["theta2"],
+                                variant=config.fit["variant"])
+    report = _meta_head(config.resolved, config.seed)
+    run_dir = _make_run_dir(config.output, report["config_digest"])
+    report["budget"] = budget.as_report()
     _write_meta(run_dir / "estimate_report.yaml", report)
     (run_dir / "estimate_report.txt").write_text(budget.as_table() + "\n",
                                                  encoding="utf-8")
@@ -297,39 +273,22 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _canonical_models(names) -> list:
-    out = []
-    for name in names:
-        kind = _MODEL_ALIASES.get(name.strip(), name.strip())
-        if kind not in MODEL_KINDS:
-            raise ValidationError(
-                f"unknown model {name!r}; known: {sorted(MODEL_KINDS)} "
-                f"(aliases: {sorted(_MODEL_ALIASES)})")
-        out.append(kind)
-    return out
-
-
 def cmd_fit(args) -> int:
     if not args.data:
         raise ValidationError("fit requires at least one --data file")
-    fit_section = {}
+    kinds = ["exp_decay"]
     resolved = {"fit": {}}
     seed = args.seed if args.seed is not None else 0
     out_base = args.out or "runs"
     if args.config:
         config = _load_config(args)
-        fit_section = config.fit or {}
+        kinds = config.fit["models"]
         resolved = config.resolved
         seed = config.seed
         out_base = config.output
     traces = [ingest_trace(path) for path in args.data]
-
     if args.compare:
-        kinds = _canonical_models(args.compare.split(","))
-    elif fit_section.get("compare"):
-        kinds = _canonical_models(fit_section["compare"])
-    else:
-        kinds = _canonical_models([fit_section.get("model", "exp_decay")])
+        kinds = canonical_models(args.compare.split(","), "--compare")
 
     reports = []
     for trace in traces:
@@ -356,12 +315,10 @@ def cmd_fit(args) -> int:
                                   key=lambda k: results[k].residual_norm)
         reports.append(entry)
 
-    digest = config_digest(resolved)
-    run_dir = _make_run_dir(out_base, digest)
-    _write_meta(run_dir / "fit_report.yaml", {
-        "config": resolved, "config_digest": digest, "seed": seed,
-        "fits": reports,
-    })
+    report = _meta_head(resolved, seed)
+    run_dir = _make_run_dir(out_base, report["config_digest"])
+    report["fits"] = reports
+    _write_meta(run_dir / "fit_report.yaml", report)
     print(run_dir)
     for entry in reports:
         print(f"  {Path(entry['data']).name}: best model "
@@ -435,7 +392,8 @@ def cmd_sweep(args) -> int:
         slope = _loglog_slope(numeric_values,
                               [p["summary"]["fitted_t1_s"] for p in payloads])
 
-    digest = config_digest(config.resolved)
+    sweep_meta = _meta_head(config.resolved, config.seed)
+    digest = sweep_meta["config_digest"]
     sweep_dir = _make_run_dir(config.output, digest)
     summary_rows = []
     summary_keys = sorted({k for p in payloads for k, v in p["summary"].items()
@@ -450,14 +408,8 @@ def cmd_sweep(args) -> int:
             row.append(math.nan if cell is None else float(cell))
         summary_rows.append(row)
 
-    sweep_meta = {
-        "axis": args.axis,
-        "values": values,
-        "config": config.resolved,
-        "config_digest": digest,
-        "seed": config.seed,
-        "summaries": {v: p["summary"] for v, p in zip(values, payloads)},
-    }
+    sweep_meta.update(axis=args.axis, values=values, summaries={
+        v: p["summary"] for v, p in zip(values, payloads)})
     if slope is not None:
         sweep_meta["loglog_slope"] = slope
         sweep_meta["rate_exponent"] = -slope
@@ -506,8 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output base directory (overrides "
                                      "config 'output')")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--jobs", type=int,
-                       help="worker pool size for sweeps (default: CPUs)")
         p.add_argument("--set", action="append", metavar="KEY.PATH=VALUE",
                        help="override one config entry (repeatable)")
 
@@ -531,6 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep",
                              help="repeat the experiment over an axis")
     common(p_sweep)
+    p_sweep.add_argument("--jobs", type=int,
+                         help="worker pool size (default: CPUs)")
     p_sweep.add_argument("--axis", help="dotted config key to sweep")
     p_sweep.add_argument("--values",
                          help="comma-separated values for the axis")

@@ -3,7 +3,8 @@
 Every physical quantity is a string with an explicit unit (for
 example ``"5 T"``, ``"1.9 ps"``, ``"137.9 GHz"``); bare numbers are
 accepted only for dimensionless values. Validation walks the whole
-document and reports every problem at once. ``--set key.path=value``
+document and reports every problem at once, each unknown key among
+them. ``--set key.path=value``
 overrides are applied to the raw document before validation, so an
 override is checked exactly like the file contents.
 """
@@ -19,11 +20,9 @@ import yaml
 
 from .bath import BathModel
 from .errors import ValidationError
-from .hamiltonian import (
-    LevelScheme,
-    PulseSpec,
-    energy_for_rotation_angle,
-)
+from .estimators import ID_VARIANTS
+from .fitting import MODEL_KINDS
+from .hamiltonian import LevelScheme, PulseSpec, energy_for_rotation_angle
 from .lindblad import DissipatorSet, t1_rate_model
 from .materials import (FieldConfig, MaterialParams, dump_yaml, load_material,
                         load_yaml)
@@ -37,100 +36,165 @@ __all__ = [
     "parse_run_config",
     "apply_overrides",
     "config_digest",
+    "canonical_models",
 ]
 
-EXPERIMENT_KINDS = ("rabi", "ramsey", "echo", "t1", "pump")
 _TWO_PI = 2.0 * math.pi
+_PUMP_KEYS = ("rabi_frequency", "duration", "samples")
+# the keys each section knows, by its dotted path ("" is the top level)
+_KEYS = {
+    "": ("material", "field", "levels", "dissipators", "pulse", "bath",
+         "experiment", "fit", "output", "seed"),
+    "field": ("magnitude", "orientation"),
+    "levels": ("optical_detuning",),
+    "dissipators": ("radiative_rate", "radiative_lifetime", "t1_rate",
+                    "ground_dephasing_rate", "laser_dephasing_linear",
+                    "laser_dephasing_quadratic", "branching"),
+    "pulse": ("shape", "duration", "energy", "rotation_angle", "calibration"),
+    "bath": ("kind", "ensemble", "samples", "dispersion_mode", "cutoff",
+             "t2_star"),
+    "experiment.pump": _PUMP_KEYS,
+    "experiment.injected": ("time_constant", "exponent"),
+    "fit": ("theta2", "variant", "model", "compare"),
+}
+# an experiment section knows the keys of its kind
+_EXPERIMENT_KEYS = {
+    "rabi": ("kind", "energies", "max_energy", "count", "pump"),
+    "ramsey": ("kind", "delay_centers", "delays", "periods",
+               "points_per_period", "injected"),
+    "echo": ("kind", "tau1_values", "periods", "points_per_period",
+             "injected"),
+    "t1": ("kind", "waits", "max_wait", "count", "pump"),
+    "pump": ("kind",) + _PUMP_KEYS,
+}
+_MODEL_ALIASES = {
+    "exp": "exp_decay",
+    "gaussian": "gaussian_decay",
+    "cubed_exp": "cubed_exp_decay",
+    "power": "power_law",
+}
 
 
-class _Problems:
-    def __init__(self):
-        self.items: list[str] = []
+def _raise_if_any(problems):
+    if problems:
+        raise ValidationError(
+            "invalid configuration: " + "; ".join(problems), problems)
+
+
+class _Section:
+    """One mapping of the run document, read key by key.
+
+    Bound to its dotted path and to the problem list that every section
+    of one document shares, it names each problem by the key's path and
+    lists every key that the section does not know. A key set to null
+    reads as absent.
+    """
+
+    def __init__(self, data: dict, path: str, problems: list):
+        self.data, self.path, self.problems = data, path, problems
+        if path in _KEYS:
+            self.check_keys(_KEYS[path])
+
+    def at(self, key) -> str:
+        return f"{self.path}.{key}" if self.path else str(key)
 
     def add(self, message: str):
-        self.items.append(message)
+        self.problems.append(message)
 
-    def raise_if_any(self):
-        if self.items:
-            raise ValidationError(
-                "invalid configuration: " + "; ".join(self.items), self.items)
+    def fail(self, err):
+        """List ``err`` as a problem of the whole section."""
+        self.add(f"{self.path}: {err}")
 
+    def check_keys(self, known):
+        for key in self.data:
+            if key not in known:
+                self.add(f"unknown key '{self.at(key)}' "
+                         f"(known: {sorted(known)})")
 
-def _get_map(document, path, problems, required=False):
-    value = document.get(path.rpartition(".")[2])
-    if value is None:
-        if required:
-            problems.add(f"missing required section '{path}'")
-        return {}
-    if not isinstance(value, dict):
-        problems.add(f"section '{path}' must be a mapping")
-        return {}
-    return value
+    def section(self, key, required=False) -> "_Section":
+        value, path = self.data.get(key), self.at(key)
+        if value is None:
+            if required:
+                self.add(f"missing required section '{path}'")
+            value = {}
+        elif not isinstance(value, dict):
+            self.add(f"section '{path}' must be a mapping")
+            value = {}
+        return _Section(value, path, self.problems)
 
+    def value(self, key, default=None, required=False):
+        value = self.data.get(key)
+        if value is None and required:
+            self.add(f"{self.at(key)} is required")
+        return default if value is None else value
 
-def _quantity(section, key, dimension, problems, path, default=None):
-    value = section.get(key)
-    if value is None:
-        if default is None:
+    def quantity(self, key, dimension, default=None, required=False):
+        value = self.value(key, default, required)
+        if value is None:
             return None
-        if isinstance(default, (int, float)):
-            return float(default)
-        value = default
-    if isinstance(value, (int, float)) and not isinstance(value, bool) \
-            and value == 0:
-        return 0.0
-    try:
-        return parse_quantity(value, dimension, key=path)
-    except ValidationError as err:
-        problems.add(str(err))
-        return None
-
-
-def _quantity_list(section, key, dimension, problems, path):
-    values = section.get(key)
-    if values is None:
-        return None
-    if not isinstance(values, (list, tuple)) or not values:
-        problems.add(f"{path} must be a non-empty list")
-        return None
-    out = []
-    for k, item in enumerate(values):
+        if isinstance(value, (int, float)) and not isinstance(value, bool) \
+                and value == 0:
+            return 0.0
         try:
-            out.append(parse_quantity(item, dimension, key=f"{path}[{k}]"))
+            return parse_quantity(value, dimension, key=self.at(key))
         except ValidationError as err:
-            problems.add(str(err))
-    return out if len(out) == len(values) else None
+            self.add(str(err))
+            return None
+
+    def quantities(self, key, dimension):
+        values = self.value(key)
+        if values is None:
+            return None
+        if not isinstance(values, (list, tuple)) or not values:
+            self.add(f"{self.at(key)} must be a non-empty list")
+            return None
+        out = []
+        for k, item in enumerate(values):
+            try:
+                out.append(parse_quantity(item, dimension,
+                                          key=f"{self.at(key)}[{k}]"))
+            except ValidationError as err:
+                self.add(str(err))
+        return out if len(out) == len(values) else None
+
+    def number(self, key, default=None, minimum=None, integer=False):
+        value = self.value(key, default)
+        if value is None:
+            return None
+        path = self.at(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            self.add(f"{path} must be a number")
+        elif not math.isfinite(value):
+            self.add(f"{path} must be finite, got {value}")
+        elif integer and int(value) != value:
+            self.add(f"{path} must be an integer")
+        elif minimum is not None and value < minimum:
+            self.add(f"{path} must be >= {minimum}")
+        else:
+            return int(value) if integer else float(value)
+        return None
+
+    def choice(self, key, options, default=None, required=False):
+        value = self.value(key, default, required)
+        if value is None or value in options:
+            return value
+        self.add(f"{self.at(key)} must be one of {sorted(options)}, "
+                 f"got {value!r}")
+        return None
 
 
-def _number(section, key, problems, path, default=None, minimum=None,
-            integer=False):
-    value = section.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.add(f"{path} must be a number")
-        return None
-    if not math.isfinite(value):
-        problems.add(f"{path} must be finite, got {value}")
-        return None
-    if integer and int(value) != value:
-        problems.add(f"{path} must be an integer")
-        return None
-    if minimum is not None and value < minimum:
-        problems.add(f"{path} must be >= {minimum}")
-        return None
-    return int(value) if integer else float(value)
-
-
-def _choice(section, key, options, problems, path, default=None):
-    value = section.get(key, default)
-    if value is None:
-        return None
-    if value not in options:
-        problems.add(f"{path} must be one of {sorted(options)}, "
-                     f"got {value!r}")
-        return None
-    return value
+def canonical_models(names, key: str) -> list:
+    """The model kinds that ``names`` give, each a kind or an alias."""
+    kinds = []
+    for name in names:
+        kind = _MODEL_ALIASES.get(name.strip(), name.strip()) \
+            if isinstance(name, str) else name
+        if kind not in MODEL_KINDS:
+            raise ValidationError(
+                f"{key}: unknown model {name!r}; known: "
+                f"{sorted(MODEL_KINDS)} (aliases: {sorted(_MODEL_ALIASES)})")
+        kinds.append(kind)
+    return kinds
 
 
 @dataclass
@@ -162,16 +226,16 @@ class RunConfig:
 
 def apply_overrides(document: dict, overrides) -> dict:
     """Apply ``key.path=value`` strings onto a nested mapping."""
-    problems = _Problems()
+    problems: list[str] = []
     result = load_yaml(dump_yaml(document)) or {}
     for text in overrides or ():
         if "=" not in text:
-            problems.add(f"override {text!r} is not of the form key=value")
+            problems.append(f"override {text!r} is not of the form key=value")
             continue
         path, _, raw_value = text.partition("=")
         keys = [k for k in path.strip().split(".") if k]
         if not keys:
-            problems.add(f"override {text!r} has an empty key path")
+            problems.append(f"override {text!r} has an empty key path")
             continue
         try:
             value = load_yaml(raw_value)
@@ -185,7 +249,7 @@ def apply_overrides(document: dict, overrides) -> dict:
                 node[k] = nxt
             node = nxt
         node[keys[-1]] = value
-    problems.raise_if_any()
+    _raise_if_any(problems)
     return result
 
 
@@ -235,31 +299,31 @@ def load_run_config(path, overrides=()) -> RunConfig:
 
 
 def parse_run_config(document: dict) -> RunConfig:
-    problems = _Problems()
+    problems: list[str] = []
+    doc = _Section(document, "", problems)
     resolved: dict = {}
 
     # material + field -------------------------------------------------
     material = None
     material_name = document.get("material", "zno-natural")
     if not isinstance(material_name, str):
-        problems.add("material must be a profile name or file path")
+        doc.add("material must be a profile name or file path")
     else:
         try:
             material = load_material(material_name)
         except (ValidationError, OSError) as err:
-            problems.add(f"material: {err}")
+            doc.add(f"material: {err}")
     resolved["material"] = material_name
 
-    field_section = _get_map(document, "field", problems, required=True)
-    magnitude = _quantity(field_section, "magnitude", "field", problems,
-                          "field.magnitude")
-    orientation = field_section.get("orientation", (1.0, 0.0, 0.0))
+    field_section = doc.section("field", required=True)
+    magnitude = field_section.quantity("magnitude", "field")
+    orientation = field_section.value("orientation", (1.0, 0.0, 0.0))
     field_config = None
     if magnitude is not None:
         try:
             field_config = FieldConfig(magnitude, tuple(orientation))
         except (ValidationError, TypeError, ValueError) as err:
-            problems.add(f"field: {err}")
+            field_section.fail(err)
     if field_config is not None:
         resolved["field"] = {
             "magnitude_T": field_config.magnitude,
@@ -267,10 +331,9 @@ def parse_run_config(document: dict) -> RunConfig:
         }
 
     # level scheme -----------------------------------------------------
-    levels_section = _get_map(document, "levels", problems)
-    detuning_hz = _quantity(levels_section, "optical_detuning", "frequency",
-                            problems, "levels.optical_detuning",
-                            default="1 THz")
+    levels_section = doc.section("levels")
+    detuning_hz = levels_section.quantity("optical_detuning", "frequency",
+                                          default="1 THz")
     levels = None
     if material is not None and field_config is not None \
             and detuning_hz is not None:
@@ -278,43 +341,33 @@ def parse_run_config(document: dict) -> RunConfig:
             levels = LevelScheme.from_material(material, field_config,
                                                _TWO_PI * detuning_hz)
         except ValidationError as err:
-            problems.add(f"levels: {err}")
+            levels_section.fail(err)
     if detuning_hz is not None:
         resolved["levels"] = {"optical_detuning_Hz": detuning_hz}
 
     # dissipators --------------------------------------------------------
-    diss_section = _get_map(document, "dissipators", problems)
-    radiative = _quantity(diss_section, "radiative_rate", "rate", problems,
-                          "dissipators.radiative_rate")
-    lifetime = _quantity(diss_section, "radiative_lifetime", "time", problems,
-                         "dissipators.radiative_lifetime")
+    diss_section = doc.section("dissipators")
+    radiative = diss_section.quantity("radiative_rate", "rate")
+    lifetime = diss_section.quantity("radiative_lifetime", "time")
     if radiative is not None and lifetime is not None:
-        problems.add("dissipators: give radiative_rate or "
-                     "radiative_lifetime, not both")
+        diss_section.fail("give radiative_rate or radiative_lifetime, "
+                          "not both")
     if radiative is None:
         radiative = (1.0 / lifetime) if lifetime else 0.0
 
-    t1_value = diss_section.get("t1_rate", 0.0)
-    if t1_value == "auto":
+    if diss_section.value("t1_rate") == "auto":
         t1_rate = t1_rate_model(field_config.magnitude) \
             if field_config is not None else None
-    elif t1_value == 0.0 or t1_value == 0:
-        t1_rate = 0.0
     else:
-        t1_rate = _quantity(diss_section, "t1_rate", "rate", problems,
-                            "dissipators.t1_rate")
+        t1_rate = diss_section.quantity("t1_rate", "rate", default=0.0)
 
-    dephasing = _quantity(diss_section, "ground_dephasing_rate", "rate",
-                          problems, "dissipators.ground_dephasing_rate",
-                          default=0.0) or 0.0
-    laser_linear = _number(diss_section, "laser_dephasing_linear", problems,
-                           "dissipators.laser_dephasing_linear", default=0.0,
-                           minimum=0.0) or 0.0
-    laser_quadratic = _quantity(diss_section, "laser_dephasing_quadratic",
-                                "time", problems,
-                                "dissipators.laser_dephasing_quadratic",
-                                default=0.0) or 0.0
-    branching = diss_section.get("branching", ((0.5, 0.5), (0.5, 0.5)))
+    dephasing = diss_section.quantity("ground_dephasing_rate", "rate",
+                                      default=0.0) or 0.0
+    laser_linear = diss_section.number("laser_dephasing_linear", default=0.0,
+                                       minimum=0.0) or 0.0
+    laser_quadratic = diss_section.quantity("laser_dephasing_quadratic",
+                                            "time", default=0.0) or 0.0
+    branching = diss_section.value("branching", ((0.5, 0.5), (0.5, 0.5)))
     dissipators = None
     if t1_rate is not None:
         try:
@@ -328,7 +381,7 @@ def parse_run_config(document: dict) -> RunConfig:
                 laser_dephasing_quadratic=laser_quadratic,
             )
         except (ValidationError, TypeError, ValueError) as err:
-            problems.add(f"dissipators: {err}")
+            diss_section.fail(err)
     if dissipators is not None:
         resolved["dissipators"] = {
             "radiative_rate_per_s": dissipators.radiative_rate,
@@ -341,29 +394,22 @@ def parse_run_config(document: dict) -> RunConfig:
         }
 
     # pulse ---------------------------------------------------------------
-    pulse_section = _get_map(document, "pulse", problems)
+    pulse_section = doc.section("pulse")
     pulse = None
-    if pulse_section:
-        shape = _choice(pulse_section, "shape",
-                        ("gaussian", "sech2", "rectangular"), problems,
-                        "pulse.shape", default="gaussian")
-        duration = _quantity(pulse_section, "duration", "time", problems,
-                             "pulse.duration")
-        energy = _quantity(pulse_section, "energy", "energy", problems,
-                           "pulse.energy")
-        angle = _quantity(pulse_section, "rotation_angle", "angle", problems,
-                          "pulse.rotation_angle")
-        calibration = _number(pulse_section, "calibration", problems,
-                              "pulse.calibration", default=3.5e23,
-                              minimum=0.0)
+    if pulse_section.data:
+        shape = pulse_section.choice("shape",
+                                     ("gaussian", "sech2", "rectangular"),
+                                     default="gaussian")
+        duration = pulse_section.quantity("duration", "time", required=True)
+        energy = pulse_section.quantity("energy", "energy")
+        angle = pulse_section.quantity("rotation_angle", "angle")
+        calibration = pulse_section.number("calibration", default=3.5e23,
+                                           minimum=0.0)
         if energy is not None and angle is not None:
-            problems.add("pulse: give energy or rotation_angle, not both")
-        if duration is None:
-            problems.add("pulse.duration is required when a pulse section "
-                         "is present")
+            pulse_section.fail("give energy or rotation_angle, not both")
         if energy is None and angle is None:
-            problems.add("pulse: one of energy or rotation_angle is required")
-        if not problems.items and shape is not None:
+            pulse_section.fail("one of energy or rotation_angle is required")
+        if not problems:
             try:
                 template = PulseSpec(shape=shape, duration=duration,
                                      energy=energy if energy is not None
@@ -377,7 +423,7 @@ def parse_run_config(document: dict) -> RunConfig:
                         calibration=calibration)
                 pulse = template
             except ValidationError as err:
-                problems.add(f"pulse: {err}")
+                pulse_section.fail(err)
         if pulse is not None:
             resolved["pulse"] = {
                 "shape": pulse.shape,
@@ -387,30 +433,25 @@ def parse_run_config(document: dict) -> RunConfig:
             }
 
     # bath ------------------------------------------------------------
-    bath_section = _get_map(document, "bath", problems)
+    bath_section = doc.section("bath")
     bath = None
-    ensemble_mode = _choice(bath_section, "ensemble", ("exact", "mc"),
-                            problems, "bath.ensemble", default="exact") \
-        or "exact"
-    bath_samples = _number(bath_section, "samples", problems, "bath.samples",
-                           default=1000, minimum=1, integer=True) or 1000
-    bath_kind = _choice(bath_section, "kind",
-                        ("none", "material", "gaussian"), problems,
-                        "bath.kind", default="none") or "none"
+    ensemble_mode = bath_section.choice("ensemble", ("exact", "mc"),
+                                        default="exact") or "exact"
+    bath_samples = bath_section.number("samples", default=1000, minimum=1,
+                                       integer=True) or 1000
+    bath_kind = bath_section.choice("kind", ("none", "material", "gaussian"),
+                                    default="none") or "none"
     if bath_kind == "material" and material is not None:
-        mode = _choice(bath_section, "dispersion_mode",
-                       ("continuum", "lattice-sum"), problems,
-                       "bath.dispersion_mode", default="continuum") \
-            or "continuum"
-        cutoff = _quantity(bath_section, "cutoff", "length", problems,
-                           "bath.cutoff")
+        mode = bath_section.choice("dispersion_mode",
+                                   ("continuum", "lattice-sum"),
+                                   default="continuum") or "continuum"
+        cutoff = bath_section.quantity("cutoff", "length")
         try:
             bath = BathModel.from_material(material, mode=mode, cutoff=cutoff)
         except ValidationError as err:
-            problems.add(f"bath: {err}")
+            bath_section.fail(err)
     elif bath_kind == "gaussian":
-        t2_star = _quantity(bath_section, "t2_star", "time", problems,
-                            "bath.t2_star")
+        t2_star = bath_section.quantity("t2_star", "time")
         if t2_star is not None and material is not None:
             bath = BathModel.gaussian(t2_star,
                                       electron_g=material.g_electron)
@@ -418,48 +459,38 @@ def parse_run_config(document: dict) -> RunConfig:
                         "samples": bath_samples}
 
     # experiment --------------------------------------------------------
-    experiment_section = _get_map(document, "experiment", problems,
-                                  required=True)
-    experiment = _parse_experiment(experiment_section, problems)
+    experiment = _parse_experiment(doc.section("experiment", required=True))
     if experiment is not None:
         resolved["experiment"] = _resolved_experiment(experiment)
 
     # fit -----------------------------------------------------------------
-    fit_section = _get_map(document, "fit", problems)
-    if fit_section:
-        resolved["fit"] = dict(fit_section)
+    fit_section = doc.section("fit")
+    fit = _parse_fit(fit_section)
+    if fit_section.data:
+        resolved["fit"] = dict(fit_section.data)
 
     output = document.get("output", "runs")
     if not isinstance(output, str):
-        problems.add("output must be a directory path string")
+        doc.add("output must be a directory path string")
         output = "runs"
-    seed = _number(document, "seed", problems, "seed", default=0,
-                   integer=True)
+    seed = doc.number("seed", default=0, integer=True)
     resolved["output"] = output
     resolved["seed"] = seed
-
-    known = {"material", "field", "levels", "dissipators", "pulse", "bath",
-             "experiment", "fit", "output", "seed"}
-    for key in document:
-        if key not in known:
-            problems.add(f"unknown top-level key '{key}' "
-                         f"(known: {sorted(known)})")
 
     # experiments that need a pulse; when a pulse section exists but
     # failed to resolve, its own problems are already on the list
     if experiment is not None and experiment["kind"] in \
-            ("rabi", "ramsey", "echo") and not pulse_section:
-        problems.add(f"experiment '{experiment['kind']}' requires a "
-                     "pulse section")
+            ("rabi", "ramsey", "echo") and not pulse_section.data:
+        doc.add(f"experiment '{experiment['kind']}' requires a pulse section")
     # fringe experiments sample the spin precession, so it must run
     if experiment is not None and experiment["kind"] in ("ramsey", "echo") \
             and levels is not None and not levels.electron_splitting > 0:
-        problems.add(f"experiment '{experiment['kind']}' needs a positive "
-                     f"spin precession frequency; got "
-                     f"{levels.electron_splitting} rad/s at field.magnitude "
-                     f"= {field_config.magnitude} T")
+        doc.add(f"experiment '{experiment['kind']}' needs a positive "
+                f"spin precession frequency; got "
+                f"{levels.electron_splitting} rad/s at field.magnitude "
+                f"= {field_config.magnitude} T")
 
-    problems.raise_if_any()
+    _raise_if_any(problems)
     resolved = plain_data(resolved)
     return RunConfig(
         material=material,
@@ -470,123 +501,121 @@ def parse_run_config(document: dict) -> RunConfig:
         ensemble_mode=ensemble_mode,
         bath_samples=int(bath_samples),
         experiment=experiment,
-        fit=dict(fit_section),
+        fit=fit,
         output=output,
         seed=int(seed),
         resolved=resolved,
     )
 
 
-def _parse_pump_settings(section, problems, path):
-    rabi_hz = _quantity(section, "rabi_frequency", "frequency", problems,
-                        f"{path}.rabi_frequency", default="20 MHz")
-    duration = _quantity(section, "duration", "time", problems,
-                         f"{path}.duration", default="10 us")
-    samples = _number(section, "samples", problems, f"{path}.samples",
-                      default=256, minimum=1, integer=True)
+def _parse_pump_settings(section: _Section):
+    rabi_hz = section.quantity("rabi_frequency", "frequency",
+                               default="20 MHz")
+    duration = section.quantity("duration", "time", default="10 us")
+    samples = section.number("samples", default=256, minimum=1, integer=True)
     if None in (rabi_hz, duration, samples):
         return None
     try:
         return PumpSettings(rabi=_TWO_PI * rabi_hz, duration=duration,
                             samples=samples)
     except ValidationError as err:
-        problems.add(f"{path}: {err}")
+        section.fail(err)
         return None
 
 
-def _parse_injected(section, problems, path):
-    if not section:
+def _parse_injected(section: _Section):
+    if not section.data:
         return None
-    time_constant = _quantity(section, "time_constant", "time", problems,
-                              f"{path}.time_constant")
-    exponent = _number(section, "exponent", problems, f"{path}.exponent",
-                       default=1.0, minimum=1.0)
+    time_constant = section.quantity("time_constant", "time", required=True)
+    exponent = section.number("exponent", default=1.0, minimum=1.0)
     if time_constant is None or exponent is None:
         return None
     try:
         return InjectedDecoherence(time_constant, exponent)
     except ValidationError as err:
-        problems.add(f"{path}: {err}")
+        section.fail(err)
         return None
 
 
-def _parse_experiment(section, problems):
-    if not section:
+def _parse_experiment(section: _Section):
+    if not section.data:
         return None
-    kind = section.get("kind")
-    if kind not in EXPERIMENT_KINDS:
-        problems.add(f"experiment.kind must be one of "
-                     f"{sorted(EXPERIMENT_KINDS)}, got {kind!r}")
+    kind = section.choice("kind", tuple(_EXPERIMENT_KEYS), required=True)
+    if kind is None:
         return None
+    section.check_keys(_EXPERIMENT_KEYS[kind])
     experiment: dict = {"kind": kind}
-    path = f"experiment"
     if kind == "rabi":
-        energies = _quantity_list(section, "energies", "energy", problems,
-                                  f"{path}.energies")
+        energies = section.quantities("energies", "energy")
         if energies is None:
-            max_energy = _quantity(section, "max_energy", "energy", problems,
-                                   f"{path}.max_energy")
-            count = _number(section, "count", problems, f"{path}.count",
-                            default=41, minimum=2, integer=True)
+            max_energy = section.quantity("max_energy", "energy")
+            count = section.number("count", default=41, minimum=2,
+                                   integer=True)
             if max_energy is not None and count is not None:
                 energies = list(np.linspace(0.0, max_energy, count))
             else:
-                problems.add(f"{path}: rabi needs energies or max_energy")
+                section.fail("rabi needs energies or max_energy")
         experiment["energies"] = energies
-        if "pump" in section:
-            experiment["pump"] = _parse_pump_settings(
-                _get_map(section, f"{path}.pump", problems), problems,
-                f"{path}.pump")
-        else:
-            experiment["pump"] = None
+        experiment["pump"] = _parse_pump_settings(section.section("pump")) \
+            if section.value("pump") is not None else None
     elif kind == "ramsey":
-        centers = _quantity_list(section, "delay_centers", "time", problems,
-                                 f"{path}.delay_centers")
-        delays = _quantity_list(section, "delays", "time", problems,
-                                f"{path}.delays")
+        centers = section.quantities("delay_centers", "time")
+        delays = section.quantities("delays", "time")
         if centers is None and delays is None:
-            problems.add(f"{path}: ramsey needs delay_centers or delays")
+            section.fail("ramsey needs delay_centers or delays")
         experiment["delay_centers"] = centers
         experiment["delays"] = delays
     elif kind == "echo":
-        tau1_values = _quantity_list(section, "tau1_values", "time", problems,
-                                     f"{path}.tau1_values")
+        tau1_values = section.quantities("tau1_values", "time")
         if tau1_values is None:
-            problems.add(f"{path}: echo needs tau1_values")
+            section.fail("echo needs tau1_values")
         experiment["tau1_values"] = tau1_values
     elif kind == "t1":
         # the recovery fit has three parameters, so it needs 4 waits
-        waits = _quantity_list(section, "waits", "time", problems,
-                               f"{path}.waits")
+        waits = section.quantities("waits", "time")
         if waits is not None and len(waits) < 4:
-            problems.add(f"{path}.waits must hold at least 4 entries, "
-                         f"got {len(waits)}")
+            section.add(f"{section.at('waits')} must hold at least 4 "
+                        f"entries, got {len(waits)}")
         if waits is None:
-            max_wait = _quantity(section, "max_wait", "time", problems,
-                                 f"{path}.max_wait")
-            count = _number(section, "count", problems, f"{path}.count",
-                            default=25, minimum=4, integer=True)
+            max_wait = section.quantity("max_wait", "time")
+            count = section.number("count", default=25, minimum=4,
+                                   integer=True)
             if max_wait is not None and count is not None:
                 waits = list(np.linspace(0.0, max_wait, count))
             else:
-                problems.add(f"{path}: t1 needs waits or max_wait")
+                section.fail("t1 needs waits or max_wait")
         experiment["waits"] = waits
-        experiment["pump"] = _parse_pump_settings(
-            _get_map(section, f"{path}.pump", problems), problems,
-            f"{path}.pump")
+        experiment["pump"] = _parse_pump_settings(section.section("pump"))
     elif kind == "pump":
-        experiment["pump"] = _parse_pump_settings(section, problems, path)
+        experiment["pump"] = _parse_pump_settings(section)
     if kind in ("ramsey", "echo"):
-        experiment["periods"] = _number(section, "periods", problems,
-                                        f"{path}.periods", default=2.0,
-                                        minimum=0.5)
-        experiment["points_per_period"] = _number(
-            section, "points_per_period", problems,
-            f"{path}.points_per_period", default=9, minimum=8, integer=True)
-        experiment["injected"] = _parse_injected(
-            _get_map(section, f"{path}.injected", problems), problems,
-            f"{path}.injected")
+        experiment["periods"] = section.number("periods", default=2.0,
+                                               minimum=0.5)
+        experiment["points_per_period"] = section.number(
+            "points_per_period", default=9, minimum=8, integer=True)
+        experiment["injected"] = _parse_injected(section.section("injected"))
     return experiment
+
+
+def _parse_fit(section: _Section) -> dict:
+    """The refocusing angle and variant of ``estimate``, and the models
+    that ``fit`` tries: the ``compare`` list, else the one ``model``."""
+    key = "model" if section.value("compare") is None else "compare"
+    names = section.value("compare", [section.value("model", "exp_decay")])
+    models = None
+    if not isinstance(names, list) or not names:
+        section.add(f"{section.at(key)} must be a non-empty list of "
+                    f"model names")
+    else:
+        try:
+            models = canonical_models(names, section.at(key))
+        except ValidationError as err:
+            section.add(str(err))
+    return {"theta2": section.quantity("theta2", "angle",
+                                       default=math.pi / 2.0),
+            "variant": section.choice("variant", ID_VARIANTS,
+                                      default=ID_VARIANTS[0]),
+            "models": models}
 
 
 def _resolved_experiment(experiment: dict) -> dict:

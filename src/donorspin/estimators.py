@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import BOHR_MAGNETON, HBAR, VACUUM_PERMEABILITY
 from .errors import LatticeSumError, ValidationError
-from .lattice import zn_sites_within
+from .lattice import check_site_count, zn_sites_within
 from .materials import MaterialParams
 from .bath import T2StarSummary, t2_star_theory
 
@@ -41,9 +41,6 @@ __all__ = [
 ]
 
 ID_VARIANTS = ("numerator-pi", "denominator-pi")
-
-# sites one lattice sum may enumerate; zno-natural's default range needs 2.2e7
-_MAX_SITES = 2.5e7
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +154,9 @@ def dipolar_lattice_sum(material: MaterialParams, field_direction=None,
     if not cutoff <= max_cutoff < math.inf:
         raise ValidationError(f"max_cutoff {max_cutoff:.3e} m must be finite "
                               f"and at least the cutoff {cutoff:.3e} m")
-    expected = material.zn_site_density * 4.0 / 3.0 * math.pi \
-        * (1.25 * max_cutoff) ** 3
-    if expected > _MAX_SITES:
-        raise ValidationError(
-            f"a lattice sum up to {max_cutoff:.3e} m would enumerate "
-            f"{expected:.2e} zinc sites, more than {_MAX_SITES:.0e}")
+    # the last growth step enumerates out to 1.25 times the ceiling
+    check_site_count(material.lattice_a, material.lattice_c,
+                     1.25 * max_cutoff)
     f = material.zinc67_abundance
     prefactor = (VACUUM_PERMEABILITY ** 2 / (16.0 * math.pi ** 2)
                  * material.zinc67_moment ** 4 / HBAR ** 2)

@@ -1,8 +1,27 @@
 """Wurtzite Zn sublattice geometry helpers."""
 
+import math
+
 import numpy as np
 
-__all__ = ["zn_sites_within"]
+from .errors import ValidationError
+
+__all__ = ["zn_sites_within", "check_site_count"]
+
+# sites one enumeration may hold; zno-natural's default lattice sum needs 2.2e7
+_MAX_SITES = 2.5e7
+
+
+def check_site_count(lattice_a, lattice_c, cutoff):
+    """Refuse an enumeration out to ``cutoff`` that would hold more than
+    2.5e7 sites, judged by the site density times the sphere's volume
+    before any site is built."""
+    cell_volume = math.sqrt(3.0) / 2.0 * lattice_a ** 2 * lattice_c
+    expected = 2.0 / cell_volume * 4.0 / 3.0 * math.pi * cutoff ** 3
+    if expected > _MAX_SITES:
+        raise ValidationError(
+            f"enumerating the lattice out to {cutoff:.3e} m would build "
+            f"{expected:.2e} zinc sites, more than {_MAX_SITES:.1e}")
 
 
 def zn_sites_within(lattice_a, lattice_c, cutoff):

@@ -426,21 +426,21 @@ def rabi_populations(energies, levels: LevelScheme, pulse: PulseSpec,
 
 
 def run_rabi_sweep(energies, levels: LevelScheme, pulse: PulseSpec,
-                   dissipators: DissipatorSet, initial=None,
+                   dissipators: DissipatorSet,
                    pump: PumpSettings | None = None,
                    expm_steps: int = 1024) -> ExperimentTrace:
     """Spin-flip probability against single-pulse energy.
 
     The state before each pulse is the optical-pump output when
     ``pump`` is given (so residual pump infidelity shows at zero
-    energy), else ``initial``, else the ideal spin-down state.
+    energy), else the ideal spin-down state.
     """
     energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1 or len(energies) == 0:
         raise ValidationError("energies must be a non-empty 1-D sequence")
     if np.any(energies < 0):
         raise ValidationError("pulse energies must be non-negative")
-    rho0 = _prepare_initial(initial, pump, levels, dissipators)
+    rho0 = _prepare_initial(None, pump, levels, dissipators)
     p_up, p_down = _pulse_populations(energies, levels, pulse, dissipators,
                                       rho0, expm_steps, (_UP_FLAT, _DOWN_FLAT))
     return ExperimentTrace(abscissa=energies, abscissa_name="pulse_energy_J",
@@ -515,13 +515,13 @@ def _ramsey_windows_input(tau):
 def run_ramsey(tau, levels: LevelScheme, pulse: PulseSpec,
                dissipators: DissipatorSet, bath: BathModel | None = None,
                ensemble_mode: str = "exact", bath_samples: int = 1000,
-               seed=None, initial=None, pump: PumpSettings | None = None,
-               injected: InjectedDecoherence | None = None,
+               seed=None, injected: InjectedDecoherence | None = None,
                expm_steps: int = 1024) -> RamseyResult:
     """Two-pulse interferometer scanned over the inter-pulse delay.
 
-    ``tau`` is either one array of delays (a single window) or a list
-    of arrays (one fringe window each). Delays are center-to-center;
+    The sequence starts from the ideal spin-down state. ``tau`` is
+    either one array of delays (a single window) or a list of arrays
+    (one fringe window each). Delays are center-to-center;
     each must be zero or at least one full pulse window (2w). The
     population oscillates at the spin precession frequency, and the
     per-window fringe amplitude carries the dephasing envelope.
@@ -544,14 +544,14 @@ def run_ramsey(tau, levels: LevelScheme, pulse: PulseSpec,
             _check_sampling(win, larmor, "delay")
 
     samples = _resolve_ensemble(bath, ensemble_mode, bath_samples, seed)
-    rho0 = _prepare_initial(initial, pump, levels, dissipators)
     window = pulse_window_propagator(levels, pulse, dissipators,
                                      expm_steps=expm_steps)
     all_tau = np.concatenate(windows)
     mult = injected.ratio(0.0, all_tau) if injected is not None \
         else np.ones_like(all_tau)
-    trace = _contract(window, SilencePropagator(levels, dissipators), rho0,
-                      (), (), np.maximum(all_tau - 2.0 * w, 0.0), mult, bath,
+    trace = _contract(window, SilencePropagator(levels, dissipators),
+                      _as_matrix(None), (), (),
+                      np.maximum(all_tau - 2.0 * w, 0.0), mult, bath,
                       ensemble_mode, samples, all_tau, "tau_s")
 
     centers, vis, vis_err = [], [], []
@@ -579,7 +579,7 @@ def run_ramsey(tau, levels: LevelScheme, pulse: PulseSpec,
 
 
 def fringe_visibilities(energies, levels: LevelScheme, pulse: PulseSpec,
-                        dissipators: DissipatorSet, initial=None,
+                        dissipators: DissipatorSet,
                         expm_steps: int = 256) -> np.ndarray:
     """Ramsey fringe amplitude against pulse energy (fixed short delay).
 
@@ -596,7 +596,7 @@ def fringe_visibilities(energies, levels: LevelScheme, pulse: PulseSpec,
                                      + 4.0 * math.pi / larmor],
                                     larmor, periods=2.0)[0]
         window = window[window >= 2.0 * p.half_window]
-        result = run_ramsey(window, levels, p, dissipators, initial=initial,
+        result = run_ramsey(window, levels, p, dissipators,
                             expm_steps=expm_steps)
         out[k] = result.visibilities[0]
     return out
@@ -733,8 +733,8 @@ class T1RecoveryResult:
 
 
 def run_t1_recovery(wait_values, levels: LevelScheme,
-                    dissipators: DissipatorSet, pump: PumpSettings,
-                    initial=None) -> T1RecoveryResult:
+                    dissipators: DissipatorSet,
+                    pump: PumpSettings) -> T1RecoveryResult:
     """Pump, wait, read: population recovery toward the thermal mixture.
 
     The spin-flip channel drives the ground populations to 1/2 each at
@@ -747,10 +747,8 @@ def run_t1_recovery(wait_values, levels: LevelScheme,
                               "to fit the three-parameter recovery")
     if np.any(wait_values < 0):
         raise ValidationError("wait values must be non-negative")
-    start = _as_matrix(initial) if initial is not None \
-        else DensityMatrix.scrambled().matrix
-    pumped = optical_pump(start, levels, pump.rabi, pump.duration,
-                          dissipators, pump.samples)
+    pumped = optical_pump(DensityMatrix.scrambled().matrix, levels,
+                          pump.rabi, pump.duration, dissipators, pump.samples)
     silence = SilencePropagator(levels, dissipators)
     p_up = np.empty(len(wait_values))
     p_down = np.empty(len(wait_values))

@@ -6,9 +6,11 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from hypothesis import strategies as st
 import donorspin as d
 from donorspin import cli
 from donorspin.config import (
+    _EXPERIMENT_KEYS,
+    _KEYS,
     apply_overrides,
     config_digest,
     load_config_document,
@@ -535,18 +539,19 @@ class TestEstimateCommand:
         assert "fit.variant" in stderr
 
 
-class TestFitCommand:
-    def write_decay_trace(self, tmp_path):
-        x = np.linspace(0.0, 8e-6, 30)
-        y = 0.1 + 0.8 * np.exp(-x / 2e-6)
-        path = tmp_path / "decay.csv"
-        cli.write_trace_file(path, ["tau_s", "p_up", "p_up_stderr"],
-                             list(zip(x, y, np.full_like(y, 0.01))),
-                             comments=["synthetic decay"])
-        return path
+def write_decay_trace(tmp_path):
+    x = np.linspace(0.0, 8e-6, 30)
+    y = 0.1 + 0.8 * np.exp(-x / 2e-6)
+    path = tmp_path / "decay.csv"
+    cli.write_trace_file(path, ["tau_s", "p_up", "p_up_stderr"],
+                         list(zip(x, y, np.full_like(y, 0.01))),
+                         comments=["synthetic decay"])
+    return path
 
+
+class TestFitCommand:
     def test_compare_selects_generating_model(self, tmp_path, capsys):
-        data = self.write_decay_trace(tmp_path)
+        data = write_decay_trace(tmp_path)
         code, stdout, _ = run_cli(
             ["fit", "--data", str(data), "--compare", "exp,gaussian,cubed_exp",
              "--out", str(tmp_path / "out")], capsys)
@@ -563,7 +568,7 @@ class TestFitCommand:
         assert "best model exp_decay" in stdout
 
     def test_unknown_model_lists_options(self, tmp_path, capsys):
-        data = self.write_decay_trace(tmp_path)
+        data = write_decay_trace(tmp_path)
         code, _, stderr = run_cli(
             ["fit", "--data", str(data), "--compare", "stretchy"], capsys)
         assert code == 2
@@ -583,6 +588,70 @@ class TestFitCommand:
         code, _, stderr = run_cli(["fit"], capsys)
         assert code == 2
         assert "--data" in stderr
+
+
+@pytest.mark.parametrize("command, config, override, path", [
+    ("simulate", "ramsey", "bath.sample=50", "bath.sample"),
+    ("simulate", "ramsey", "pulse.energie=0.1 nJ", "pulse.energie"),
+    ("simulate", "ramsey", "field.magnitud=5 T", "field.magnitud"),
+    ("simulate", "ramsey", "experiment.point_per_period=9",
+     "experiment.point_per_period"),
+    ("simulate", "ramsey", "dissipators.t1rate=auto", "dissipators.t1rate"),
+    ("simulate", "echo", "experiment.injected={exponent: 2}",
+     "experiment.injected.time_constant"),
+    ("simulate", "rabi", "experiment.pump.rabi_frequncy=20 MHz",
+     "experiment.pump.rabi_frequncy"),
+    ("fit", "t1", "fit.model=5", "fit.model"),
+    ("fit", "t1", "fit.compare=5", "fit.compare"),
+    ("fit", "t1", "fit.compare=exp", "fit.compare"),
+])
+def test_unknown_or_missing_key_exits_2_naming_its_path(
+        tmp_path, capsys, command, config, override, path):
+    argv = [command, "--config", f"configs/{config}.yaml", "--set", override,
+            "--out", str(tmp_path / "out")]
+    if command == "fit":
+        argv += ["--data", str(write_decay_trace(tmp_path))]
+    code, _, stderr = run_cli(argv, capsys)
+    assert code == 2
+    assert path in stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_lattice_sum_cutoff_is_capped_before_enumerating(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_sites(*args):
+        raise AssertionError("zn_sites_within must not be called")
+
+    monkeypatch.setattr(d.bath, "zn_sites_within", no_sites)
+    code, _, stderr = run_cli(
+        ["simulate", "--config", "configs/ramsey.yaml",
+         "--set", "bath.kind=material",
+         "--set", "bath.dispersion_mode=lattice-sum",
+         "--set", "bath.cutoff=1 um", "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert "- bath:" in stderr and "zinc sites" in stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "fit"])
+def test_only_sweep_takes_jobs(command):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--jobs", "2"])
+    assert cli.build_parser().parse_args(["sweep", "--jobs", "2"]).jobs == 2
+
+
+def test_readme_lists_the_keys_of_each_section():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Configuration files\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| (.+?) \| (.+?) \|$", section, re.M)
+    listed = {label: re.findall(r"`(\w+)`", keys) for label, keys in rows[1:]}
+    expected = {f"`{path}`" if path else "top level": list(keys)
+                for path, keys in _KEYS.items()}
+    expected.update({f"`experiment`, kind `{kind}`": list(keys)
+                     for kind, keys in _EXPERIMENT_KEYS.items()})
+    assert listed == expected
 
 
 class TestSweepCommand:
@@ -816,3 +885,76 @@ def test_estimate_inputs_keep_the_exit_code_contract(
                          "--out", str(out / "runs")])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in stderr.getvalue()
+
+
+# a power law fails numerically on a decay that starts at zero, so the
+# names drawn are the ones that fit it
+_MODEL_NAMES = ["exp", "exp_decay", "gaussian", "cubed_exp_decay", "stretchy"]
+
+
+@settings(max_examples=15, deadline=None)
+@given(model=st.sampled_from(_MODEL_NAMES + ["5", "null", "[exp]", "{a: 1}"]),
+       compare=st.one_of(
+           st.sampled_from(["null", "exp", "5", "[]", "{a: 1}", "[[1]]"]),
+           st.lists(st.sampled_from(_MODEL_NAMES), min_size=1,
+                    max_size=3).map(lambda names: f"[{', '.join(names)}]")))
+@example(model="exp", compare="null")
+@example(model="5", compare="[gaussian, exp]")
+def test_fit_inputs_keep_the_exit_code_contract(tmp_path_factory, model,
+                                                compare):
+    out = tmp_path_factory.mktemp("fit")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(["fit", "--config", "configs/t1.yaml",
+                         "--data", str(write_decay_trace(out)),
+                         "--set", f"fit.model={model}",
+                         "--set", f"fit.compare={compare}",
+                         "--out", str(out / "runs")])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    names = yaml.safe_load(compare)
+    if names is None:
+        names = [yaml.safe_load(model) or "exp_decay"]
+    known = {"exp", "exp_decay", "gaussian", "cubed_exp_decay"}
+    valid = isinstance(names, list) and bool(names) \
+        and all(isinstance(n, str) and n in known for n in names)
+    assert code == (0 if valid else 2), stderr.getvalue()
+
+
+@settings(max_examples=10, deadline=None)
+@given(cutoff=st.one_of(
+    st.sampled_from(["'1 um'", "'60 nm'", "'-5 nm'", "'5 T'", "'1e400 nm'",
+                     ".nan", "abc", "0", "null"]),
+    st.one_of(st.floats(min_value=0.0, max_value=8.0),
+              st.floats(min_value=9.0, max_value=20.0)).map(
+        lambda nm: f"'{nm:g} nm'")))
+@example(cutoff="'12 nm'")
+def test_lattice_sum_cutoff_keeps_the_exit_code_contract(tmp_path_factory,
+                                                         cutoff):
+    # accepted draws stay at or below 20 nm, about 1.4e6 sites, and the
+    # guard keeps a cutoff past the site cap from being enumerated
+    enumerate_sites = d.bath.zn_sites_within
+
+    def bounded(lattice_a, lattice_c, radius):
+        assert radius <= 25e-9, "a cutoff past the site cap was enumerated"
+        return enumerate_sites(lattice_a, lattice_c, radius)
+
+    out = tmp_path_factory.mktemp("cutoff")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr), \
+            mock.patch.object(d.bath, "zn_sites_within", bounded):
+        code = cli.main(["simulate", "--config", "configs/ramsey.yaml",
+                         "--set", "bath.kind=material",
+                         "--set", "bath.dispersion_mode=lattice-sum",
+                         "--set", f"bath.cutoff={cutoff}",
+                         "--set", "bath.ensemble=exact",
+                         "--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    parsed = yaml.safe_load(cutoff)
+    # null leaves the default of ten Bohr radii, 17 nm
+    valid = parsed is None or (isinstance(parsed, str)
+                               and parsed.endswith(" nm")
+                               and 8.5 < float(parsed.split()[0]) <= 20.0)
+    assert code == (0 if valid else 2), stderr.getvalue()
