@@ -35,7 +35,7 @@ from .config import (
 )
 from .errors import NumericsError, ValidationError
 from .estimators import decoherence_budget
-from .fitting import compare_models, fit_curve, fit_fringe, ingest_trace
+from .fitting import compare_models, fit_fringe, ingest_trace
 from .lindblad import DensityMatrix
 from .materials import dump_yaml, load_yaml
 from .sequences import (
@@ -298,20 +298,20 @@ def cmd_fit(args) -> int:
         weights = None
         if stderr is not None and np.all(stderr > 0):
             weights = 1.0 / np.square(stderr)
-        if len(kinds) > 1:
-            results = compare_models(kinds, x, y, weights)
-        else:
-            results = {kinds[0]: fit_curve(kinds[0], x, y, weights)}
+        results = compare_models(kinds, x, y, weights)
         entry = {"data": str(trace.path), "models": {}}
         for kind, result in results.items():
-            entry["models"][kind] = {
-                "parameters": result.parameters,
-                "uncertainties": result.uncertainties,
-                "residual_norm": result.residual_norm,
-                "converged": result.converged,
-                "message": result.message,
-            }
-        entry["best_model"] = min(results,
+            entry["models"][kind] = {"error": str(result)} \
+                if isinstance(result, Exception) else {
+                    "parameters": result.parameters,
+                    "uncertainties": result.uncertainties,
+                    "residual_norm": result.residual_norm,
+                    "converged": result.converged,
+                    "message": result.message,
+                }
+        fitted = [k for k, r in results.items()
+                  if not isinstance(r, Exception)]
+        entry["best_model"] = min(fitted,
                                   key=lambda k: results[k].residual_norm)
         reports.append(entry)
 
@@ -324,7 +324,8 @@ def cmd_fit(args) -> int:
         print(f"  {Path(entry['data']).name}: best model "
               f"{entry['best_model']}")
         for kind, body in entry["models"].items():
-            print(f"    {kind}: residual_norm="
+            print(f"    {kind}: cannot fit: {body['error']}" if "error" in body
+                  else f"    {kind}: residual_norm="
                   f"{body['residual_norm']:.6g} "
                   f"converged={body['converged']}")
     return 0
@@ -335,6 +336,9 @@ def _axis_values(text: str) -> tuple:
     values = [v.strip() for v in text.split(",") if v.strip()]
     if not values:
         raise ValidationError("sweep needs at least one value")
+    if len({_slug(value) for value in values}) < len(values):
+        raise ValidationError(f"sweep values must name distinct run "
+                              f"directories, got {values}")
     return values, [_axis_number(value) for value in values]
 
 

@@ -316,7 +316,7 @@ def parse_run_config(document: dict) -> RunConfig:
     resolved["material"] = material_name
 
     field_section = doc.section("field", required=True)
-    magnitude = field_section.quantity("magnitude", "field")
+    magnitude = field_section.quantity("magnitude", "field", required=True)
     orientation = field_section.value("orientation", (1.0, 0.0, 0.0))
     field_config = None
     if magnitude is not None:

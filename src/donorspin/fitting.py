@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DonorSpinError, ValidationError
 
 __all__ = [
     "ParameterSpec",
@@ -386,6 +386,9 @@ def fit_curve(model, x, y, weights=None) -> FitResult:
     if isinstance(model, str):
         model = CurveModel.for_kind(model, x, y)
     x, y, w = _validate_xy(x, y, weights, len(model.parameters))
+    if model.kind == "power_law" and np.any(x <= 0):
+        raise ValidationError("power_law needs every abscissa > 0, got "
+                              f"{np.min(x):.6g}")
     sw = np.sqrt(w)
 
     def residual_fn(p):
@@ -426,10 +429,18 @@ def _least_squares(kind, specs, residual_fn, max_iterations) -> FitResult:
 
 
 def compare_models(kinds, x, y, weights=None) -> dict:
-    """Fit several kinds to the same data; residual norm per kind."""
+    """Fit several kinds to the same data: a :class:`FitResult` per kind,
+    or the error of a known kind that cannot fit. Raises the first error
+    when no kind fits."""
     out = {}
     for kind in kinds:
-        out[kind] = fit_curve(kind, x, y, weights)
+        model = CurveModel.for_kind(kind, x, y)
+        try:
+            out[kind] = fit_curve(model, x, y, weights)
+        except (DonorSpinError, np.linalg.LinAlgError) as err:
+            out[kind] = err
+    if all(isinstance(r, Exception) for r in out.values()):
+        raise next(iter(out.values()))
     return out
 
 

@@ -19,9 +19,11 @@ equation directly. The fixed-step method advances with the matrix
 exponential of the midpoint generator, which is exact for
 piecewise-constant dynamics; it exponentiates each distinct midpoint
 generator once (keeping at most 512 for later steps), in time-ordered
-batches of at most 64 steps. Pulse-free stretches are never
-integrated numerically: with the drive off the generator is constant
-and block-diagonal, so populations advance with a small matrix
+batches of at most 64 steps. Pulse windows take those steps in a
+Hermitian operator basis, where a Lindblad generator is a real 16x16
+matrix (Havel, J. Math. Phys. 44, 534 (2003)). Pulse-free stretches
+are never integrated numerically: with the drive off the generator is
+constant and block-diagonal, so populations advance with a small matrix
 exponential and each coherence picks up an exact phase-and-decay
 factor. That removes the stiffness of picosecond pulses separated by
 microsecond delays.
@@ -91,10 +93,6 @@ class DensityMatrix:
         return cls(m, time)
 
     @classmethod
-    def ground_down(cls, time: float = 0.0) -> "DensityMatrix":
-        return cls.pure(GROUND_DOWN, time)
-
-    @classmethod
     def scrambled(cls, time: float = 0.0) -> "DensityMatrix":
         """Equal ground-state populations with no coherence."""
         m = np.zeros((_DIM, _DIM), dtype=complex)
@@ -104,21 +102,12 @@ class DensityMatrix:
 
     # -- observables -------------------------------------------------
     @property
-    def populations(self) -> np.ndarray:
-        return np.real(np.diag(self.matrix))
-
-    @property
     def p_down(self) -> float:
         return float(self.matrix[GROUND_DOWN, GROUND_DOWN].real)
 
     @property
     def p_up(self) -> float:
         return float(self.matrix[GROUND_UP, GROUND_UP].real)
-
-    @property
-    def excited_population(self) -> float:
-        return float(self.matrix[EXCITED_LOWER, EXCITED_LOWER].real
-                     + self.matrix[EXCITED_UPPER, EXCITED_UPPER].real)
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
@@ -145,9 +134,6 @@ class DensityMatrix:
             raise ValidationError("unphysical density matrix: " + "; ".join(problems),
                                   problems)
         return self
-
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.matrix.copy(), self.time)
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +209,6 @@ class DissipatorSet:
             c[EXCITED_UPPER, EXCITED_UPPER] = math.sqrt(gamma)
             ops.append(c)
         return ops
-
-
-def _excited_projector_superop() -> np.ndarray:
-    pe = np.zeros((_DIM, _DIM))
-    pe[EXCITED_LOWER, EXCITED_LOWER] = 1.0
-    pe[EXCITED_UPPER, EXCITED_UPPER] = 1.0
-    eye = np.eye(_DIM)
-    return (np.kron(pe, pe) - 0.5 * np.kron(pe, eye) - 0.5 * np.kron(eye, pe)).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +338,9 @@ def integrate_master(rho0, hamiltonian, dissipators: DissipatorSet,
         if np.any(np.diff(t_eval) <= 0) or t_eval[0] < t0 or t_eval[-1] > t1:
             raise ValidationError("t_eval must be increasing and inside t_span")
 
-    def generator(t):
-        return liouvillian(h_func(t), dissipators, float(rabi_func(t)))
+    def generator(ts):
+        return np.stack([liouvillian(h_func(t), dissipators, float(rabi_func(t)))
+                         for t in ts.tolist()])
 
     def rhs(t, y):  # the matrix form is cheaper than assembling the generator
         return lindblad_rhs(y.reshape(_DIM, _DIM), h_func(t), dissipators,
@@ -375,17 +354,19 @@ def integrate_master(rho0, hamiltonian, dissipators: DissipatorSet,
 
 
 def _advance(y0, t0, t1, config: IntegratorConfig, generator, steps: int,
-             t_eval=None, rhs=None, key=float):
+             t_eval=None, rhs=None, key=np.asarray):
     """Advance ``y0`` from ``t0`` to ``t1`` under dy/dt = L(t) @ y.
 
-    L(t) = generator(key(t)); ``key`` defaults to the time itself.
-    ``y0`` is a vectorized state or the 16x16 identity of a propagator.
-    ``fixed-expm`` steps the midpoint exponential on
-    max(steps, ceil(span / max_step)) equal steps, broken at every
-    sample, reusing the exponential of a repeated key. ``adaptive-rk``
-    runs DOP853 on ``rhs(t, y)`` (by default L(t) @ y on the flattened
-    ``y``) and raises :class:`IntegrationFailure` as soon as a step
-    other than the last one falls below ``min_step``. Returns the sample times, with t1
+    ``key`` maps an array of times to an array of keys (by default the
+    times themselves) and ``generator`` maps an array of keys to the
+    stack of their generators L. ``y0`` is a vectorized state or the
+    16x16 identity of a propagator, real or complex. ``fixed-expm``
+    steps the midpoint exponential on max(steps, ceil(span / max_step))
+    equal steps, broken at every sample, reusing the exponential of a
+    repeated key. ``adaptive-rk`` runs DOP853 on ``rhs(t, y)`` (by
+    default L(t) @ y on the flattened ``y``) and raises
+    :class:`IntegrationFailure` as soon as a step other than the last
+    one falls below ``min_step``. Returns the sample times, with t1
     appended when the samples stop short of it, and the state at each.
     """
     stops = [] if t_eval is None else [float(t) for t in t_eval]
@@ -396,13 +377,12 @@ def _advance(y0, t0, t1, config: IntegratorConfig, generator, steps: int,
         span = t1 - t0
         n = steps if math.isinf(config.max_step) \
             else max(steps, int(math.ceil(span / config.max_step)))
-        y, a, states = np.array(y0, dtype=complex), t0, []
+        y, a, states = np.array(y0), t0, []
         for b in stops:
             m = int(math.ceil((b - a) / span * n))
             h = (b - a) / max(m, 1)
-            mid = a + (np.arange(m) + 0.5) * h
-            keys = np.fromiter(map(key, mid.tolist()), float, m)
-            y = _midpoint_product(y, keys, generator, h)
+            y = _midpoint_product(y, key(a + (np.arange(m) + 0.5) * h),
+                                  generator, h)
             states.append(y)
             a = b
         return np.asarray(stops), states
@@ -410,7 +390,8 @@ def _advance(y0, t0, t1, config: IntegratorConfig, generator, steps: int,
     from scipy.integrate import DOP853  # only the adaptive method needs it
 
     shape = y0.shape
-    fun = rhs or (lambda t, y: (generator(key(t)) @ y.reshape(shape)).ravel())
+    fun = rhs or (lambda t, y: (generator(np.reshape(key(t), 1))[0]
+                                @ y.reshape(shape)).ravel())
     solver = DOP853(fun, t0, y0.ravel(), t1, rtol=config.rel_tol,
                     atol=config.abs_tol, max_step=config.max_step)
     samples, states = np.asarray(stops[:n_samples]), []
@@ -437,8 +418,9 @@ _BLOCK, _HELD = 64, 512  # steps per batched expm call; exponentials kept
 
 
 def _midpoint_product(y, keys, generator, h):
-    """Left-multiply ``y`` by expm(generator(k) * h) for each key in turn.
+    """Left-multiply ``y`` by expm(L_k * h) for each key k in turn.
 
+    ``generator`` maps an array of keys to the stack of their L_k.
     Keys are compared by their bytes. Each block of ``_BLOCK`` steps
     exponentiates its keys not already kept in one batched call; an
     exponential a later step needs is kept while fewer than ``_HELD``
@@ -452,8 +434,7 @@ def _midpoint_product(y, keys, generator, h):
     for start in range(0, keys.size, _BLOCK):
         block = ids[start:start + _BLOCK].tolist()
         new = [i for i in dict.fromkeys(block) if i not in held]
-        made = dict(zip(new, expm(np.stack(
-            [generator(float(uniq[i])) for i in new]) * h))) if new else {}
+        made = dict(zip(new, expm(generator(uniq[new]) * h))) if new else {}
         for i in block:
             y = (held[i] if i in held else made[i]) @ y
             left[i] -= 1
@@ -490,7 +471,7 @@ def pulse_liouvillian_parts(levels: LevelScheme, pulse: PulseSpec,
             k[g, e] = -0.5 * w[g, e - 2]
             k[e, g] = np.conj(k[g, e])
     l_drive = hamiltonian_superoperator(k)
-    l_deph = _excited_projector_superop()
+    l_deph = dissipator_superoperator(np.diag([0.0, 0.0, 1.0, 1.0]))  # P_e
     return l_const, l_drive, l_deph
 
 
@@ -504,26 +485,55 @@ def pulse_window_propagator(levels: LevelScheme, pulse: PulseSpec,
     The window spans the pulse support (five FWHM on each side for
     shaped pulses). The default method steps the matrix exponential of
     the midpoint generator on a fixed grid, which resolves the optical
-    phases exactly and converges quadratically in the envelope; the
-    adaptive method integrates the 16x16 propagator equation instead.
+    phases exactly and converges quadratically in the envelope. It
+    evaluates the envelope on all midpoints at once, steps in the real
+    Hermitian basis and maps the product back once; the adaptive method
+    integrates the complex 16x16 propagator equation instead.
     """
     config = _window_config(config or IntegratorConfig(method="fixed-expm"),
                             pulse)
     t0, t1 = pulse.window()
-    l_const, l_drive, l_deph = pulse_liouvillian_parts(
-        levels, pulse, dissipators, spin_detuning)
+    parts = pulse_liouvillian_parts(levels, pulse, dissipators, spin_detuning)
+    fixed = config.method == "fixed-expm"
+    l_const, l_drive, l_deph = _real_parts(parts) if fixed else parts
 
     def generator(om):
         gamma = dissipators.laser_dephasing_rate(om)
-        return l_const + om * l_drive + gamma * l_deph
+        return (l_const + om[:, None, None] * l_drive
+                + gamma[:, None, None] * l_deph)
 
     with np.errstate(all="ignore"):
-        if not np.all(np.isfinite(generator(pulse.peak_rabi))):
+        if not np.all(np.isfinite(generator(np.array([pulse.peak_rabi])))):
             raise NumericsError(f"pulse energy {pulse.energy:.6g} J makes the "
                                 "generator at the envelope peak non-finite")
-    return _advance(np.eye(16, dtype=complex), t0, t1, config, generator,
-                    expm_steps,
-                    key=lambda t: float(envelope_value(pulse, t)))[1][-1]
+    y = _advance(np.eye(16, dtype=l_const.dtype), t0, t1, config, generator,
+                 expm_steps, key=lambda t: envelope_value(pulse, t))[1][-1]
+    return _T_INV @ y @ _T if fixed else y
+
+
+def _hermitian_basis() -> np.ndarray:
+    """Unitary T whose rows read a flat state as the populations, then
+    (rho_ij + rho_ji)/sqrt(2) and i(rho_ij - rho_ji)/sqrt(2) for i < j:
+    a Hermitian state has real coordinates, and T L T+ is real."""
+    t = np.zeros((16, 16), dtype=complex)
+    t[np.arange(_DIM), np.diag(_IDX)] = 1.0
+    for r, (i, j) in enumerate(zip(*np.triu_indices(_DIM, 1))):
+        t[_DIM + 2 * r:_DIM + 2 * r + 2, [_IDX[i, j], _IDX[j, i]]] = \
+            np.array([[1.0, 1.0], [1j, -1j]]) * math.sqrt(0.5)
+    return t
+
+
+_T = _hermitian_basis()
+_T_INV = _T.conj().T
+
+
+def _real_parts(parts):
+    """The generator parts in the Hermitian basis, as real matrices; an
+    imaginary residue above 1e-12 of a part's scale is refused."""
+    mapped = [_T @ part @ _T_INV for part in parts]
+    if any(np.max(np.abs(g.imag)) > 1e-12 * np.max(np.abs(g)) for g in mapped):
+        raise NumericsError("pulse generator does not preserve Hermiticity")
+    return [g.real.copy() for g in mapped]
 
 
 def _window_config(config: IntegratorConfig, pulse: PulseSpec):

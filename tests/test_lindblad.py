@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -58,7 +59,8 @@ class TestDensityMatrix:
         rho = DensityMatrix.scrambled()
         assert rho.p_up == pytest.approx(0.5)
         assert rho.p_down == pytest.approx(0.5)
-        assert rho.excited_population == 0.0
+        assert not np.any(np.diag(rho.matrix)[[d.EXCITED_LOWER,
+                                               d.EXCITED_UPPER]])
         assert rho.purity() == pytest.approx(0.5)
 
     def test_validate_flags_bad_trace(self):
@@ -355,18 +357,38 @@ class TestPulseWindowPropagator:
 
 
 def per_step_window(levels, pulse, dissipators, steps):
-    """The window propagator as a plain loop: one scalar envelope call
-    and one exponential per midpoint step."""
-    l_const, l_drive, l_deph = pulse_liouvillian_parts(levels, pulse,
-                                                       dissipators)
+    """The window propagator as a plain loop in the real Hermitian
+    basis: one scalar envelope call and one exponential per midpoint
+    step, and one map back to the flat basis at the end."""
+    l_const, l_drive, l_deph = lindblad._real_parts(
+        pulse_liouvillian_parts(levels, pulse, dissipators))
     a, b = pulse.window()
     h = (b - a) / steps
-    y = np.eye(16, dtype=complex)
+    y = np.eye(16)
     for k in range(steps):
         om = float(envelope_value(pulse, a + (k + 0.5) * h))
         gen = (l_const + om * l_drive
                + dissipators.laser_dephasing_rate(om) * l_deph)
         y = expm(gen * h) @ y
+    return lindblad._T_INV @ y @ lindblad._T
+
+
+def complex_per_step_window(levels, pulse, dissipators, steps):
+    """The reference: the same loop on the complex flat generator. A
+    repeated envelope value reuses its exponential, which leaves the
+    product's bytes as they are."""
+    l_const, l_drive, l_deph = pulse_liouvillian_parts(levels, pulse,
+                                                       dissipators)
+    a, b = pulse.window()
+    h = (b - a) / steps
+    y, made = np.eye(16, dtype=complex), {}
+    for k in range(steps):
+        om = float(envelope_value(pulse, a + (k + 0.5) * h))
+        if om not in made:
+            made[om] = expm((l_const + om * l_drive
+                             + dissipators.laser_dephasing_rate(om) * l_deph)
+                            * h)
+        y = made[om] @ y
     return y
 
 
@@ -410,6 +432,40 @@ class TestFixedStepper:
             pulse_window_propagator(levels_5t, pulse, lossy,
                                     expm_steps=steps),
             per_step_window(levels_5t, pulse, lossy, steps))
+
+    def test_real_basis_matches_the_complex_loop(self, levels_5t,
+                                                 levels_low_field, quiet,
+                                                 lossy):
+        # 216 windows: 2 fields, 3 shapes, 3 angles, 2 arrival times,
+        # 2 dissipator sets and 3 step counts
+        worst = 0.0
+        for levels, shape, angle, arrival, diss, steps in itertools.product(
+                (levels_5t, levels_low_field),
+                ("gaussian", "sech2", "rectangular"), (0.4, 1.3, 3.0),
+                (0.0, 3.3e-10), (quiet, lossy), (64, 256, 1024)):
+            pulse = replace(pulse_for_angle(levels, angle, shape=shape),
+                            arrival_time=arrival)
+            got = pulse_window_propagator(levels, pulse, diss,
+                                          expm_steps=steps)
+            ref = complex_per_step_window(levels, pulse, diss, steps)
+            worst = max(worst, float(np.max(np.abs(got - ref))))
+        assert worst < 1e-12
+
+    def test_generator_without_a_real_form_is_refused(self, levels_5t, lossy,
+                                                      half_pi_pulse,
+                                                      monkeypatch):
+        # i * L_drive maps a Hermitian state to an anti-Hermitian one, so
+        # its image in the Hermitian basis is imaginary
+        parts = pulse_liouvillian_parts(levels_5t, half_pi_pulse, lossy)
+
+        def no_steps(*args, **kwargs):
+            raise AssertionError("the window was stepped")
+
+        monkeypatch.setattr(lindblad, "pulse_liouvillian_parts",
+                            lambda *args: (parts[0], 1j * parts[1], parts[2]))
+        monkeypatch.setattr(lindblad, "_advance", no_steps)
+        with pytest.raises(d.NumericsError, match="Hermiticity"):
+            pulse_window_propagator(levels_5t, half_pi_pulse, lossy)
 
     @pytest.mark.parametrize("max_step", [1e-12, math.inf])
     def test_master_samples_equal_the_per_step_loop(self, lossy, max_step):
@@ -467,11 +523,12 @@ class TestFixedStepper:
                                 laser_dephasing_quadratic=1.49e-8)
         w = pulse_window_propagator(levels_low_field, pulse, stiff,
                                     expm_steps=64)
-        rho = w @ DensityMatrix.ground_down().matrix.reshape(16)
+        rho = w @ DensityMatrix.pure(d.GROUND_DOWN).matrix.reshape(16)
         out = DensityMatrix(rho.reshape(4, 4))
         assert out.trace_error() < 1e-9
-        assert np.all(out.populations > -1e-9)
-        assert np.all(out.populations < 1.0 + 1e-9)
+        populations = np.real(np.diag(out.matrix))
+        assert np.all(populations > -1e-9)
+        assert np.all(populations < 1.0 + 1e-9)
 
 
 class TestRelaxationModel:
