@@ -494,9 +494,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv: list) -> list:
+    """Join `--values V` into `--values=V`: argparse reads a V such as
+    `-1e-7` or `-3,5` as an option flag and exits before any check."""
+    joined, tokens = [], iter(argv)
+    for token in tokens:
+        if token == "--values":
+            token = f"--values={next(tokens, '')}"
+        joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except ValidationError as err:

@@ -814,6 +814,16 @@ class TestSweepCommand:
         assert code == 2
         assert "--axis" in stderr
 
+    def test_sweep_values_may_start_with_a_negative_number(self, tmp_path,
+                                                          capsys):
+        config = write_config(tmp_path, minimal_rabi_doc())
+        for values in ("-1.5e-07", "-3,5"):
+            code, _, stderr = run_cli(
+                ["sweep", "--config", config, "--axis", "experiment.count",
+                 "--values", values, "--out", str(tmp_path / "out")], capsys)
+            assert code == 2
+            assert "validation error" in stderr
+
 
 @settings(max_examples=15, deadline=None)
 @given(st.one_of(st.integers(min_value=-5, max_value=1500),
