@@ -31,7 +31,6 @@ from .config import RunConfig, load_run_config, parse_run_config
 from .errors import (
     DonorSpinError,
     IntegrationFailure,
-    LatticeSumError,
     NumericsError,
     ValidationError,
 )

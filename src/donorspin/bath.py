@@ -29,7 +29,7 @@ from .constants import (
     density_at_origin,
 )
 from .errors import ValidationError
-from .lattice import check_site_count, zn_sites_within
+from .lattice import zn_site_sum
 from .materials import MaterialParams
 
 __all__ = [
@@ -89,11 +89,10 @@ def zn_dispersion(material: MaterialParams, mode: str = "continuum",
             raise ValidationError(
                 f"lattice-sum cutoff {cutoff:.3e} m is below five Bohr radii "
                 f"({5 * a:.3e} m); the tail would be truncated")
-        check_site_count(material.lattice_a, material.lattice_c, cutoff)
-        sites = zn_sites_within(material.lattice_a, material.lattice_c, cutoff)
-        r = np.linalg.norm(sites, axis=1)
-        density_sq_sum = float(np.sum(np.exp(-4.0 * r / a))
-                               / (math.pi ** 2 * a ** 6))
+        total, _ = zn_site_sum(
+            material.lattice_a, material.lattice_c, cutoff,
+            lambda sites: np.exp(-4.0 * np.linalg.norm(sites, axis=1) / a))
+        density_sq_sum = total / (math.pi ** 2 * a ** 6)
     spin = material.zinc67_spin
     return (VACUUM_PERMEABILITY * material.zinc67_moment / material.g_electron
             * math.sqrt(32.0 / 27.0)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,21 +159,38 @@ class _Section:
         return out if len(out) == len(values) else None
 
     def number(self, key, default=None, minimum=None, integer=False):
-        value = self.value(key, default)
+        value, path = self.numbers(key, (), default), self.at(key)
         if value is None:
             return None
-        path = self.at(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.add(f"{path} must be a number")
-        elif not math.isfinite(value):
-            self.add(f"{path} must be finite, got {value}")
-        elif integer and int(value) != value:
+        if integer and int(value) != value:
             self.add(f"{path} must be an integer")
         elif minimum is not None and value < minimum:
             self.add(f"{path} must be >= {minimum}")
         else:
             return int(value) if integer else float(value)
         return None
+
+    def numbers(self, key, shape, default=None):
+        """A finite number, or for a ``shape`` such as (2, 2) tuples of
+        them; each wrong length and each bad element is a problem."""
+        def read(item, path, dims):
+            if dims:
+                if not isinstance(item, (list, tuple)) or len(item) != dims[0]:
+                    self.add(f"{path} must be a list of {dims[0]}")
+                    return None
+                rows = [read(x, f"{path}[{n}]", dims[1:])
+                        for n, x in enumerate(item)]
+                return None if None in rows else tuple(rows)
+            if isinstance(item, bool) or not isinstance(item, (int, float)):
+                self.add(f"{path} must be a number")
+            elif not abs(item) <= sys.float_info.max:
+                self.add(f"{path} must be finite, got {item}")
+            else:
+                return item
+            return None
+
+        value = self.value(key, default)
+        return None if value is None else read(value, self.at(key), shape)
 
     def choice(self, key, options, default=None, required=False):
         value = self.value(key, default, required)
@@ -317,12 +335,12 @@ def parse_run_config(document: dict) -> RunConfig:
 
     field_section = doc.section("field", required=True)
     magnitude = field_section.quantity("magnitude", "field", required=True)
-    orientation = field_section.value("orientation", (1.0, 0.0, 0.0))
+    orientation = field_section.numbers("orientation", (3,), (1.0, 0.0, 0.0))
     field_config = None
-    if magnitude is not None:
+    if magnitude is not None and orientation is not None:
         try:
-            field_config = FieldConfig(magnitude, tuple(orientation))
-        except (ValidationError, TypeError, ValueError) as err:
+            field_config = FieldConfig(magnitude, orientation)
+        except ValidationError as err:
             field_section.fail(err)
     if field_config is not None:
         resolved["field"] = {
@@ -367,20 +385,20 @@ def parse_run_config(document: dict) -> RunConfig:
                                        minimum=0.0) or 0.0
     laser_quadratic = diss_section.quantity("laser_dephasing_quadratic",
                                             "time", default=0.0) or 0.0
-    branching = diss_section.value("branching", ((0.5, 0.5), (0.5, 0.5)))
+    branching = diss_section.numbers("branching", (2, 2),
+                                     ((0.5, 0.5), (0.5, 0.5)))
     dissipators = None
-    if t1_rate is not None:
+    if t1_rate is not None and branching is not None:
         try:
             dissipators = DissipatorSet(
                 radiative_rate=radiative,
-                branching=tuple(tuple(float(x) for x in row)
-                                for row in branching),
+                branching=branching,
                 t1_rate=t1_rate,
                 ground_dephasing_rate=dephasing,
                 laser_dephasing_linear=laser_linear,
                 laser_dephasing_quadratic=laser_quadratic,
             )
-        except (ValidationError, TypeError, ValueError) as err:
+        except ValidationError as err:
             diss_section.fail(err)
     if dissipators is not None:
         resolved["dissipators"] = {
@@ -619,13 +637,9 @@ def _parse_fit(section: _Section) -> dict:
 
 
 def _resolved_experiment(experiment: dict) -> dict:
-    out: dict = {"kind": experiment["kind"]}
+    out: dict = {}
     for key, value in experiment.items():
-        if key == "kind":
-            continue
-        if value is None:
-            out[key] = None
-        elif isinstance(value, PumpSettings):
+        if isinstance(value, PumpSettings):
             out[key] = {"rabi_rad_per_s": value.rabi,
                         "duration_s": value.duration,
                         "samples": value.samples}

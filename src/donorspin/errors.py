@@ -5,7 +5,7 @@ error types should subclass one of the three roots below.
 """
 
 __all__ = ["DonorSpinError", "ValidationError", "NumericsError",
-           "IntegrationFailure", "LatticeSumError"]
+           "IntegrationFailure"]
 
 
 class DonorSpinError(Exception):
@@ -35,10 +35,3 @@ class IntegrationFailure(NumericsError):
         super().__init__(f"{message} (last good time: {last_time:.6e} s)")
         self.last_time = last_time
 
-
-class LatticeSumError(NumericsError):
-    """A lattice sum failed its convergence check at the maximum cutoff."""
-
-    def __init__(self, message, partial_sums=None):
-        super().__init__(message)
-        self.partial_sums = partial_sums or {}

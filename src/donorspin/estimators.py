@@ -10,7 +10,7 @@ Gaussian diffusion kernel the echo decays as exp(-(t/T)^3) with a rate
 set by the cube root of a dipolar lattice sum.
 
 Instantaneous diffusion is closed-form and runs in microseconds; the
-spectral-diffusion lattice sum covers about 344,000 zinc sites for the
+spectral-diffusion lattice sum covers about 176,000 zinc sites for the
 shipped material and takes tens of milliseconds. Both cross-check the
 full simulations.
 """
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import BOHR_MAGNETON, HBAR, VACUUM_PERMEABILITY
-from .errors import LatticeSumError, ValidationError
-from .lattice import check_site_count, zn_sites_within
-from .materials import MaterialParams
+from .errors import NumericsError, ValidationError
+from .lattice import zn_site_sum
+from .materials import FieldConfig, MaterialParams
 from .bath import T2StarSummary, t2_star_theory
 
 __all__ = [
@@ -109,85 +109,59 @@ class LatticeSumResult:
     """Abundance-weighted dipolar coupling sum around a bath site.
 
     ``sum_b_squared`` is f * (mu0^2/16 pi^2) (mu_Zn^4/hbar^2) *
-    sum_j (1 - 3 cos^2 theta_j)^2 / r_j^6 in rad^2/s^2. ``converged``
-    certifies the sum changed by at most 1% when the cutoff grew 25%.
+    sum_j (1 - 3 cos^2 theta_j)^2 / r_j^6 in rad^2/s^2 over the
+    ``site_count`` sites within ``cutoff_radius``. ``growth_change`` is
+    the share of the whole-lattice sum that lies beyond the cutoff, by
+    the continuum tail; ``converged`` certifies it is at most 1%.
     """
 
     sum_b_squared: float
     cutoff_radius: float
     site_count: int
-    field_direction: tuple
     converged: bool
     growth_change: float
 
 
 def dipolar_lattice_sum(material: MaterialParams, field_direction=None,
-                        cutoff: float = 1.0e-8,
-                        max_cutoff: float | None = None) -> LatticeSumResult:
+                        cutoff: float = 1.0e-8) -> LatticeSumResult:
     """Evaluate the dipolar coupling sum over the zinc sublattice.
 
     The sum runs over zinc sites around a central bath site at the
-    origin (excluded), with theta_j measured from the field direction,
-    a 3-vector; the default is the material's transverse-field geometry
-    (x, perpendicular to the c axis).
+    origin (excluded) out to ``cutoff``, with theta_j measured from the
+    field direction, a 3-vector; the default is the material's
+    transverse-field geometry (x, perpendicular to the c axis).
 
-    The cutoff is grown by 25% steps until the sum is stable to 1%;
-    failure to stabilize before ``max_cutoff`` (default four times the
-    starting cutoff) raises :class:`LatticeSumError` carrying the
-    partial sums.
+    The sites beyond the cutoff are bounded by the continuum tail
+    n 16 pi / (15 R^3), with n the zinc site density and 4/5 the mean
+    of (1 - 3 cos^2 theta)^2 over directions (Van Vleck, Phys. Rev. 74,
+    1168 (1948)). The tail only certifies the sum and is not added to
+    it: a tail above 1% of the whole raises :class:`NumericsError`.
     """
     if not math.isfinite(cutoff) or cutoff < 3.0e-9:
         raise ValidationError(
             f"cutoff {cutoff:.3e} m must be finite and at least 3 nm")
-    try:
-        vec = np.array([1.0, 0.0, 0.0]) if field_direction is None \
-            else np.asarray(field_direction, dtype=float)
-    except (TypeError, ValueError):
-        vec = np.zeros(0)
-    norm = np.linalg.norm(vec)
-    if vec.shape != (3,) or norm == 0:
-        raise ValidationError("field_direction must be a nonzero 3-vector, "
-                              f"got {field_direction!r}")
-    direction = vec / norm
+    direction = np.array((FieldConfig(0.0) if field_direction is None
+                          else FieldConfig(0.0, field_direction)).orientation)
 
-    max_cutoff = 4.0 * cutoff if max_cutoff is None else float(max_cutoff)
-    if not cutoff <= max_cutoff < math.inf:
-        raise ValidationError(f"max_cutoff {max_cutoff:.3e} m must be finite "
-                              f"and at least the cutoff {cutoff:.3e} m")
-    # the last growth step enumerates out to 1.25 times the ceiling
-    check_site_count(material.lattice_a, material.lattice_c,
-                     1.25 * max_cutoff)
-    f = material.zinc67_abundance
-    prefactor = (VACUUM_PERMEABILITY ** 2 / (16.0 * math.pi ** 2)
-                 * material.zinc67_moment ** 4 / HBAR ** 2)
-
-    partials: dict[float, float] = {}
-    current = cutoff
-    while True:
-        # the sites within `current` are the grown sphere's, in order
-        sites = zn_sites_within(material.lattice_a, material.lattice_c,
-                                1.25 * current)
-        inner = np.einsum("ij,ij->i", sites, sites) <= current * current
+    def term(sites):
         r = np.linalg.norm(sites, axis=1)
         cos_t = (sites @ direction) / r
-        terms = (1.0 - 3.0 * cos_t ** 2) ** 2 / r ** 6
-        s_here, count = float(np.sum(terms[inner])), int(inner.sum())
-        s_grown = float(np.sum(terms))
-        partials[current] = f * prefactor * s_here
-        scale = abs(s_grown) if s_grown else 1.0
-        change = abs(s_grown - s_here) / scale
-        if change <= 0.01:
-            break
-        current *= 1.25
-        if current > max_cutoff:
-            raise LatticeSumError(
-                f"dipolar sum failed to stabilize to 1% below the "
-                f"{max_cutoff:.3e} m cutoff ceiling", partials)
+        return (1.0 - 3.0 * cos_t ** 2) ** 2 / r ** 6
 
+    total, count = zn_site_sum(material.lattice_a, material.lattice_c,
+                               cutoff, term)
+    tail = material.zn_site_density * 16.0 * math.pi / (15.0 * cutoff ** 3)
+    share = tail / (total + tail)
+    if share > 0.01:
+        raise NumericsError(
+            f"the continuum tail beyond the {cutoff:.3e} m cutoff is "
+            f"{share:.2%} of the dipolar sum, more than 1%")
+    prefactor = (VACUUM_PERMEABILITY ** 2 / (16.0 * math.pi ** 2)
+                 * material.zinc67_moment ** 4 / HBAR ** 2)
     return LatticeSumResult(
-        sum_b_squared=f * prefactor * s_here, cutoff_radius=current,
-        site_count=count, field_direction=tuple(direction), converged=True,
-        growth_change=change)
+        sum_b_squared=material.zinc67_abundance * prefactor * total,
+        cutoff_radius=cutoff, site_count=count, converged=True,
+        growth_change=share)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +174,6 @@ class SDEstimate(_Decay):
 
     occupied_density: float
     sum_b_squared: float
-    cutoff_radius: float
-    field_direction: tuple
 
 
 def t2_spectral_diffusion(material: MaterialParams,
@@ -225,9 +197,7 @@ def t2_spectral_diffusion(material: MaterialParams,
              * n * lattice.sum_b_squared)
     t2 = math.inf if cubed == 0.0 else cubed ** (-1.0 / 3.0)
     return SDEstimate(t2=t2, decay_exponent=3, occupied_density=n,
-                      sum_b_squared=lattice.sum_b_squared,
-                      cutoff_radius=lattice.cutoff_radius,
-                      field_direction=lattice.field_direction)
+                      sum_b_squared=lattice.sum_b_squared)
 
 
 # ---------------------------------------------------------------------------

@@ -110,12 +110,15 @@ class FieldConfig:
             raise ValidationError(
                 f"field magnitude must be non-negative, got {self.magnitude} T"
             )
-        vec = np.asarray(self.orientation, dtype=float)
-        if vec.shape != (3,):
-            raise ValidationError("field orientation must be a 3-vector")
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            raise ValidationError("field orientation must be a nonzero vector")
+        try:
+            vec = np.asarray(self.orientation, dtype=float)
+        except (TypeError, ValueError):
+            vec = np.zeros(0)
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(vec))
+        if vec.shape != (3,) or not 0.0 < norm < math.inf:
+            raise ValidationError("field orientation must be a nonzero "
+                                  f"finite 3-vector, got {self.orientation!r}")
         object.__setattr__(self, "orientation", tuple(vec / norm))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,20 @@ class TestZincDispersion:
         with pytest.raises(d.ValidationError):
             zn_dispersion(material, mode="lattice-sum",
                           cutoff=3.0 * material.bohr_radius)
+
+    def test_wide_lattice_sum_memory_stays_bounded(self, material):
+        # 30 nm holds 4.7e6 sites; each block it is summed in is no
+        # larger than the one block of the default 17 nm sum
+        peaks = []
+        for cutoff in (None, 30e-9):
+            tracemalloc.start()
+            try:
+                value = zn_dispersion(material, "lattice-sum", cutoff)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert value == pytest.approx(4.770947468075209e-4, rel=1e-12)
+        assert peaks[1] < peaks[0] + 20e6
 
     def test_unknown_mode_rejected(self, material):
         with pytest.raises(d.ValidationError):

@@ -426,8 +426,28 @@ class TestSimulateCommand:
             ["simulate", "--config", "configs/rabi.yaml", "--set",
              f"{key}={value}", "--out", str(tmp_path / "out")], capsys)
         assert code == 2
-        assert f"- {key.split('.')[0]}:" in stderr
+        assert f"- {key}[0]" in stderr and "must be a number" in stderr
         assert "Traceback" not in stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("dissipators.branching", "[[true, false], [0.5, 0.5]]",
+         "[0][1] must be a number"),
+        ("field.orientation", "[true, false, false]", "[2] must be a number"),
+        ("dissipators.branching", "[[0.5], [0.5, 0.5]]",
+         "[0] must be a list of 2"),
+        ("dissipators.branching", "[[0.5, 0.5], [0.5, .nan]]",
+         "[1][1] must be finite"),
+        ("field.orientation", "[1, 0]", " must be a list of 3"),
+    ])
+    def test_each_bad_list_element_is_named(self, tmp_path, capsys, key,
+                                            value, problem):
+        code, _, stderr = run_cli(
+            ["simulate", "--config", "configs/rabi.yaml", "--set",
+             f"{key}={value}", "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert f"- {key}{problem}" in stderr
+        assert "inhomogeneous" not in stderr and "Traceback" not in stderr
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config, override", [
@@ -485,11 +505,13 @@ class TestSimulateCommand:
         assert "Traceback" not in stderr
 
 
-def write_tiny_lattice_profile(tmp_path):
-    """A valid material profile whose lattice sum would need ~1e19 sites."""
+def write_lattice_profile(tmp_path, lattice_a="0.01 angstrom",
+                          lattice_c="5.21 angstrom"):
+    """A valid material profile with other lattice constants; by default
+    its lattice sum would need ~1e19 sites."""
     profile = yaml.safe_load((Path(d.__file__).parent / "materials"
                               / "zno-natural.yaml").read_text(encoding="utf-8"))
-    profile["lattice_a"] = "0.01 angstrom"
+    profile.update(lattice_a=lattice_a, lattice_c=lattice_c)
     path = tmp_path / "tiny.yaml"
     path.write_text(yaml.safe_dump(profile), encoding="utf-8")
     return str(path)
@@ -499,11 +521,23 @@ class TestEstimateCommand:
     def test_tiny_lattice_exits_2_before_enumerating(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             ["estimate", "--config", "configs/estimate.yaml", "--set",
-             f"material={write_tiny_lattice_profile(tmp_path)}",
+             f"material={write_lattice_profile(tmp_path)}",
              "--out", str(tmp_path / "out")], capsys)
         assert code == 2
         assert "zinc sites" in stderr
         assert not (tmp_path / "out").exists()
+
+    def test_sparse_lattice_exits_3(self, tmp_path, capsys):
+        # 15 times ZnO's spacing leaves 4.8% of the dipolar sum beyond
+        # the 10 nm cutoff
+        profile = write_lattice_profile(tmp_path, "50 angstrom", "80 angstrom")
+        code, _, stderr = run_cli(
+            ["estimate", "--config", "configs/estimate.yaml", "--set",
+             f"material={profile}",
+             "--out", str(tmp_path / "out")], capsys)
+        assert code == 3
+        assert "continuum tail" in stderr and "more than 1%" in stderr
+        assert "Traceback" not in stderr
 
     def test_budget_report(self, tmp_path, capsys):
         doc = {
@@ -653,7 +687,7 @@ def test_lattice_sum_cutoff_is_capped_before_enumerating(tmp_path, capsys,
     def no_sites(*args):
         raise AssertionError("zn_sites_within must not be called")
 
-    monkeypatch.setattr(d.bath, "zn_sites_within", no_sites)
+    monkeypatch.setattr(d.lattice, "zn_sites_within", no_sites)
     code, _, stderr = run_cli(
         ["simulate", "--config", "configs/ramsey.yaml",
          "--set", "bath.kind=material",
@@ -917,14 +951,17 @@ def test_cli_import_leaves_out_the_ode_solver():
        magnitude=st.sampled_from(["'5 T'", "'0 T'", "'-1 T'", "'1e400 T'",
                                   "'5 Hz'", "5", "abc"]),
        material=st.sampled_from(["zno-natural", "no-such-profile", "5",
-                                 "[1]", "{a: 1}", "tiny-lattice"]))
+                                 "[1]", "{a: 1}", "tiny-lattice",
+                                 "sparse-lattice"]))
 @example(theta2="'1.5707963267948966 rad'", variant="numerator-pi",
          magnitude="'5 T'", material="tiny-lattice")
 def test_estimate_inputs_keep_the_exit_code_contract(
         tmp_path_factory, theta2, variant, magnitude, material):
     out = tmp_path_factory.mktemp("estimate")
     if material == "tiny-lattice":
-        material = write_tiny_lattice_profile(out)
+        material = write_lattice_profile(out)
+    elif material == "sparse-lattice":
+        material = write_lattice_profile(out, "50 angstrom", "80 angstrom")
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(["estimate", "--config", "configs/estimate.yaml",
@@ -983,6 +1020,13 @@ _QUANTITIES = {
     "rate": ["auto", "'10 1/s'", "'0 1/s'", "'-1 1/s'", "'1e300 1/s'"],
 }
 _JUNK = ["abc", "'5 T'", ".nan", ".inf", "null", "[1]", "{a: 1}"]
+_BRANCHING = ("[[0.3, 0.7], [0.5, 0.5]]", "[[1, 0], [0, 1]]",
+              "[[true, false], [0.5, 0.5]]", "[[0.5], [0.5, 0.5]]",
+              "[[0.5, 0.5]]", "[[0.5, 0.5], [0.5, .nan]]",
+              "[[0.9, 0.9], [0.5, 0.5]]", "[[-0.5, 1.5], [0.5, 0.5]]")
+_ORIENTATION = ("[0, 0, 1]", "[1, 1, 0]", "[true, false, false]",
+                "[0, 0, 0]", "[1, 0]", "[1, 0, 0, 0]", "[.inf, 0, 0]",
+                "[1.0e+308, 1.0e+308, 0]", "[[1], 0, 0]")
 
 
 def _draw_of(kind, high=5):
@@ -1008,16 +1052,20 @@ _SET_DRAWS = {
                                       "square")),
              "pulse.duration": _draw_of("time"),
              "experiment.pump.samples": _draw_of("count", high=300),
-             "field.magnitude": _draw_of("field")},
+             "field.magnitude": _draw_of("field"),
+             "field.orientation": _draw_of(_ORIENTATION)},
     "t1": {"experiment.count": _draw_of("count", high=300),
            "experiment.max_wait": _draw_of("time"),
            "dissipators.t1_rate": _draw_of("rate"),
+           "dissipators.branching": _draw_of(_BRANCHING),
            "experiment.pump.duration": _draw_of("time"),
            "field.magnitude": _draw_of("field")},
     "pump": {"experiment.samples": _draw_of("count", high=400),
              "experiment.rabi_frequency": _draw_of("frequency"),
              "experiment.duration": _draw_of("time"),
              "dissipators.radiative_lifetime": _draw_of("time"),
+             "dissipators.branching": _draw_of(_BRANCHING),
+             "field.orientation": _draw_of(_ORIENTATION),
              "field.magnitude": _draw_of("field")},
 }
 
@@ -1085,7 +1133,7 @@ def test_lattice_sum_cutoff_keeps_the_exit_code_contract(tmp_path_factory,
                                                          cutoff):
     # accepted draws stay at or below 20 nm, about 1.4e6 sites, and the
     # guard keeps a cutoff past the site cap from being enumerated
-    enumerate_sites = d.bath.zn_sites_within
+    enumerate_sites = d.lattice.zn_sites_within
 
     def bounded(lattice_a, lattice_c, radius):
         assert radius <= 25e-9, "a cutoff past the site cap was enumerated"
@@ -1095,7 +1143,7 @@ def test_lattice_sum_cutoff_keeps_the_exit_code_contract(tmp_path_factory,
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr), \
-            mock.patch.object(d.bath, "zn_sites_within", bounded):
+            mock.patch.object(d.lattice, "zn_sites_within", bounded):
         code = cli.main(["simulate", "--config", "configs/ramsey.yaml",
                          "--set", "bath.kind=material",
                          "--set", "bath.dispersion_mode=lattice-sum",

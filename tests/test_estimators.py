@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from scipy import constants as sc
 
 import donorspin as d
-from donorspin import estimators
 from donorspin.estimators import dipolar_lattice_sum
 
 from test_units_materials import full_box_zn_sites_within
@@ -82,44 +82,29 @@ class TestInstantaneousDiffusion:
             d.t2_instantaneous_diffusion(material, 1.0, variant="pi")
 
 
-def two_enumeration_sum(material, field_direction=None, cutoff=1.0e-8,
-                        max_cutoff=None):
-    """Reference lattice sum that enumerates the sites afresh at each of
-    the two cutoffs of every growth step, on the whole-box lattice."""
-    vec = np.array([1.0, 0.0, 0.0]) if field_direction is None \
-        else np.asarray(field_direction, dtype=float)
-    direction = vec / np.linalg.norm(vec)
-    max_cutoff = 4.0 * cutoff if max_cutoff is None else max_cutoff
-    f = material.zinc67_abundance
-    prefactor = (d.VACUUM_PERMEABILITY ** 2 / (16.0 * math.pi ** 2)
-                 * material.zinc67_moment ** 4 / d.HBAR ** 2)
+def geometric_sum(material, direction, radius):
+    """sum (1 - 3 cos^2 theta)^2 / r^6 over the whole-box sites within
+    ``radius``, and their number."""
+    vec = np.array([1.0, 0.0, 0.0]) if direction is None \
+        else np.asarray(direction, dtype=float)
+    sites = full_box_zn_sites_within(material.lattice_a, material.lattice_c,
+                                     radius)
+    r = np.linalg.norm(sites, axis=1)
+    cos_t = (sites @ (vec / np.linalg.norm(vec))) / r
+    return float(np.sum((1.0 - 3.0 * cos_t ** 2) ** 2 / r ** 6)), len(sites)
 
-    def geometric_sum(radius):
-        sites = full_box_zn_sites_within(material.lattice_a,
-                                         material.lattice_c, radius)
-        r = np.linalg.norm(sites, axis=1)
-        cos_t = (sites @ direction) / r
-        return float(np.sum((1.0 - 3.0 * cos_t ** 2) ** 2 / r ** 6)), \
-            len(sites)
 
-    partials = {}
-    current = cutoff
-    while True:
-        s_here, count = geometric_sum(current)
-        s_grown, _ = geometric_sum(1.25 * current)
-        partials[current] = f * prefactor * s_here
-        change = abs(s_grown - s_here) / (abs(s_grown) if s_grown else 1.0)
-        if change <= 0.01:
-            break
-        current *= 1.25
-        if current > max_cutoff:
-            raise d.LatticeSumError(
-                f"dipolar sum failed to stabilize to 1% below the "
-                f"{max_cutoff:.3e} m cutoff ceiling", partials)
-    return d.LatticeSumResult(
-        sum_b_squared=f * prefactor * s_here, cutoff_radius=current,
-        site_count=count, field_direction=tuple(direction), converged=True,
-        growth_change=change)
+def sum_scale(material):
+    """The factor from the geometric sum to sum_b_squared, rad^2/s^2 m^6."""
+    return (material.zinc67_abundance
+            * (d.VACUUM_PERMEABILITY ** 2 / (16.0 * math.pi ** 2)
+               * material.zinc67_moment ** 4 / d.HBAR ** 2))
+
+
+def continuum_tail(material, radius):
+    """The geometric sum beyond ``radius`` in the continuum: the site
+    density times the integral of <(1 - 3 cos^2)^2> = 4/5 over r^-6."""
+    return material.zn_site_density * 4.0 * math.pi * 0.8 / (3.0 * radius ** 3)
 
 
 class TestDipolarLatticeSum:
@@ -146,12 +131,6 @@ class TestDipolarLatticeSum:
         assert axial.sum_b_squared != pytest.approx(perp.sum_b_squared,
                                                     rel=1e-3)
 
-    def test_nonconvergence_raises_with_partials(self, material):
-        sparse = material.with_(lattice_a=1.5e-9, lattice_c=2.4e-9)
-        with pytest.raises(d.LatticeSumError) as info:
-            dipolar_lattice_sum(sparse, cutoff=3.0e-9, max_cutoff=3.0e-9)
-        assert 3.0e-9 in info.value.partial_sums
-
     def test_validation(self, material):
         with pytest.raises(d.ValidationError):
             dipolar_lattice_sum(material, cutoff=1e-9)
@@ -162,48 +141,47 @@ class TestDipolarLatticeSum:
         for cutoff in (math.inf, math.nan):
             with pytest.raises(d.ValidationError):
                 dipolar_lattice_sum(material, cutoff=cutoff)
-        for max_cutoff in (math.nan, math.inf, 5e-9):
-            with pytest.raises(d.ValidationError):
-                dipolar_lattice_sum(material, cutoff=1e-8,
-                                    max_cutoff=max_cutoff)
 
     def test_oversized_enumeration_rejected_before_any_site(
             self, material, monkeypatch):
         def no_sites(*args):
             raise AssertionError("zn_sites_within must not be called")
 
-        monkeypatch.setattr(estimators, "zn_sites_within", no_sites)
+        monkeypatch.setattr(d.lattice, "zn_sites_within", no_sites)
         # a profile with lattice_a "0.01 angstrom" is valid material data
         tiny = material.with_(lattice_a=1e-12, lattice_c=1.6e-12)
         with pytest.raises(d.ValidationError, match="zinc sites"):
             dipolar_lattice_sum(tiny)
-        # so is a ceiling far past the default growth range
-        with pytest.raises(d.ValidationError, match="zinc sites"):
-            dipolar_lattice_sum(material, max_cutoff=1e-7)
 
     @pytest.mark.parametrize("direction", [None, (0, 0, 1), (0.3, 0.5, 0.81)])
-    def test_fields_match_two_enumerations_bit_for_bit(self, material,
-                                                       direction):
-        assert dipolar_lattice_sum(material, direction) == \
-            two_enumeration_sum(material, direction)
-        # a sparse lattice converges after three growth steps
-        sparse = material.with_(lattice_a=2.0e-9, lattice_c=3.0e-9)
-        result = dipolar_lattice_sum(sparse, direction, 3.0e-9, 2.0e-8)
-        assert result.cutoff_radius == 3.0e-9 * 1.25 ** 3
-        assert result == two_enumeration_sum(sparse, direction, 3.0e-9,
-                                             2.0e-8)
+    def test_sum_equals_the_whole_box(self, material, direction):
+        geometric, count = geometric_sum(material, direction, 1.0e-8)
+        result = dipolar_lattice_sum(material, direction)
+        assert result.sum_b_squared == sum_scale(material) * geometric
+        assert result.site_count == count == 175_928
+        assert result.cutoff_radius == 1.0e-8
 
     @pytest.mark.parametrize("direction", [None, (0, 0, 1), (0.3, 0.5, 0.81)])
-    def test_partial_sums_match_two_enumerations_bit_for_bit(self, material,
-                                                             direction):
-        sparse = material.with_(lattice_a=2.0e-9, lattice_c=3.0e-9)
-        with pytest.raises(d.LatticeSumError) as info:
-            dipolar_lattice_sum(sparse, direction, 3.0e-9, 5.5e-9)
-        with pytest.raises(d.LatticeSumError) as expected:
-            two_enumeration_sum(sparse, direction, 3.0e-9, 5.5e-9)
-        assert len(info.value.partial_sums) == 3
-        assert info.value.partial_sums == expected.value.partial_sums
-        assert str(info.value) == str(expected.value)
+    def test_growth_change_is_the_tail_share(self, material, direction):
+        geometric, _ = geometric_sum(material, direction, 1.0e-8)
+        tail = continuum_tail(material, 1.0e-8)
+        result = dipolar_lattice_sum(material, direction)
+        assert result.growth_change == pytest.approx(
+            tail / (geometric + tail), rel=1e-12)
+        # the share is the truncation error against 20 nm plus its tail
+        wide = dipolar_lattice_sum(material, direction, cutoff=2.0e-8)
+        whole = wide.sum_b_squared / sum_scale(material) \
+            + continuum_tail(material, 2.0e-8)
+        error = 1.0 - geometric / whole
+        assert result.growth_change == pytest.approx(error, abs=1e-7)
+
+    def test_sparse_lattice_tail_raises(self, material):
+        sparse = material.with_(lattice_a=5.0e-9, lattice_c=8.0e-9)
+        geometric, _ = geometric_sum(sparse, None, 1.0e-8)
+        tail = continuum_tail(sparse, 1.0e-8)
+        share = f"{tail / (geometric + tail):.2%}"
+        with pytest.raises(d.NumericsError, match=re.escape(share)):
+            dipolar_lattice_sum(sparse)
 
     def test_default_sum_peak_memory(self, material):
         dipolar_lattice_sum(material)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import donorspin as d
+from donorspin import lattice
 from donorspin.lattice import zn_sites_within
 from donorspin.units import known_units, parse_quantity
 
@@ -144,30 +145,50 @@ _LATTICE_CASES = (
        for r in np.linspace(3e-9, 25e-9, 23)])
 
 
+def all_sites_within(lattice_a, lattice_c, cutoff):
+    return np.concatenate(list(zn_sites_within(lattice_a, lattice_c, cutoff)))
+
+
 class TestLattice:
     @pytest.mark.parametrize("constants,cutoff", _LATTICE_CASES)
     def test_same_bytes_as_the_whole_box(self, constants, cutoff):
         expected = full_box_zn_sites_within(*constants, cutoff)
-        sites = zn_sites_within(*constants, cutoff)
+        [sites] = zn_sites_within(*constants, cutoff)
         assert sites.shape == expected.shape
         assert sites.tobytes() == expected.tobytes()
 
+    def test_blocks_hold_every_site_once(self, material, monkeypatch):
+        a, c = material.lattice_a, material.lattice_c
+        expected = full_box_zn_sites_within(a, c, 5e-9)
+        monkeypatch.setattr(lattice, "_BLOCK_SITES", 2_000)
+        blocks = list(zn_sites_within(a, c, 5e-9))
+        assert len(blocks) > 10
+        sites = np.concatenate(blocks)
+        assert np.array_equal(np.unique(sites, axis=0),
+                              np.unique(expected, axis=0))
+        assert len(sites) == len(expected)
+        total, count = lattice.zn_site_sum(a, c, 5e-9,
+                                           lambda s: np.sum(s * s, axis=1))
+        assert count == len(expected)
+        assert total == pytest.approx(float(np.sum(expected * expected)),
+                                      rel=1e-12)
+
     def test_counts_grow_with_cutoff(self, material):
         a, c = material.lattice_a, material.lattice_c
-        small = zn_sites_within(a, c, 3 * a)
-        large = zn_sites_within(a, c, 6 * a)
+        small = all_sites_within(a, c, 3 * a)
+        large = all_sites_within(a, c, 6 * a)
         assert len(large) > len(small) > 0
 
     def test_origin_excluded_by_default(self, material):
         a, c = material.lattice_a, material.lattice_c
-        sites = zn_sites_within(a, c, 3 * a)
+        sites = all_sites_within(a, c, 3 * a)
         radii = np.linalg.norm(sites, axis=1)
         assert radii.min() > 0.0
 
     def test_density_matches_analytic(self, material):
         a, c = material.lattice_a, material.lattice_c
         cutoff = 8 * a
-        sites = zn_sites_within(a, c, cutoff)
+        sites = all_sites_within(a, c, cutoff)
         volume = 4.0 / 3.0 * math.pi * cutoff**3
         # the origin is a site too
         assert (len(sites) + 1) / volume == pytest.approx(
@@ -178,5 +199,5 @@ class TestLattice:
     def test_all_sites_inside_cutoff(self, multiple):
         a, c = 3.25e-10, 5.21e-10
         cutoff = multiple * a
-        sites = zn_sites_within(a, c, cutoff)
+        sites = all_sites_within(a, c, cutoff)
         assert np.all(np.linalg.norm(sites, axis=1) <= cutoff + 1e-15)
