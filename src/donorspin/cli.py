@@ -261,6 +261,7 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     config = _load_config(args)
     budget = decoherence_budget(config.material, theta2=config.fit["theta2"],
+                                field_direction=config.field.orientation,
                                 variant=config.fit["variant"])
     report = _meta_head(config.resolved, config.seed)
     run_dir = _make_run_dir(config.output, report["config_digest"])

@@ -7,6 +7,10 @@ document and reports every problem at once, each unknown key among
 them. ``--set key.path=value``
 overrides are applied to the raw document before validation, so an
 override is checked exactly like the file contents.
+
+A valid document parses to a typed ``RunConfig``. Its ``resolved``
+record is those typed fields as plain data in SI units, so it holds
+every value a run computes from, and its digest names the run.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import yaml
@@ -28,7 +32,7 @@ from .lindblad import DissipatorSet, t1_rate_model
 from .materials import (FieldConfig, MaterialParams, dump_yaml, load_material,
                         load_yaml)
 from .sequences import InjectedDecoherence, PumpSettings
-from .units import parse_quantity
+from .units import _NUMBER, parse_quantity
 
 __all__ = [
     "RunConfig",
@@ -181,6 +185,8 @@ class _Section:
                 rows = [read(x, f"{path}[{n}]", dims[1:])
                         for n, x in enumerate(item)]
                 return None if None in rows else tuple(rows)
+            if isinstance(item, str) and _NUMBER.match(item):
+                item = float(item)  # YAML 1.1 reads 3.5e23 as text
             if isinstance(item, bool) or not isinstance(item, (int, float)):
                 self.add(f"{path} must be a number")
             elif not abs(item) <= sys.float_info.max:
@@ -217,14 +223,16 @@ def canonical_models(names, key: str) -> list:
 
 @dataclass
 class RunConfig:
-    """Fully resolved run description.
+    """Fully resolved run description: the typed objects a run computes
+    from, every quantity in SI units.
 
-    ``resolved`` mirrors the input document with every quantity in SI
-    units; it is what run metadata records, and its digest names the
-    run directory.
+    ``resolved`` is these fields as plain data. It is what run metadata
+    records, and its digest names the run directory, so a change to any
+    value the run computes from changes the digest.
     """
 
     material: MaterialParams
+    field: FieldConfig
     levels: LevelScheme
     dissipators: DissipatorSet
     pulse: PulseSpec | None
@@ -235,7 +243,10 @@ class RunConfig:
     fit: dict
     output: str
     seed: int
-    resolved: dict = field(default_factory=dict)
+
+    @property
+    def resolved(self) -> dict:
+        return plain_data(asdict(self))
 
     @property
     def experiment_kind(self) -> str:
@@ -272,13 +283,17 @@ def apply_overrides(document: dict, overrides) -> dict:
 
 
 def plain_data(value):
-    """Recursively convert numpy scalars and arrays to built-in types."""
+    """Recursively convert numpy scalars and arrays to built-in types;
+    a complex number with no imaginary part becomes its real part."""
     if isinstance(value, dict):
         return {k: plain_data(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [plain_data(v) for v in value]
     if isinstance(value, np.ndarray):
         return [plain_data(v) for v in value.tolist()]
+    if isinstance(value, (np.complexfloating, complex)):
+        return plain_data(value.real) if value.imag == 0 \
+            else repr(complex(value))
     if isinstance(value, (np.floating, float)):
         value = float(value)
         return value if math.isfinite(value) else repr(value)
@@ -319,7 +334,6 @@ def load_run_config(path, overrides=()) -> RunConfig:
 def parse_run_config(document: dict) -> RunConfig:
     problems: list[str] = []
     doc = _Section(document, "", problems)
-    resolved: dict = {}
 
     # material + field -------------------------------------------------
     material = None
@@ -331,7 +345,6 @@ def parse_run_config(document: dict) -> RunConfig:
             material = load_material(material_name)
         except (ValidationError, OSError) as err:
             doc.add(f"material: {err}")
-    resolved["material"] = material_name
 
     field_section = doc.section("field", required=True)
     magnitude = field_section.quantity("magnitude", "field", required=True)
@@ -342,11 +355,6 @@ def parse_run_config(document: dict) -> RunConfig:
             field_config = FieldConfig(magnitude, orientation)
         except ValidationError as err:
             field_section.fail(err)
-    if field_config is not None:
-        resolved["field"] = {
-            "magnitude_T": field_config.magnitude,
-            "orientation": [float(x) for x in field_config.orientation],
-        }
 
     # level scheme -----------------------------------------------------
     levels_section = doc.section("levels")
@@ -360,8 +368,6 @@ def parse_run_config(document: dict) -> RunConfig:
                                                _TWO_PI * detuning_hz)
         except ValidationError as err:
             levels_section.fail(err)
-    if detuning_hz is not None:
-        resolved["levels"] = {"optical_detuning_Hz": detuning_hz}
 
     # dissipators --------------------------------------------------------
     diss_section = doc.section("dissipators")
@@ -400,16 +406,6 @@ def parse_run_config(document: dict) -> RunConfig:
             )
         except ValidationError as err:
             diss_section.fail(err)
-    if dissipators is not None:
-        resolved["dissipators"] = {
-            "radiative_rate_per_s": dissipators.radiative_rate,
-            "branching": [list(r) for r in dissipators.branching],
-            "t1_rate_per_s": dissipators.t1_rate,
-            "ground_dephasing_rate_per_s": dissipators.ground_dephasing_rate,
-            "laser_dephasing_linear": dissipators.laser_dephasing_linear,
-            "laser_dephasing_quadratic_s":
-                dissipators.laser_dephasing_quadratic,
-        }
 
     # pulse ---------------------------------------------------------------
     pulse_section = doc.section("pulse")
@@ -442,13 +438,6 @@ def parse_run_config(document: dict) -> RunConfig:
                 pulse = template
             except ValidationError as err:
                 pulse_section.fail(err)
-        if pulse is not None:
-            resolved["pulse"] = {
-                "shape": pulse.shape,
-                "duration_s": pulse.duration,
-                "energy_J": pulse.energy,
-                "calibration": pulse.calibration,
-            }
 
     # bath ------------------------------------------------------------
     bath_section = doc.section("bath")
@@ -473,27 +462,15 @@ def parse_run_config(document: dict) -> RunConfig:
         if t2_star is not None and material is not None:
             bath = BathModel.gaussian(t2_star,
                                       electron_g=material.g_electron)
-    resolved["bath"] = {"kind": bath_kind, "ensemble": ensemble_mode,
-                        "samples": bath_samples}
 
-    # experiment --------------------------------------------------------
     experiment = _parse_experiment(doc.section("experiment", required=True))
-    if experiment is not None:
-        resolved["experiment"] = _resolved_experiment(experiment)
-
-    # fit -----------------------------------------------------------------
-    fit_section = doc.section("fit")
-    fit = _parse_fit(fit_section)
-    if fit_section.data:
-        resolved["fit"] = dict(fit_section.data)
+    fit = _parse_fit(doc.section("fit"))
 
     output = document.get("output", "runs")
     if not isinstance(output, str):
         doc.add("output must be a directory path string")
         output = "runs"
     seed = doc.number("seed", default=0, integer=True)
-    resolved["output"] = output
-    resolved["seed"] = seed
 
     # experiments that need a pulse; when a pulse section exists but
     # failed to resolve, its own problems are already on the list
@@ -509,9 +486,9 @@ def parse_run_config(document: dict) -> RunConfig:
                 f"= {field_config.magnitude} T")
 
     _raise_if_any(problems)
-    resolved = plain_data(resolved)
     return RunConfig(
         material=material,
+        field=field_config,
         levels=levels,
         dissipators=dissipators,
         pulse=pulse,
@@ -522,7 +499,6 @@ def parse_run_config(document: dict) -> RunConfig:
         fit=fit,
         output=output,
         seed=int(seed),
-        resolved=resolved,
     )
 
 
@@ -635,19 +611,3 @@ def _parse_fit(section: _Section) -> dict:
                                       default=ID_VARIANTS[0]),
             "models": models}
 
-
-def _resolved_experiment(experiment: dict) -> dict:
-    out: dict = {}
-    for key, value in experiment.items():
-        if isinstance(value, PumpSettings):
-            out[key] = {"rabi_rad_per_s": value.rabi,
-                        "duration_s": value.duration,
-                        "samples": value.samples}
-        elif isinstance(value, InjectedDecoherence):
-            out[key] = {"time_constant_s": value.time_constant,
-                        "exponent": value.exponent}
-        elif isinstance(value, (list, tuple)):
-            out[key] = [float(v) for v in value]
-        else:
-            out[key] = value
-    return out

@@ -212,6 +212,117 @@ class TestDigest:
         assert len(config_digest(a)) == 8
 
 
+_PROFILE = Path(d.__file__).parent / "materials" / "zno-natural.yaml"
+_MATERIAL_BATH = ("bath.kind=material", "bath.ensemble=exact")
+_LATTICE_BATH = _MATERIAL_BATH + ("bath.dispersion_mode=lattice-sum",)
+# dotted key -> (shipped config where the key is in effect, the override
+# that gives it another value, overrides that put the key in effect).
+# "output" is exempt: it says where the artifacts land, not what is
+# computed, so the digest leaves it out on purpose.
+_DIGEST_ALTERNATES = {
+    "material": ("estimate", "material=PROFILE"),
+    "seed": ("ramsey", "seed=10"),
+    "field.magnitude": ("rabi", "field.magnitude=4 T"),
+    "field.orientation": ("estimate", "field.orientation=[0, 0, 1]"),
+    "levels.optical_detuning": ("rabi", "levels.optical_detuning=3 THz"),
+    "dissipators.radiative_rate": ("rabi", "dissipators.radiative_rate=2 1/ns",
+                                   "dissipators.radiative_lifetime=null"),
+    "dissipators.radiative_lifetime": ("rabi",
+                                       "dissipators.radiative_lifetime=2 ns"),
+    "dissipators.t1_rate": ("t1", "dissipators.t1_rate=20 1/s"),
+    "dissipators.ground_dephasing_rate": (
+        "ramsey", "dissipators.ground_dephasing_rate=1 1/us"),
+    "dissipators.laser_dephasing_linear": (
+        "rabi", "dissipators.laser_dephasing_linear=0.001"),
+    "dissipators.laser_dephasing_quadratic": (
+        "rabi", "dissipators.laser_dephasing_quadratic=1 fs"),
+    "dissipators.branching": ("pump",
+                              "dissipators.branching=[[0.3, 0.7], [0.5, 0.5]]"),
+    "pulse.shape": ("rabi", "pulse.shape=sech2"),
+    "pulse.duration": ("rabi", "pulse.duration=2.4 ps"),
+    "pulse.energy": ("rabi", "pulse.energy=0.2 nJ"),
+    "pulse.rotation_angle": ("ramsey", "pulse.rotation_angle=1 rad"),
+    "pulse.calibration": ("rabi", "pulse.calibration=3.0e+23"),
+    "bath.kind": ("ramsey", "bath.kind=material"),
+    "bath.ensemble": ("ramsey", "bath.ensemble=exact"),
+    "bath.samples": ("ramsey", "bath.samples=500"),
+    "bath.dispersion_mode": ("ramsey", "bath.dispersion_mode=lattice-sum",
+                             *_MATERIAL_BATH),
+    "bath.cutoff": ("ramsey", "bath.cutoff=12 nm", *_LATTICE_BATH),
+    "bath.t2_star": ("ramsey", "bath.t2_star=30 ns"),
+    # a kind brings its own keys, so the alternate is a whole section
+    "experiment.kind": ("ramsey", "experiment={kind: echo, "
+                                  "tau1_values: ['1 ns'], periods: 2}"),
+    "experiment.energies": ("rabi", "experiment.energies=['0 nJ', '0.2 nJ']"),
+    "experiment.max_energy": ("rabi", "experiment.max_energy=0.3 nJ"),
+    "experiment.count": ("rabi", "experiment.count=21"),
+    "experiment.pump.rabi_frequency": ("rabi",
+                                       "experiment.pump.rabi_frequency=10 MHz"),
+    "experiment.pump.duration": ("t1", "experiment.pump.duration=5 us"),
+    "experiment.pump.samples": ("t1", "experiment.pump.samples=128"),
+    "experiment.delay_centers": ("ramsey",
+                                 "experiment.delay_centers=['1 ns', '3 ns']"),
+    "experiment.delays": ("ramsey", "experiment.delays=['1 ns', '1.1 ns']"),
+    "experiment.periods": ("ramsey", "experiment.periods=3"),
+    "experiment.points_per_period": ("echo",
+                                     "experiment.points_per_period=12"),
+    "experiment.injected.time_constant": (
+        "echo", "experiment.injected.time_constant=40 us"),
+    "experiment.injected.exponent": ("echo", "experiment.injected.exponent=2"),
+    "experiment.tau1_values": ("echo",
+                               "experiment.tau1_values=['5 us', '10 us']"),
+    "experiment.waits": ("t1", "experiment.waits=['0 s', '0.1 s', '0.2 s', "
+                               "'0.3 s']"),
+    "experiment.max_wait": ("t1", "experiment.max_wait=0.4 s"),
+    "experiment.rabi_frequency": ("pump", "experiment.rabi_frequency=10 MHz"),
+    "experiment.duration": ("pump", "experiment.duration=5 us"),
+    "experiment.samples": ("pump", "experiment.samples=300"),
+    "fit.theta2": ("estimate", "fit.theta2=1 rad"),
+    "fit.variant": ("estimate", "fit.variant=denominator-pi"),
+    "fit.model": ("t1", "fit.model=gaussian_decay"),
+    "fit.compare": ("t1", "fit.compare=[exp_decay, gaussian_decay]"),
+}
+
+
+def write_profile(path, **changes):
+    """The bundled material profile with some entries replaced."""
+    profile = yaml.safe_load(_PROFILE.read_text(encoding="utf-8"))
+    path.write_text(yaml.safe_dump(dict(profile, **changes)),
+                    encoding="utf-8")
+    return str(path)
+
+
+def shipped_digest(config, overrides=()):
+    return config_digest(
+        d.load_run_config(f"configs/{config}.yaml", overrides).resolved)
+
+
+def test_the_digest_table_names_every_config_key():
+    sections = set(_KEYS) | {"experiment"}
+    keys = {f"{path}.{key}" if path else key
+            for path, names in _KEYS.items() for key in names}
+    keys |= {f"experiment.{key}" for names in _EXPERIMENT_KEYS.values()
+             for key in names}
+    assert set(_DIGEST_ALTERNATES) == keys - sections - {"output"}
+
+
+@pytest.mark.parametrize("key", sorted(_DIGEST_ALTERNATES))
+def test_every_config_key_moves_the_digest(tmp_path, key):
+    config, alternate, *setup = _DIGEST_ALTERNATES[key]
+    alternate = alternate.replace(
+        "PROFILE", write_profile(tmp_path / "host.yaml", g_electron="1.98"))
+    assert shipped_digest(config, [*setup, alternate]) \
+        != shipped_digest(config, setup)
+
+
+def test_a_material_file_edit_moves_the_digest(tmp_path):
+    path = tmp_path / "host.yaml"
+    overrides = [f"material={write_profile(path)}"]
+    before = shipped_digest("estimate", overrides)
+    write_profile(path, bohr_radius="1.8 nm")
+    assert shipped_digest("estimate", overrides) != before
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -430,6 +541,24 @@ class TestSimulateCommand:
         assert "Traceback" not in stderr
         assert not (tmp_path / "out").exists()
 
+    def test_exponent_numbers_without_a_sign_are_numbers(self, tmp_path,
+                                                         capsys):
+        # YAML 1.1 reads 3.5e23 and 5e-1 as strings, 3.5e+23 as a float
+        def trace(calibration):
+            code, stdout, stderr = run_cli(
+                ["simulate", "--config", "configs/rabi.yaml",
+                 "--set", "experiment.count=3",
+                 "--set", f"pulse.calibration={calibration}",
+                 "--out", str(tmp_path / calibration)], capsys)
+            assert code == 0, stderr
+            return (run_dir_from(stdout) / "rabi_trace.csv").read_bytes()
+
+        assert trace("3.5e23") == trace("3.5e+23")
+        config = d.load_run_config(
+            "configs/pump.yaml", ["dissipators.branching=[[5e-1, 0.5], "
+                                  "[0.5, 0.5]]"])
+        assert config.dissipators.branching == ((0.5, 0.5), (0.5, 0.5))
+
     @pytest.mark.parametrize("key, value, problem", [
         ("dissipators.branching", "[[true, false], [0.5, 0.5]]",
          "[0][1] must be a number"),
@@ -509,12 +638,8 @@ def write_lattice_profile(tmp_path, lattice_a="0.01 angstrom",
                           lattice_c="5.21 angstrom"):
     """A valid material profile with other lattice constants; by default
     its lattice sum would need ~1e19 sites."""
-    profile = yaml.safe_load((Path(d.__file__).parent / "materials"
-                              / "zno-natural.yaml").read_text(encoding="utf-8"))
-    profile.update(lattice_a=lattice_a, lattice_c=lattice_c)
-    path = tmp_path / "tiny.yaml"
-    path.write_text(yaml.safe_dump(profile), encoding="utf-8")
-    return str(path)
+    return write_profile(tmp_path / "tiny.yaml", lattice_a=lattice_a,
+                         lattice_c=lattice_c)
 
 
 class TestEstimateCommand:
@@ -560,6 +685,19 @@ class TestEstimateCommand:
         table = (run_dir / "estimate_report.txt").read_text()
         assert "us" in table and "ns" in table
         assert "us" in stdout
+
+    @pytest.mark.parametrize("orientation, t2_sd", [
+        ("[1, 0, 0]", 196.35e-6), ("[0, 0, 1]", 190.09e-6)])
+    def test_field_orientation_sets_the_lattice_sum_axis(
+            self, tmp_path, capsys, orientation, t2_sd):
+        code, stdout, _ = run_cli(
+            ["estimate", "--config", "configs/estimate.yaml", "--set",
+             f"field.orientation={orientation}",
+             "--out", str(tmp_path / "out")], capsys)
+        assert code == 0
+        report = yaml.safe_load(
+            (run_dir_from(stdout) / "estimate_report.yaml").read_text())
+        assert report["budget"]["t2_sd_s"] == pytest.approx(t2_sd, abs=5e-9)
 
     def test_bad_variant_exits_2(self, tmp_path, capsys):
         doc = {
@@ -877,7 +1015,7 @@ def test_mc_sample_count_keeps_the_exit_code_contract(tmp_path_factory,
     if code == 0:
         meta = yaml.safe_load(
             (run_dir_from(stdout.getvalue()) / "ramsey_meta.yaml").read_text())
-        assert meta["config"]["bath"]["samples"] == samples
+        assert meta["config"]["bath_samples"] == samples
     else:
         assert not isinstance(samples, int) or samples < 1
 
