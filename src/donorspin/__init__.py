@@ -24,7 +24,6 @@ from .constants import (
     NUCLEAR_MAGNETON,
     VACUUM_PERMEABILITY,
     density_at_origin,
-    zeeman_frequency_hz,
     zeeman_splitting,
 )
 from .config import RunConfig, load_run_config, parse_run_config
@@ -66,18 +65,13 @@ from .hamiltonian import (
     GROUND_UP,
     LevelScheme,
     PulseSpec,
-    build_hamiltonian,
-    effective_rabi,
     energy_for_rotation_angle,
-    pulse_rotation_angle,
 )
 from .lindblad import (
     DensityMatrix,
     DissipatorSet,
     IntegratorConfig,
     SilencePropagator,
-    evolve,
-    integrate_master,
     liouvillian,
     pulse_window_propagator,
     t1_rate_model,
@@ -92,7 +86,6 @@ from .sequences import (
     PumpSettings,
     RamseyResult,
     T1RecoveryResult,
-    extracted_rotation_angle,
     fringe_visibilities,
     optical_pump,
     rabi_populations,

@@ -458,10 +458,13 @@ def parse_run_config(document: dict) -> RunConfig:
         except ValidationError as err:
             bath_section.fail(err)
     elif bath_kind == "gaussian":
-        t2_star = bath_section.quantity("t2_star", "time")
+        t2_star = bath_section.quantity("t2_star", "time", required=True)
         if t2_star is not None and material is not None:
-            bath = BathModel.gaussian(t2_star,
-                                      electron_g=material.g_electron)
+            try:
+                bath = BathModel.gaussian(t2_star,
+                                          electron_g=material.g_electron)
+            except ValidationError as err:
+                bath_section.fail(err)
 
     experiment = _parse_experiment(doc.section("experiment", required=True))
     fit = _parse_fit(doc.section("fit"))

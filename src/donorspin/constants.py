@@ -15,9 +15,7 @@ __all__ = [
     "NUCLEAR_MAGNETON",
     "VACUUM_PERMEABILITY",
     "HBAR",
-    "TWO_PI",
     "zeeman_splitting",
-    "zeeman_frequency_hz",
     "density_at_origin",
 ]
 
@@ -27,9 +25,6 @@ NUCLEAR_MAGNETON = 5.0507837461e-27  # J/T
 VACUUM_PERMEABILITY = 1.25663706212e-6  # T m / A
 HBAR = 1.054571817e-34  # J s
 
-TWO_PI = 2.0 * math.pi
-
-
 def zeeman_splitting(g_factor: float, field: float) -> float:
     """Spin splitting g * mu_B * B as an angular frequency in rad/s."""
     if g_factor < 0:
@@ -37,11 +32,6 @@ def zeeman_splitting(g_factor: float, field: float) -> float:
     if field < 0:
         raise ValueError(f"field magnitude must be non-negative, got {field} T")
     return g_factor * BOHR_MAGNETON * field / HBAR
-
-
-def zeeman_frequency_hz(g_factor: float, field: float) -> float:
-    """Same splitting expressed as an ordinary frequency in Hz."""
-    return zeeman_splitting(g_factor, field) / TWO_PI
 
 
 def density_at_origin(bohr_radius: float) -> float:

@@ -38,9 +38,6 @@ __all__ = [
     "LevelScheme",
     "PulseSpec",
     "envelope_value",
-    "build_hamiltonian",
-    "effective_rabi",
-    "pulse_rotation_angle",
     "energy_for_rotation_angle",
 ]
 
@@ -192,74 +189,17 @@ def envelope_value(pulse: PulseSpec, t) -> np.ndarray:
     return np.where(np.abs(u) <= pulse.half_window, out, 0.0)
 
 
-def build_hamiltonian(levels: LevelScheme, pulses, t,
-                      spin_detuning: float = 0.0) -> np.ndarray:
-    """Assemble the rotating-frame Hamiltonian matrix at time ``t``.
-
-    Args:
-        levels: diagonal part of the model.
-        pulses: iterable of :class:`PulseSpec`; their envelopes add.
-        t: evaluation time in seconds.
-        spin_detuning: frozen Overhauser shift of the spin-up level.
-
-    Returns:
-        Complex Hermitian (4, 4) array in rad/s. Couplings connect only
-        ground states to excited states; the ground-ground and
-        excited-excited off-diagonal blocks are exactly zero.
-    """
-    h = np.diag(levels.diagonal(spin_detuning)).astype(complex)
-    for pulse in pulses:
-        omega = float(envelope_value(pulse, t))
-        if omega == 0.0:
-            continue
-        w = np.asarray(pulse.coupling_weights, dtype=complex)
-        for g in (GROUND_DOWN, GROUND_UP):
-            for e in (EXCITED_LOWER, EXCITED_UPPER):
-                coupling = -0.5 * omega * w[g, e - 2]
-                h[g, e] += coupling
-                h[e, g] += np.conj(coupling)
-    return h
-
-
-def effective_rabi(rabi, detuning, hole_splitting):
-    """Two-photon Raman rate between the ground spin states, rad/s.
-
-    Both excited levels contribute a path, one at the optical detuning
-    and one shifted up by the hole splitting:
-
-        Omega_eff = (|Omega_R|^2 / 2) * (1/D + 1/(D + w_h))
-
-    Valid for positive detunings; raises otherwise.
-    """
-    rabi = np.asarray(rabi, dtype=float)
-    if detuning <= 0 or detuning + hole_splitting <= 0:
-        raise ValidationError(
-            "effective_rabi requires positive detuning for both excited paths"
-        )
-    return (rabi**2 / 2.0) * (1.0 / detuning + 1.0 / (detuning + hole_splitting))
-
-
-def pulse_rotation_angle(pulse: PulseSpec, levels: LevelScheme) -> float:
-    """Rotation angle from the time integral of the effective Rabi rate.
-
-    Equal to (calibration * energy / 2) * (1/D + 1/(D + w_h)) because the
-    envelope integral of Omega_R^2 is calibrated to the pulse energy.
-    """
-    return float(
-        effective_rabi(
-            math.sqrt(pulse.squared_integral),
-            levels.optical_detuning,
-            levels.hole_splitting,
-        )
-    )
-
-
 def energy_for_rotation_angle(pulse: PulseSpec, levels: LevelScheme,
                               angle: float) -> float:
     """Pulse energy that realizes a requested ground-spin rotation.
 
-    Inverts :func:`pulse_rotation_angle`, which is linear in the pulse
-    energy at fixed shape and calibration.
+    In the far-detuned two-level reduction the rotation angle is the
+    time integral of the effective Rabi rate,
+
+        theta = (calibration * energy / 2) * (1/D + 1/(D + w_h)),
+
+    because the envelope integral of Omega_R^2 is calibrated to the
+    pulse energy; the angle is linear in the energy, so this inverts it.
     """
     if angle < 0:
         raise ValidationError("rotation angle must be non-negative")

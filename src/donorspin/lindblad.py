@@ -12,18 +12,18 @@ follows the instantaneous Rabi envelope,
 
     gamma(t) = beta1 * Omega_R(t) + beta2 * Omega_R(t)^2.
 
-One private stepper, ``_advance``, serves both the state integrator
-and the pulse-window propagator, with two methods. The adaptive
-embedded Runge-Kutta method (DOP853) follows the vectorized master
-equation directly. The fixed-step method advances with the matrix
-exponential of the midpoint generator, which is exact for
-piecewise-constant dynamics; it exponentiates each distinct midpoint
-generator once (keeping at most 512 for later steps), in time-ordered
-batches of at most 64 steps. Pulse windows take those steps in a
-Hermitian operator basis, where a Lindblad generator is a real 16x16
-matrix (Havel, J. Math. Phys. 44, 534 (2003)). Pulse-free stretches
-are never integrated numerically: with the drive off the generator is
-constant and block-diagonal, so populations advance with a small matrix
+Pulse windows are the only stretches integrated numerically, by
+:func:`pulse_window_propagator`, with two methods. The fixed-step
+method advances with the matrix exponential of the midpoint generator,
+which is exact for piecewise-constant dynamics; it exponentiates each
+distinct midpoint generator once (keeping at most 512 for later
+steps), in time-ordered batches of at most 64 steps, in a Hermitian
+operator basis where a Lindblad generator is a real 16x16 matrix
+(Havel, J. Math. Phys. 44, 534 (2003)). The adaptive method runs
+scipy's embedded Runge-Kutta integrator (DOP853) on the complex
+propagator equation. Pulse-free stretches are never integrated
+numerically: with the drive off the generator is constant and
+block-diagonal, so populations advance with a small matrix
 exponential and each coherence picks up an exact phase-and-decay
 factor. That removes the stiffness of picosecond pulses separated by
 microsecond delays.
@@ -32,7 +32,7 @@ microsecond delays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -45,7 +45,6 @@ from .hamiltonian import (
     GROUND_UP,
     LevelScheme,
     PulseSpec,
-    build_hamiltonian,
     envelope_value,
 )
 
@@ -53,15 +52,11 @@ __all__ = [
     "DensityMatrix",
     "DissipatorSet",
     "IntegratorConfig",
-    "lindblad_rhs",
     "liouvillian",
     "dissipator_superoperator",
-    "integrate_master",
-    "evolve",
     "pulse_window_propagator",
     "SilencePropagator",
     "t1_rate_model",
-    "EvolutionResult",
 ]
 
 _DIM = 4
@@ -74,10 +69,9 @@ _IDX = np.arange(16).reshape(4, 4)  # element (i, j) -> flat index
 
 @dataclass
 class DensityMatrix:
-    """A 4x4 density matrix tagged with the time it refers to."""
+    """A 4x4 density matrix."""
 
     matrix: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -87,18 +81,18 @@ class DensityMatrix:
 
     # -- constructors ------------------------------------------------
     @classmethod
-    def pure(cls, index: int, time: float = 0.0) -> "DensityMatrix":
+    def pure(cls, index: int) -> "DensityMatrix":
         m = np.zeros((_DIM, _DIM), dtype=complex)
         m[index, index] = 1.0
-        return cls(m, time)
+        return cls(m)
 
     @classmethod
-    def scrambled(cls, time: float = 0.0) -> "DensityMatrix":
+    def scrambled(cls) -> "DensityMatrix":
         """Equal ground-state populations with no coherence."""
         m = np.zeros((_DIM, _DIM), dtype=complex)
         m[GROUND_DOWN, GROUND_DOWN] = 0.5
         m[GROUND_UP, GROUND_UP] = 0.5
-        return cls(m, time)
+        return cls(m)
 
     # -- observables -------------------------------------------------
     @property
@@ -215,22 +209,6 @@ class DissipatorSet:
 # generators
 
 
-def lindblad_rhs(rho: np.ndarray, hamiltonian: np.ndarray,
-                 dissipators: DissipatorSet, rabi: float = 0.0) -> np.ndarray:
-    """Right-hand side of the master equation at one instant.
-
-    ``rabi`` is the instantaneous Rabi rate feeding the laser-activated
-    dephasing channel. The result is traceless and maps Hermitian
-    matrices to Hermitian matrices.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    out = -1j * (hamiltonian @ rho - rho @ hamiltonian)
-    for c in dissipators.jump_operators(rabi):
-        cdc = c.conj().T @ c
-        out += c @ rho @ c.conj().T - 0.5 * (cdc @ rho + rho @ cdc)
-    return out
-
-
 def dissipator_superoperator(c: np.ndarray) -> np.ndarray:
     """Superoperator of one jump operator in row-major vectorization."""
     c = np.asarray(c, dtype=complex)
@@ -264,20 +242,18 @@ _METHODS = ("adaptive-rk", "fixed-expm")
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Numerical controls for time integration.
+    """Numerical controls for a pulse window.
 
-    ``max_step`` bounds the step of the adaptive method and sets the
+    ``max_step`` bounds the step of the adaptive method, which never
+    steps further than a fiftieth of the pulse duration, and sets the
     step of the fixed matrix-exponential method (an automatic step is
-    chosen when it is infinite). An adaptive step shorter than
-    ``min_step``, other than the last one, aborts the run. Tolerances
-    must lie in (0, 1e-3].
+    chosen when it is infinite). Tolerances must lie in (0, 1e-3].
     """
 
     method: str = "adaptive-rk"
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float = math.inf
-    min_step: float = 0.0
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -290,128 +266,6 @@ class IntegratorConfig:
                 raise ValidationError(f"{attr} must lie in (0, 1e-3], got {v}")
         if self.max_step <= 0:
             raise ValidationError("max_step must be positive")
-        if self.min_step < 0 or self.min_step >= self.max_step:
-            raise ValidationError("min_step must satisfy 0 <= min_step < max_step")
-
-
-@dataclass
-class EvolutionResult:
-    times: np.ndarray
-    states: list
-    final: DensityMatrix
-
-
-def _rho_in(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return np.asarray(rho.matrix, dtype=complex)
-    return np.asarray(rho, dtype=complex)
-
-
-def integrate_master(rho0, hamiltonian, dissipators: DissipatorSet,
-                     config: IntegratorConfig, t_span, t_eval=None,
-                     rabi=None) -> EvolutionResult:
-    """Integrate the master equation over ``t_span``.
-
-    Args:
-        rho0: initial state, array or :class:`DensityMatrix`.
-        hamiltonian: constant (4, 4) array or a callable ``h(t)``.
-        dissipators: channel rates.
-        config: integration controls.
-        t_span: pair (t0, t1), t1 > t0.
-        t_eval: optional increasing sample times inside the span; t1 is
-            appended when they stop short of it.
-        rabi: optional callable giving the Rabi envelope feeding the
-            laser dephasing rate (defaults to zero).
-
-    Raises:
-        IntegrationFailure: the step size underflowed; the exception
-            carries the last successfully reached time.
-    """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 <= t0:
-        raise ValidationError(f"t_span must be increasing, got {t_span}")
-    h_func = hamiltonian if callable(hamiltonian) else (lambda t: hamiltonian)
-    rabi_func = rabi if rabi is not None else (lambda t: 0.0)
-
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-        if np.any(np.diff(t_eval) <= 0) or t_eval[0] < t0 or t_eval[-1] > t1:
-            raise ValidationError("t_eval must be increasing and inside t_span")
-
-    def generator(ts):
-        return np.stack([liouvillian(h_func(t), dissipators, float(rabi_func(t)))
-                         for t in ts.tolist()])
-
-    def rhs(t, y):  # the matrix form is cheaper than assembling the generator
-        return lindblad_rhs(y.reshape(_DIM, _DIM), h_func(t), dissipators,
-                            rabi_func(t)).ravel()
-
-    steps = 1024 if math.isinf(config.max_step) else 1
-    times, states = _advance(_rho_in(rho0).ravel(), t0, t1, config, generator,
-                             steps, t_eval, rhs)
-    states = [s.reshape(_DIM, _DIM) for s in states]
-    return EvolutionResult(times, states, DensityMatrix(states[-1], times[-1]))
-
-
-def _advance(y0, t0, t1, config: IntegratorConfig, generator, steps: int,
-             t_eval=None, rhs=None, key=np.asarray):
-    """Advance ``y0`` from ``t0`` to ``t1`` under dy/dt = L(t) @ y.
-
-    ``key`` maps an array of times to an array of keys (by default the
-    times themselves) and ``generator`` maps an array of keys to the
-    stack of their generators L. ``y0`` is a vectorized state or the
-    16x16 identity of a propagator, real or complex. ``fixed-expm``
-    steps the midpoint exponential on max(steps, ceil(span / max_step))
-    equal steps, broken at every sample, reusing the exponential of a
-    repeated key. ``adaptive-rk`` runs DOP853 on ``rhs(t, y)`` (by
-    default L(t) @ y on the flattened ``y``) and raises
-    :class:`IntegrationFailure` as soon as a step other than the last
-    one falls below ``min_step``. Returns the sample times, with t1
-    appended when the samples stop short of it, and the state at each.
-    """
-    stops = [] if t_eval is None else [float(t) for t in t_eval]
-    n_samples = len(stops)
-    if not stops or stops[-1] < t1:
-        stops.append(t1)
-    if config.method == "fixed-expm":
-        span = t1 - t0
-        n = steps if math.isinf(config.max_step) \
-            else max(steps, int(math.ceil(span / config.max_step)))
-        y, a, states = np.array(y0), t0, []
-        for b in stops:
-            m = int(math.ceil((b - a) / span * n))
-            h = (b - a) / max(m, 1)
-            y = _midpoint_product(y, key(a + (np.arange(m) + 0.5) * h),
-                                  generator, h)
-            states.append(y)
-            a = b
-        return np.asarray(stops), states
-
-    from scipy.integrate import DOP853  # only the adaptive method needs it
-
-    shape = y0.shape
-    fun = rhs or (lambda t, y: (generator(np.reshape(key(t), 1))[0]
-                                @ y.reshape(shape)).ravel())
-    solver = DOP853(fun, t0, y0.ravel(), t1, rtol=config.rel_tol,
-                    atol=config.abs_tol, max_step=config.max_step)
-    samples, states = np.asarray(stops[:n_samples]), []
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise IntegrationFailure(f"adaptive integration failed: {message}",
-                                     float(solver.t))
-        if solver.status == "running" and solver.step_size < config.min_step:
-            raise IntegrationFailure(
-                f"step size fell below min_step={config.min_step:.3e} s",
-                float(solver.t))
-        reached = int(np.searchsorted(samples, solver.t, "right"))
-        if reached > len(states):
-            dense = solver.dense_output()
-            states += [dense(t).reshape(shape)
-                       for t in samples[len(states):reached]]
-    if len(stops) > n_samples:
-        states.append(solver.y.reshape(shape))
-    return np.asarray(stops), states
 
 
 _BLOCK, _HELD = 64, 512  # steps per batched expm call; exponentials kept
@@ -488,10 +342,10 @@ def pulse_window_propagator(levels: LevelScheme, pulse: PulseSpec,
     phases exactly and converges quadratically in the envelope. It
     evaluates the envelope on all midpoints at once, steps in the real
     Hermitian basis and maps the product back once; the adaptive method
-    integrates the complex 16x16 propagator equation instead.
+    integrates the complex 16x16 propagator equation instead, and raises
+    :class:`IntegrationFailure` when the integrator stops short.
     """
-    config = _window_config(config or IntegratorConfig(method="fixed-expm"),
-                            pulse)
+    config = config or IntegratorConfig(method="fixed-expm")
     t0, t1 = pulse.window()
     parts = pulse_liouvillian_parts(levels, pulse, dissipators, spin_detuning)
     fixed = config.method == "fixed-expm"
@@ -506,9 +360,26 @@ def pulse_window_propagator(levels: LevelScheme, pulse: PulseSpec,
         if not np.all(np.isfinite(generator(np.array([pulse.peak_rabi])))):
             raise NumericsError(f"pulse energy {pulse.energy:.6g} J makes the "
                                 "generator at the envelope peak non-finite")
-    y = _advance(np.eye(16, dtype=l_const.dtype), t0, t1, config, generator,
-                 expm_steps, key=lambda t: envelope_value(pulse, t))[1][-1]
-    return _T_INV @ y @ _T if fixed else y
+    if fixed:
+        n = expm_steps if math.isinf(config.max_step) \
+            else max(expm_steps, int(math.ceil((t1 - t0) / config.max_step)))
+        h = (t1 - t0) / n
+        keys = envelope_value(pulse, t0 + (np.arange(n) + 0.5) * h)
+        return _T_INV @ _midpoint_product(np.eye(16), keys, generator, h) @ _T
+
+    from scipy.integrate import solve_ivp  # only the adaptive method needs it
+
+    def rhs(t, y):
+        gen = generator(np.reshape(envelope_value(pulse, t), 1))[0]
+        return (gen @ y.reshape(16, 16)).ravel()
+
+    sol = solve_ivp(rhs, (t0, t1), np.eye(16, dtype=complex).ravel(),
+                    method="DOP853", rtol=config.rel_tol, atol=config.abs_tol,
+                    max_step=min(config.max_step, pulse.duration / 50.0))
+    if not sol.success:
+        raise IntegrationFailure(f"adaptive integration failed: {sol.message}",
+                                 float(sol.t[-1]))
+    return sol.y[:, -1].reshape(16, 16)
 
 
 def _hermitian_basis() -> np.ndarray:
@@ -534,13 +405,6 @@ def _real_parts(parts):
     if any(np.max(np.abs(g.imag)) > 1e-12 * np.max(np.abs(g)) for g in mapped):
         raise NumericsError("pulse generator does not preserve Hermiticity")
     return [g.real.copy() for g in mapped]
-
-
-def _window_config(config: IntegratorConfig, pulse: PulseSpec):
-    """Adaptive steps across a pulse window are capped at duration / 50."""
-    if config.method != "adaptive-rk":
-        return config
-    return replace(config, max_step=min(config.max_step, pulse.duration / 50.0))
 
 
 class SilencePropagator:
@@ -630,92 +494,6 @@ class SilencePropagator:
                              for tau in taus]
         groups = -self.detuning_sign.imag.ravel()
         return {s: np.where(groups == s, moved, 0.0) for s in (0, 1, -1)}
-
-
-def evolve(rho0, levels: LevelScheme, pulses, dissipators: DissipatorSet,
-           config: IntegratorConfig | None = None, t_span=(0.0, 0.0),
-           t_eval=None, spin_detuning: float = 0.0) -> EvolutionResult:
-    """Evolve a state through a train of pulses and the gaps between them.
-
-    Pulse windows are integrated numerically with the configured
-    method; the silent gaps between windows are advanced with the exact
-    constant-generator propagator. Trajectory samples requested inside
-    a silent gap are evaluated analytically.
-
-    Args:
-        rho0: initial state at ``t_span[0]``.
-        levels: rotating-frame diagonal.
-        pulses: iterable of :class:`PulseSpec` whose windows must lie
-            inside the span and must not overlap.
-        dissipators: channel rates.
-        config: integration controls (adaptive RK by default).
-        t_span: (t0, t1) with t1 > t0.
-        t_eval: optional increasing sample times.
-        spin_detuning: frozen Overhauser shift of the spin-up level.
-
-    Returns:
-        :class:`EvolutionResult` with sampled times, states, and the
-        final tagged state.
-    """
-    config = config or IntegratorConfig()
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 <= t0:
-        raise ValidationError(f"t_span must be increasing, got {t_span}")
-
-    pulses = sorted(pulses, key=lambda p: p.arrival_time)
-    windows = []
-    for p in pulses:
-        w0, w1 = p.window()
-        if w0 < t0 - 1e-18 or w1 > t1 + 1e-18:
-            raise ValidationError(
-                f"pulse window [{w0:.3e}, {w1:.3e}] s lies outside the span")
-        if windows and w0 < windows[-1][1]:
-            raise ValidationError("pulse windows overlap; merge pulses instead")
-        windows.append((w0, w1, p))
-
-    silence = SilencePropagator(levels, dissipators)
-    samples = np.asarray(t_eval, dtype=float) if t_eval is not None else np.array([t1])
-    if np.any(np.diff(samples) <= 0) or samples[0] < t0 or samples[-1] > t1:
-        raise ValidationError("t_eval must be increasing and inside t_span")
-
-    rho = _rho_in(rho0)
-    out_t, out_s = [], []
-    cursor = t0
-    sample_pos = 0
-
-    def silent_advance(upto):
-        nonlocal rho, cursor, sample_pos
-        while sample_pos < len(samples) and samples[sample_pos] <= upto + 1e-18:
-            ts = samples[sample_pos]
-            out_t.append(ts)
-            out_s.append(silence.propagate(rho, ts - cursor, spin_detuning))
-            sample_pos += 1
-        rho = silence.propagate(rho, upto - cursor, spin_detuning)
-        cursor = upto
-
-    for w0, w1, pulse in windows:
-        if w0 > cursor:
-            silent_advance(w0)
-        inner = samples[(samples > cursor) & (samples <= w1)]
-        h_func = lambda t, _p=pulse: build_hamiltonian(levels, [_p], t, spin_detuning)
-        rabi_func = lambda t, _p=pulse: float(envelope_value(_p, t))
-        res = integrate_master(rho, h_func, dissipators,
-                               _window_config(config, pulse), (cursor, w1),
-                               t_eval=inner if inner.size else None,
-                               rabi=rabi_func)
-        out_t += [float(ts) for ts in inner]
-        out_s += res.states[:inner.size]
-        sample_pos += int(inner.size)
-        rho = res.final.matrix
-        cursor = w1
-
-    if cursor < t1 or sample_pos < len(samples):
-        silent_advance(t1)
-
-    if not out_t or out_t[-1] < t1:
-        out_t.append(t1)
-        out_s.append(rho)
-    return EvolutionResult(np.asarray(out_t), out_s, DensityMatrix(rho, t1))
 
 
 # ---------------------------------------------------------------------------

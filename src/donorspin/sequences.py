@@ -70,7 +70,6 @@ __all__ = [
     "run_echo",
     "run_echo_decay",
     "run_t1_recovery",
-    "extracted_rotation_angle",
     "ramsey_window_plan",
 ]
 
@@ -240,7 +239,7 @@ def optical_pump(state, levels: LevelScheme, rabi: float, duration: float,
                                  + vec[_IDX[EXCITED_UPPER, EXCITED_UPPER]])
     if not (np.all(np.isfinite(vec)) and np.all(np.isfinite(excited))):
         raise NumericsError("optical pump produced a non-finite state")
-    final = DensityMatrix(vec.reshape(4, 4), duration)
+    final = DensityMatrix(vec.reshape(4, 4))
     return PumpResult(
         final=final,
         fidelity=float(final.matrix[GROUND_DOWN, GROUND_DOWN].real),
@@ -445,23 +444,6 @@ def run_rabi_sweep(energies, levels: LevelScheme, pulse: PulseSpec,
                                       rho0, expm_steps, (_UP_FLAT, _DOWN_FLAT))
     return ExperimentTrace(abscissa=energies, abscissa_name="pulse_energy_J",
                            p_up=p_up, p_down=p_down).validate()
-
-
-def extracted_rotation_angle(levels: LevelScheme, pulse: PulseSpec,
-                             expm_steps: int = 1024) -> float:
-    """Ground-spin rotation angle realized by one pulse.
-
-    Runs the dissipation-free four-level evolution from spin-down and
-    inverts p_up = sin^2(theta/2). Comparing against the closed-form
-    angle of the far-detuned two-level reduction quantifies how well
-    the impulsive approximation holds.
-    """
-    quiet = DissipatorSet()
-    w = pulse_window_propagator(levels, pulse, quiet, expm_steps=expm_steps)
-    v0 = DensityMatrix.pure(GROUND_DOWN).matrix.reshape(16)
-    p_up = float(np.real(w[_UP_FLAT] @ v0))
-    p_up = min(max(p_up, 0.0), 1.0)
-    return 2.0 * math.asin(math.sqrt(p_up))
 
 
 # ---------------------------------------------------------------------------

