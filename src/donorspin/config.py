@@ -469,6 +469,23 @@ def parse_run_config(document: dict) -> RunConfig:
     experiment = _parse_experiment(doc.section("experiment", required=True))
     fit = _parse_fit(doc.section("fit"))
 
+    # a drive that overflows is a listed problem, not a failed run: the
+    # generator at the pulse peak scales with these two rates, and no
+    # entry of a pump step exceeds 1 in a true propagator
+    if pulse is not None and not math.isfinite(
+            dissipators.laser_dephasing_rate(pulse.peak_rabi)):
+        key = "pulse.energy" if angle is None else "levels.optical_detuning"
+        doc.add(f"{key}: the pulse energy {pulse.energy:.6g} J makes the "
+                "generator at the envelope peak non-finite")
+    pump = experiment.get("pump") if experiment else None
+    with np.errstate(all="ignore"):
+        if None not in (pump, levels, dissipators) and not np.max(
+                np.abs(pump.step(levels, dissipators))) <= 1.0 + 1e-6:
+            key = "rabi_frequency" if experiment["kind"] == "pump" \
+                else "pump.rabi_frequency"
+            doc.add(f"experiment.{key} = {pump.rabi / _TWO_PI:.6g} Hz makes "
+                    "the pump step non-finite or not a propagator")
+
     output = document.get("output", "runs")
     if not isinstance(output, str):
         doc.add("output must be a directory path string")

@@ -37,6 +37,7 @@ __all__ = [
 logger = logging.getLogger("donorspin.fitting")
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_GRID_CHUNK = 1 << 17  # frequencies x points per batch of the fringe grid
 
 
 # ---------------------------------------------------------------------------
@@ -62,28 +63,27 @@ def _eval_sinusoid(p, x):
     return offset + amplitude * np.cos(angular_frequency * x + phase)
 
 
-def _bounded_exp(argument):
-    """exp(-argument) with the argument clamped against overflow."""
+def _bounded_decay(x, t_decay, shape=np.positive):
+    """exp(-shape(x / t_decay)), the argument clamped against overflow."""
+    with np.errstate(over="ignore"):
+        argument = shape(x / t_decay)
     return np.exp(-np.minimum(argument, 745.0))
 
 
 def _eval_exp_decay(p, x):
     amplitude, t_decay, offset = p
-    return offset + amplitude * _bounded_exp(x / t_decay)
+    return offset + amplitude * _bounded_decay(x, t_decay)
 
 
 def _eval_gaussian_decay(p, x):
     amplitude, t_decay, offset = p
-    with np.errstate(over="ignore"):
-        argument = np.square(x / t_decay)
-    return offset + amplitude * _bounded_exp(argument)
+    return offset + amplitude * _bounded_decay(x, t_decay, np.square)
 
 
 def _eval_cubed_exp_decay(p, x):
     amplitude, t_decay, offset = p
-    with np.errstate(over="ignore"):
-        argument = np.power(x / t_decay, 3)
-    return offset + amplitude * _bounded_exp(argument)
+    return offset + amplitude * _bounded_decay(x, t_decay,
+                                               lambda u: np.power(u, 3))
 
 
 def _eval_power_law(p, x):
@@ -93,7 +93,7 @@ def _eval_power_law(p, x):
 
 def _eval_damped_sinusoid(p, x):
     amplitude, angular_frequency, phase, offset, t_decay = p
-    return offset + amplitude * _bounded_exp(x / t_decay) * np.cos(
+    return offset + amplitude * _bounded_decay(x, t_decay) * np.cos(
         angular_frequency * x + phase)
 
 
@@ -489,15 +489,35 @@ def _linear_fringe(x, y, w, omega):
     return coef, cost, design
 
 
+def _grid_costs(x, y, w, omegas):
+    """The cost of :func:`_linear_fringe` at each of ``omegas``: what is
+    left of b = y * sqrt(w) after its projection on the left singular
+    vectors of the weighted designs that ``lstsq``'s cutoff keeps."""
+    sw = np.sqrt(w)
+    b = y * sw
+    costs = np.empty(len(omegas))
+    step = max(1, _GRID_CHUNK // len(x))
+    for start in range(0, len(omegas), step):
+        phase = np.multiply.outer(omegas[start:start + step], x)
+        design = np.stack([np.ones_like(phase), np.cos(phase), np.sin(phase)],
+                          axis=2)
+        u, s, _ = np.linalg.svd(design * sw[:, None], full_matrices=False)
+        kept = s > np.finfo(float).eps * max(len(x), 3) * s[:, :1]
+        resid = np.einsum("knj,kj->kn", u, kept * (b @ u)) - b
+        costs[start:start + step] = np.einsum("kn,kn->k", resid, resid)
+    return costs
+
+
 def fit_fringe(x, y, known_frequency: float | None = None, stderr=None,
                frequency_guess: float | None = None) -> FringeFit:
     """Extract fringe amplitude, phase, and offset from a scan.
 
     With ``known_frequency`` (rad/s) the problem is linear and solved
     directly. Otherwise the frequency is found by a dense grid search
-    around ``frequency_guess`` (or the FFT peak) followed by a
-    Levenberg-Marquardt polish; that path requires the scan to cover
-    at least two oscillation periods.
+    around ``frequency_guess`` (or the FFT peak), priced in batches of
+    ``_GRID_CHUNK`` frequency-points, followed by a Levenberg-Marquardt
+    polish from the cheapest frequency; that path requires the scan to
+    cover at least two oscillation periods.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -536,8 +556,7 @@ def fit_fringe(x, y, known_frequency: float | None = None, stderr=None,
             "free-frequency fringe fit needs >= 2 oscillation periods in the "
             f"scan; cover >= {4.0 * math.pi / guess:.3e} s or fix the frequency")
     omegas = guess * np.linspace(0.7, 1.3, 4001)
-    costs = np.array([_linear_fringe(x, y, w, om)[1] for om in omegas])
-    omega0 = float(omegas[int(np.argmin(costs))])
+    omega0 = float(omegas[int(np.argmin(_grid_costs(x, y, w, omegas)))])
     coef, _, _ = _linear_fringe(x, y, w, omega0)
     model = CurveModel.for_kind("sinusoid", x, y, overrides={
         "amplitude": float(math.hypot(coef[1], coef[2])),

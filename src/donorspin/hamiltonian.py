@@ -205,4 +205,5 @@ def energy_for_rotation_angle(pulse: PulseSpec, levels: LevelScheme,
         raise ValidationError("rotation angle must be non-negative")
     paths = (1.0 / levels.optical_detuning
              + 1.0 / (levels.optical_detuning + levels.hole_splitting))
-    return 2.0 * angle / (pulse.calibration * paths)
+    scale = pulse.calibration * paths  # underflows for absurd inputs
+    return 2.0 * angle / scale if scale > 0 else math.inf

@@ -187,6 +187,12 @@ class PumpSettings:
         if self.samples < 1:
             raise ValidationError("pump samples must be >= 1")
 
+    def step(self, levels: LevelScheme, dissipators: DissipatorSet):
+        """exp(L dt) of the resonant drive over one of ``samples`` steps."""
+        gen = liouvillian(_pump_hamiltonian(levels, self.rabi), dissipators,
+                          rabi=self.rabi)
+        return expm(gen * (self.duration / self.samples))
+
 
 @dataclass
 class PumpResult:
@@ -216,17 +222,9 @@ def optical_pump(state, levels: LevelScheme, rabi: float, duration: float,
     sample. Returns the final state, the pump fidelity (spin-down
     population), and the emitted-photon rate curve.
     """
-    if duration <= 0:
-        raise ValidationError("pump duration must be positive")
-    if rabi < 0:
-        raise ValidationError("pump rabi must be non-negative")
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
-    rho = _as_matrix(state)
-    gen = liouvillian(_pump_hamiltonian(levels, rabi), dissipators, rabi=rabi)
+    step = PumpSettings(rabi, duration, samples).step(levels, dissipators)
     dt = duration / samples
-    step = expm(gen * dt)
-    vec = rho.reshape(16).copy()
+    vec = _as_matrix(state).reshape(16).copy()
     times = np.empty(samples + 1)
     excited = np.empty(samples + 1)
     times[0] = 0.0
@@ -269,9 +267,12 @@ def _ensemble_reduce(terms_by_shift, bath, mode, samples, durations_of):
     ``durations_of(key)`` returns the (n,) array of phase durations for
     that key. Returns (mean, stderr or None).
 
-    ``mc`` memory grows as 8 bytes x samples x points, plus one fixed
-    block of ``_MC_BLOCK`` samples; stderr takes ``_STD_COLUMNS`` points
-    at a time.
+    ``mc`` adds a key with all-zero durations without a phase, and gives
+    a key whose durations negate an earlier key's bit for bit (IEEE
+    negation is exact) the conjugate of that key's phase. Memory grows
+    as 8 bytes x samples x points, plus two complex blocks of
+    ``_MC_BLOCK`` samples, which the phases held for their mirrors
+    share; stderr takes ``_STD_COLUMNS`` points at a time.
     """
     keys = list(terms_by_shift)
     if bath is None:
@@ -287,14 +288,35 @@ def _ensemble_reduce(terms_by_shift, bath, mode, samples, durations_of):
     # factors, so averaging the phases exactly averages per-donor traces
     n_points = len(next(iter(terms_by_shift.values())))
     pairs = [(durations_of(k), terms_by_shift[k]) for k in keys]
-    values = np.empty((len(samples), n_points))
-    for start in range(0, len(samples), _MC_BLOCK):
-        block = samples[start:start + _MC_BLOCK]
-        acc = np.zeros((len(block), n_points), dtype=complex)
-        for durations, terms in pairs:
-            acc += np.exp(-1j * np.multiply.outer(block, durations)) \
-                * terms[None, :]
-        values[start:start + len(block)] = acc.real
+    mirror_of, unmatched = {}, {}
+    for i, (durations, _) in enumerate(pairs):
+        if durations.tobytes() in unmatched:
+            mirror_of[i] = unmatched.pop(durations.tobytes())
+        elif np.any(durations):
+            unmatched[(-durations).tobytes()] = i
+    held_keys = set(mirror_of.values())
+    # the held phases and one product share two blocks of _MC_BLOCK
+    rows = 2 * _MC_BLOCK // (1 + len(held_keys))
+    values = np.zeros((len(samples), n_points))
+    for start in range(0, len(samples), rows):
+        block, held, phase = samples[start:start + rows], {}, None
+        # a complex sum adds the real parts alone: sum them in place
+        acc = values[start:start + rows]
+        for i, (durations, terms) in enumerate(pairs):
+            if not np.any(durations):
+                acc += terms.real
+                continue
+            if i in mirror_of:
+                phase = held.pop(mirror_of[i])
+                np.conjugate(phase, out=phase)
+            else:
+                phase = np.multiply.outer(block, -1j * durations)
+                np.exp(phase, out=phase)
+            if i in held_keys:
+                held[i], phase = phase, phase * terms
+            else:
+                phase *= terms
+            acc += phase.real
     mean = values.mean(axis=0)
     stderr = np.zeros(n_points)
     if len(samples) > 1:

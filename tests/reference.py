@@ -19,6 +19,9 @@ something:
   ``extracted_rotation_angle`` reads from the full four-level window;
   ``zeeman_frequency_hz`` states a splitting as the published anchors
   do, in Hz.
+* ``fringe_grid_costs`` prices the free fringe fit's frequency grid
+  with one ``lstsq`` per frequency, where ``fitting._grid_costs``
+  projects onto batched SVDs of many designs at once.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from donorspin import (
     pulse_window_propagator,
     zeeman_splitting,
 )
+from donorspin.fitting import _linear_fringe
 from donorspin.hamiltonian import envelope_value
 
 
@@ -179,3 +183,9 @@ def evolve(rho0, levels, pulses, dissipators, t_span, t_eval=None,
         rho, cursor = res.final.matrix, w1
     silent(float(t_span[1]))
     return EvolutionResult(np.asarray(times), states, DensityMatrix(rho))
+
+
+def fringe_grid_costs(x, y, w, omegas):
+    """The weighted residual cost of the [1, cos, sin] fit at each of
+    ``omegas``, one frequency at a time."""
+    return np.array([_linear_fringe(x, y, w, om)[1] for om in omegas])

@@ -581,7 +581,6 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("config, override", [
         ("configs/rabi.yaml", 'experiment.energies=["0 nJ", "1e300 nJ"]'),
-        ("configs/pump.yaml", "experiment.rabi_frequency=1e300 MHz"),
     ])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_result_exits_3(self, tmp_path, capsys, config,
@@ -592,6 +591,37 @@ class TestSimulateCommand:
         assert code == 3
         assert "numerical failure" in stderr
         assert "Traceback" not in stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("ramsey", "levels.optical_detuning", "1e+300 MHz"),
+        ("ramsey", "pulse.calibration", "1e-300"),
+        ("pump", "experiment.rabi_frequency", "1e+300 MHz"),
+        ("pump", "experiment.rabi_frequency", "1e+36 MHz"),
+        ("t1", "experiment.pump.rabi_frequency", "1e+300 MHz"),
+        ("rabi", "experiment.pump.rabi_frequency", "1e+300 MHz"),
+    ], ids=["detuning", "calibration", "pump", "pump-1e36", "t1-pump",
+            "rabi-pump"])
+    def test_overflowing_drive_exits_2(self, tmp_path, kind, key, value):
+        # one process, so that a numpy warning would reach stderr; the
+        # bad seed shows that the drive is listed with the other problems
+        root = Path(d.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        sets = [f"{key}={value}", "seed=.nan"]
+        if key == "pulse.calibration":
+            sets.append("levels.optical_detuning=1e+300 MHz")
+        result = subprocess.run(
+            [sys.executable, "-m", "donorspin", "simulate", "--config",
+             str(root / "configs" / f"{kind}.yaml"),
+             *[arg for item in sets for arg in ("--set", item)],
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        named = "levels.optical_detuning" if kind == "ramsey" else key
+        assert len(lines) == 3 and lines[0] == "validation error:"
+        assert lines[1].startswith(f"  - {named}") and "non-finite" in lines[1]
+        assert lines[2].startswith("  - seed")
         assert not (tmp_path / "out").exists()
 
     def test_huge_pulse_energy_stderr_holds_only_the_message(self, tmp_path):

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import donorspin as d
-from donorspin.fitting import CurveModel, ParameterSpec
+from donorspin.fitting import (CurveModel, ParameterSpec, _grid_costs,
+                               _inverse_variance)
+from reference import fringe_grid_costs
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,6 +140,20 @@ class TestFitDiagnostics:
     def test_model_kinds_catalogue(self):
         assert set(ROUNDTRIPS) == set(d.MODEL_KINDS)
 
+    @pytest.mark.parametrize("kind", ["exp_decay", "gaussian_decay",
+                                      "cubed_exp_decay", "damped_sinusoid"])
+    def test_tiny_decay_time_evaluates_without_warning(self, kind):
+        # x / t_decay overflows to inf, which the bounded exponential
+        # turns into exp(-745)
+        p = {"amplitude": 1.0, "t_decay": 1e-300, "offset": 0.25,
+             "angular_frequency": 1.0, "phase": 0.0}
+        model = CurveModel.for_kind(kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = model.evaluate([p[n] for n in model.parameter_names],
+                                    [0.0, 1e-6, 1e9])
+        assert values[0] == 1.25 and values[2] == pytest.approx(0.25)
+
     def test_parameter_array_order(self):
         x, y, _ = synthesize("exp_decay")
         result = d.fit_curve("exp_decay", x, y)
@@ -202,6 +221,87 @@ class TestFitFringe:
         with pytest.raises(d.ValidationError):
             d.fit_fringe([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 1.0, 0.0],
                          known_frequency=1.0, stderr=[0.1, -0.1, 0.1, 0.1])
+
+
+def shipped_first_window(field, ensemble):
+    """Delays, p_up and its stderr of the first window of
+    configs/ramsey.yaml at ``field`` tesla, and the Larmor frequency."""
+    root = Path(d.__file__).resolve().parents[2]
+    config = d.load_run_config(str(root / "configs" / "ramsey.yaml"), [
+        f"field.magnitude={field} T", f"bath.ensemble={ensemble}"])
+    exp, larmor = config.experiment, config.levels.electron_splitting
+    window = d.ramsey_window_plan(exp["delay_centers"][:1], larmor,
+                                  exp["periods"], exp["points_per_period"])
+    trace = d.run_ramsey(window, config.levels, config.pulse,
+                         config.dissipators, bath=config.bath,
+                         ensemble_mode=config.ensemble_mode,
+                         bath_samples=config.bath_samples,
+                         seed=config.seed).trace
+    return window[0], trace.p_up, trace.p_up_stderr, larmor
+
+
+def assert_grid_matches_the_loop(x, y, stderr, guess):
+    w = _inverse_variance(stderr, y)
+    omegas = guess * np.linspace(0.7, 1.3, 4001)  # the grid of fit_fringe
+    costs = _grid_costs(x, y, w, omegas)
+    want = fringe_grid_costs(x, y, w, omegas)
+    assert np.argmin(costs) == np.argmin(want)
+    # a cost is the squared norm of what is left of data b of squared
+    # norm |b|^2, so any route rounds it by about eps * sqrt(cost * |b|^2);
+    # near a close fit that exceeds 1e-12 of the cost, for the oracle too.
+    # The bound is 1e-12 relative where the cost is of the order |b|^2.
+    b_norm2 = np.sum(w * y * y)
+    assert np.all(np.abs(costs - want) <= 1e-12 * np.sqrt(want * b_norm2))
+
+
+class TestFringeGrid:
+    @pytest.mark.parametrize("ensemble, weighted", [
+        ("exact", False), ("mc", False), ("mc", True)],
+        ids=["noise-free", "mc", "mc-stderr"])
+    @pytest.mark.parametrize("field", [4.0, 5.0, 6.0])
+    def test_shipped_first_window(self, field, ensemble, weighted):
+        x, y, stderr, larmor = shipped_first_window(field, ensemble)
+        assert (stderr is not None) == (ensemble == "mc")
+        assert_grid_matches_the_loop(x, y, stderr if weighted else None,
+                                     larmor)
+
+    def test_free_frequency_recovery_data(self):
+        omega = TWO_PI * 137.9e9
+        x = np.linspace(0.0, 4.0 * TWO_PI / omega, 41)
+        y = 0.5 + 0.3 * np.cos(omega * x + 0.2)
+        assert_grid_matches_the_loop(x, y, None, 1.05 * omega)
+
+    def test_rank_deficient_window(self):
+        # every delay twice, on half periods of the grid's 41st frequency,
+        # where the design therefore has rank 2; the grid's centre lies
+        # far from the mirror image of the cost about that frequency
+        guess = TWO_PI * 1e9
+        pivot = guess * np.linspace(0.7, 1.3, 4001)[40]
+        x = np.repeat(np.arange(9) * math.pi / pivot, 2)
+        design = np.stack([np.ones_like(x), np.cos(pivot * x),
+                           np.sin(pivot * x)], axis=1)
+        assert np.linalg.matrix_rank(design) == 2
+        y = 0.5 + 0.3 * np.cos(guess * x) \
+            + np.random.default_rng(2).normal(0.0, 0.05, x.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_grid_matches_the_loop(x, y, None, guess)
+            d.fit_fringe(x, y, frequency_guess=guess)
+
+    def test_long_window_memory_is_bounded_by_the_chunk(self):
+        # one design of the 4,001 frequencies at once would take 4.8 GB;
+        # the chunk holds 2**17 frequency-points, a few MB per array
+        omega = TWO_PI * 1e9
+        x = np.linspace(0.0, 4.0 * TWO_PI / omega, 50_000)
+        y = 0.5 + 0.3 * np.cos(omega * x + 0.2)
+        tracemalloc.start()
+        try:
+            fringe = d.fit_fringe(x, y, frequency_guess=1.05 * omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fringe.frequency == pytest.approx(omega, rel=1e-9)
+        assert peak < 32e6
 
 
 class TestIngestTrace:

@@ -355,9 +355,11 @@ def mc_reduction_inputs(gaps, n_points, n_samples, seed):
 class TestBlockedMcReduction:
     # Ramsey: 3 keys over 228 points (12 windows of 19); echo: 9 keys
     # over 33 points, which leaves one column past the last full
-    # 16-column block of the stderr
-    @pytest.mark.parametrize("gaps, n_points", [((), 228), ((4e-9,), 33)],
-                             ids=["ramsey", "echo"])
+    # 16-column block of the stderr; two fixed gaps: 27 keys, 13 mirror
+    # pairs
+    @pytest.mark.parametrize("gaps, n_points",
+                             [((), 228), ((4e-9,), 33), ((4e-9, 7e-9), 33)],
+                             ids=["ramsey", "echo", "two-gaps"])
     @pytest.mark.parametrize("n_samples", [1, 2, 511, 512, 513, 1025])
     def test_matches_one_shot_byte_for_byte(self, gaps, n_points, n_samples):
         terms, bath, samples, durations = mc_reduction_inputs(
@@ -367,6 +369,21 @@ class TestBlockedMcReduction:
                                         durations)
         want_mean, want_stderr = one_shot_mc_reduce(terms, samples,
                                                     durations)
+        assert mean.tobytes() == want_mean.tobytes()
+        assert stderr.tobytes() == want_stderr.tobytes()
+
+    @pytest.mark.parametrize("n_samples", [1, 513])
+    def test_key_without_a_mirror_takes_its_own_phase(self, n_samples):
+        terms, bath, samples, durations = mc_reduction_inputs(
+            (4e-9,), 33, n_samples, seed=n_samples)
+
+        def skewed(key):  # (1, 1) no longer negates (-1, -1) exactly
+            return durations(key) * (1.0 + 1e-12) if key == (1, 1) \
+                else durations(key)
+
+        assert not np.array_equal(-skewed((1, 1)), skewed((-1, -1)))
+        mean, stderr = _ensemble_reduce(terms, bath, "mc", samples, skewed)
+        want_mean, want_stderr = one_shot_mc_reduce(terms, samples, skewed)
         assert mean.tobytes() == want_mean.tobytes()
         assert stderr.tobytes() == want_stderr.tobytes()
 
