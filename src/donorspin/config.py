@@ -2,11 +2,11 @@
 
 Every physical quantity is a string with an explicit unit (for
 example ``"5 T"``, ``"1.9 ps"``, ``"137.9 GHz"``); bare numbers are
-accepted only for dimensionless values. Validation walks the whole
-document and reports every problem at once, each unknown key among
-them. ``--set key.path=value``
-overrides are applied to the raw document before validation, so an
-override is checked exactly like the file contents.
+accepted only for dimensionless values and zero. Validation walks the
+whole document and reports every problem at once, each unknown key
+among them. ``--set key.path=value`` overrides are applied to the raw
+document before validation, so an override is checked exactly like the
+file contents.
 
 A valid document parses to a typed ``RunConfig``. Its ``resolved``
 record is those typed fields as plain data in SI units, so it holds
@@ -18,20 +18,21 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import yaml
 
-from .bath import BathModel
+from .bath import _DISPERSION_MODES, BathModel
 from .errors import ValidationError
 from .estimators import ID_VARIANTS
 from .fitting import MODEL_KINDS
-from .hamiltonian import LevelScheme, PulseSpec, energy_for_rotation_angle
+from .hamiltonian import (_SHAPES, LevelScheme, PulseSpec,
+                          energy_for_rotation_angle)
 from .lindblad import DissipatorSet, t1_rate_model
 from .materials import (FieldConfig, MaterialParams, dump_yaml, load_material,
                         load_yaml)
-from .sequences import InjectedDecoherence, PumpSettings
+from .sequences import _ENSEMBLE_MODES, InjectedDecoherence, PumpSettings
 from .units import _NUMBER, parse_quantity
 
 __all__ = [
@@ -133,18 +134,34 @@ class _Section:
             self.add(f"{self.at(key)} is required")
         return default if value is None else value
 
-    def quantity(self, key, dimension, default=None, required=False):
-        value = self.value(key, default, required)
-        if value is None:
+    def build(self, make, *args, **kwargs):
+        """``make(*args, **kwargs)``, or None: when a positional argument
+        is None, its problem is already listed; when ``make`` raises
+        ``ValidationError``, the error is listed against the section."""
+        if any(arg is None for arg in args):
             return None
+        try:
+            return make(*args, **kwargs)
+        except ValidationError as err:
+            self.fail(err)
+            return None
+
+    def _quantity(self, value, path, dimension):
+        """One quantity, alone or a list item: a bare 0 is zero in any
+        unit, and every other value is read by ``parse_quantity``."""
         if isinstance(value, (int, float)) and not isinstance(value, bool) \
                 and value == 0:
             return 0.0
         try:
-            return parse_quantity(value, dimension, key=self.at(key))
+            return parse_quantity(value, dimension, key=path)
         except ValidationError as err:
             self.add(str(err))
             return None
+
+    def quantity(self, key, dimension, default=None, required=False):
+        value = self.value(key, default, required)
+        return None if value is None \
+            else self._quantity(value, self.at(key), dimension)
 
     def quantities(self, key, dimension):
         values = self.value(key)
@@ -153,14 +170,23 @@ class _Section:
         if not isinstance(values, (list, tuple)) or not values:
             self.add(f"{self.at(key)} must be a non-empty list")
             return None
-        out = []
-        for k, item in enumerate(values):
-            try:
-                out.append(parse_quantity(item, dimension,
-                                          key=f"{self.at(key)}[{k}]"))
-            except ValidationError as err:
-                self.add(str(err))
-        return out if len(out) == len(values) else None
+        out = [self._quantity(item, f"{self.at(key)}[{k}]", dimension)
+               for k, item in enumerate(values)]
+        return None if None in out else out
+
+    def grid(self, key, top_key, dimension, count, minimum):
+        """The list at ``key``, else ``count`` points from 0 to the value
+        at ``top_key``; the section's ``count`` key overrides ``count``."""
+        values = self.quantities(key, dimension)
+        if values is not None:
+            return values
+        top = self.quantity(top_key, dimension)
+        count = self.number("count", default=count, minimum=minimum,
+                            integer=True)
+        if top is not None and count is not None:
+            return list(np.linspace(0.0, top, count))
+        self.fail(f"{self.data['kind']} needs {key} or {top_key}")
+        return None
 
     def number(self, key, default=None, minimum=None, integer=False):
         value, path = self.numbers(key, (), default), self.at(key)
@@ -349,25 +375,15 @@ def parse_run_config(document: dict) -> RunConfig:
     field_section = doc.section("field", required=True)
     magnitude = field_section.quantity("magnitude", "field", required=True)
     orientation = field_section.numbers("orientation", (3,), (1.0, 0.0, 0.0))
-    field_config = None
-    if magnitude is not None and orientation is not None:
-        try:
-            field_config = FieldConfig(magnitude, orientation)
-        except ValidationError as err:
-            field_section.fail(err)
+    field_config = field_section.build(FieldConfig, magnitude, orientation)
 
     # level scheme -----------------------------------------------------
     levels_section = doc.section("levels")
     detuning_hz = levels_section.quantity("optical_detuning", "frequency",
                                           default="1 THz")
-    levels = None
-    if material is not None and field_config is not None \
-            and detuning_hz is not None:
-        try:
-            levels = LevelScheme.from_material(material, field_config,
-                                               _TWO_PI * detuning_hz)
-        except ValidationError as err:
-            levels_section.fail(err)
+    levels = levels_section.build(
+        lambda m, f, hz: LevelScheme.from_material(m, f, _TWO_PI * hz),
+        material, field_config, detuning_hz)
 
     # dissipators --------------------------------------------------------
     diss_section = doc.section("dissipators")
@@ -393,27 +409,17 @@ def parse_run_config(document: dict) -> RunConfig:
                                             "time", default=0.0) or 0.0
     branching = diss_section.numbers("branching", (2, 2),
                                      ((0.5, 0.5), (0.5, 0.5)))
-    dissipators = None
-    if t1_rate is not None and branching is not None:
-        try:
-            dissipators = DissipatorSet(
-                radiative_rate=radiative,
-                branching=branching,
-                t1_rate=t1_rate,
-                ground_dephasing_rate=dephasing,
-                laser_dephasing_linear=laser_linear,
-                laser_dephasing_quadratic=laser_quadratic,
-            )
-        except ValidationError as err:
-            diss_section.fail(err)
+    dissipators = diss_section.build(
+        DissipatorSet, radiative, branching, t1_rate,
+        ground_dephasing_rate=dephasing,
+        laser_dephasing_linear=laser_linear,
+        laser_dephasing_quadratic=laser_quadratic)
 
     # pulse ---------------------------------------------------------------
     pulse_section = doc.section("pulse")
     pulse = None
     if pulse_section.data:
-        shape = pulse_section.choice("shape",
-                                     ("gaussian", "sech2", "rectangular"),
-                                     default="gaussian")
+        shape = pulse_section.choice("shape", _SHAPES, default="gaussian")
         duration = pulse_section.quantity("duration", "time", required=True)
         energy = pulse_section.quantity("energy", "energy")
         angle = pulse_section.quantity("rotation_angle", "angle")
@@ -424,47 +430,35 @@ def parse_run_config(document: dict) -> RunConfig:
         if energy is None and angle is None:
             pulse_section.fail("one of energy or rotation_angle is required")
         if not problems:
-            try:
-                template = PulseSpec(shape=shape, duration=duration,
-                                     energy=energy if energy is not None
-                                     else 1e-15,
-                                     calibration=calibration)
-                if angle is not None:
-                    template = PulseSpec(
-                        shape=shape, duration=duration,
-                        energy=energy_for_rotation_angle(template, levels,
-                                                         angle),
-                        calibration=calibration)
-                pulse = template
-            except ValidationError as err:
-                pulse_section.fail(err)
+            pulse = pulse_section.build(
+                PulseSpec, shape, duration,
+                1e-15 if energy is None else energy, calibration=calibration)
+        if angle is not None:
+            # solved inside the guard, so its errors name the section
+            pulse = pulse_section.build(
+                lambda p: replace(p, energy=energy_for_rotation_angle(
+                    p, levels, angle)), pulse)
 
     # bath ------------------------------------------------------------
     bath_section = doc.section("bath")
     bath = None
-    ensemble_mode = bath_section.choice("ensemble", ("exact", "mc"),
+    ensemble_mode = bath_section.choice("ensemble", _ENSEMBLE_MODES,
                                         default="exact") or "exact"
     bath_samples = bath_section.number("samples", default=1000, minimum=1,
                                        integer=True) or 1000
     bath_kind = bath_section.choice("kind", ("none", "material", "gaussian"),
                                     default="none") or "none"
     if bath_kind == "material" and material is not None:
-        mode = bath_section.choice("dispersion_mode",
-                                   ("continuum", "lattice-sum"),
+        mode = bath_section.choice("dispersion_mode", _DISPERSION_MODES,
                                    default="continuum") or "continuum"
+        # None means the default cutoff, so it goes by keyword
         cutoff = bath_section.quantity("cutoff", "length")
-        try:
-            bath = BathModel.from_material(material, mode=mode, cutoff=cutoff)
-        except ValidationError as err:
-            bath_section.fail(err)
+        bath = bath_section.build(BathModel.from_material, material,
+                                  mode=mode, cutoff=cutoff)
     elif bath_kind == "gaussian":
         t2_star = bath_section.quantity("t2_star", "time", required=True)
-        if t2_star is not None and material is not None:
-            try:
-                bath = BathModel.gaussian(t2_star,
-                                          electron_g=material.g_electron)
-            except ValidationError as err:
-                bath_section.fail(err)
+        bath = bath_section.build(BathModel.gaussian, t2_star,
+                                  getattr(material, "g_electron", None))
 
     experiment = _parse_experiment(doc.section("experiment", required=True))
     fit = _parse_fit(doc.section("fit"))
@@ -527,14 +521,8 @@ def _parse_pump_settings(section: _Section):
                                default="20 MHz")
     duration = section.quantity("duration", "time", default="10 us")
     samples = section.number("samples", default=256, minimum=1, integer=True)
-    if None in (rabi_hz, duration, samples):
-        return None
-    try:
-        return PumpSettings(rabi=_TWO_PI * rabi_hz, duration=duration,
-                            samples=samples)
-    except ValidationError as err:
-        section.fail(err)
-        return None
+    return section.build(lambda hz, t, n: PumpSettings(_TWO_PI * hz, t, n),
+                         rabi_hz, duration, samples)
 
 
 def _parse_injected(section: _Section):
@@ -542,13 +530,7 @@ def _parse_injected(section: _Section):
         return None
     time_constant = section.quantity("time_constant", "time", required=True)
     exponent = section.number("exponent", default=1.0, minimum=1.0)
-    if time_constant is None or exponent is None:
-        return None
-    try:
-        return InjectedDecoherence(time_constant, exponent)
-    except ValidationError as err:
-        section.fail(err)
-        return None
+    return section.build(InjectedDecoherence, time_constant, exponent)
 
 
 def _parse_experiment(section: _Section):
@@ -560,16 +542,8 @@ def _parse_experiment(section: _Section):
     section.check_keys(_EXPERIMENT_KEYS[kind])
     experiment: dict = {"kind": kind}
     if kind == "rabi":
-        energies = section.quantities("energies", "energy")
-        if energies is None:
-            max_energy = section.quantity("max_energy", "energy")
-            count = section.number("count", default=41, minimum=2,
-                                   integer=True)
-            if max_energy is not None and count is not None:
-                energies = list(np.linspace(0.0, max_energy, count))
-            else:
-                section.fail("rabi needs energies or max_energy")
-        experiment["energies"] = energies
+        experiment["energies"] = section.grid("energies", "max_energy",
+                                              "energy", 41, 2)
         experiment["pump"] = _parse_pump_settings(section.section("pump")) \
             if section.value("pump") is not None else None
     elif kind == "ramsey":
@@ -586,18 +560,10 @@ def _parse_experiment(section: _Section):
         experiment["tau1_values"] = tau1_values
     elif kind == "t1":
         # the recovery fit has three parameters, so it needs 4 waits
-        waits = section.quantities("waits", "time")
+        waits = section.grid("waits", "max_wait", "time", 25, 4)
         if waits is not None and len(waits) < 4:
             section.add(f"{section.at('waits')} must hold at least 4 "
                         f"entries, got {len(waits)}")
-        if waits is None:
-            max_wait = section.quantity("max_wait", "time")
-            count = section.number("count", default=25, minimum=4,
-                                   integer=True)
-            if max_wait is not None and count is not None:
-                waits = list(np.linspace(0.0, max_wait, count))
-            else:
-                section.fail("t1 needs waits or max_wait")
         experiment["waits"] = waits
         experiment["pump"] = _parse_pump_settings(section.section("pump"))
     elif kind == "pump":

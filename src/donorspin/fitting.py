@@ -245,9 +245,11 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # Levenberg-Marquardt core
 
+# LM stops at a relative parameter step or residual change below these
+_STEP_TOL, _COST_TOL = 1e-8, 1e-10
 
-def _lm_minimize(residual_fn, p0, lower, upper, max_iterations=500,
-                 step_tol=1e-8, cost_tol=1e-10):
+
+def _lm_minimize(residual_fn, p0, lower, upper, max_iterations=500):
     """Bounded LM on a residual function. Returns (p, info dict)."""
     p = np.array(p0, dtype=float)
     lower = np.asarray(lower, dtype=float)
@@ -302,11 +304,11 @@ def _lm_minimize(residual_fn, p0, lower, upper, max_iterations=500,
         rel_drop = (cost - cost_trial) / max(cost, _TINY)
         p, r, cost = trial, r_trial, cost_trial
         lam = max(lam / 3.0, 1e-12)
-        if rel_step < step_tol:
+        if rel_step < _STEP_TOL:
             converged = True
             message = "relative parameter step below tolerance"
             break
-        if rel_drop < cost_tol:
+        if rel_drop < _COST_TOL:
             converged = True
             message = "relative residual change below tolerance"
             break

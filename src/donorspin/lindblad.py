@@ -505,16 +505,15 @@ class SilencePropagator:
 # relaxation phenomenology
 
 
-def t1_rate_model(field: float, reference_time: float = 0.1,
-                  reference_field: float = 2.25,
-                  exponent: float = 3.5) -> float:
+# T1 of 0.1 s at 2.25 T, and the power of the field it falls with
+_T1_REFERENCE_TIME, _T1_REFERENCE_FIELD, _T1_EXPONENT = 0.1, 2.25, 3.5
+
+
+def t1_rate_model(field: float) -> float:
     """Ground-spin relaxation rate with a power-law field dependence.
 
-    1/T1(B) = (1/reference_time) * (B / reference_field) ** exponent,
-    anchored by default at 0.1 s for 2.25 T.
+    1/T1(B) = (1 / 0.1 s) * (B / 2.25 T) ** 3.5.
     """
     if field < 0:
         raise ValidationError(f"field must be non-negative, got {field} T")
-    if reference_time <= 0 or reference_field <= 0:
-        raise ValidationError("reference time and field must be positive")
-    return (field / reference_field) ** exponent / reference_time
+    return (field / _T1_REFERENCE_FIELD) ** _T1_EXPONENT / _T1_REFERENCE_TIME

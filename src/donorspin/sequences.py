@@ -79,6 +79,7 @@ _DOWN_FLAT = _IDX[GROUND_DOWN, GROUND_DOWN]
 _GROUND_COHERENCES = [_IDX[GROUND_UP, GROUND_DOWN],
                       _IDX[GROUND_DOWN, GROUND_UP]]
 _MC_BLOCK, _STD_COLUMNS = 512, 16  # mc samples per block; points per std
+_ENSEMBLE_MODES = ("exact", "mc")  # the bath averages a run can take
 
 
 @dataclass
@@ -329,9 +330,9 @@ def _ensemble_reduce(terms_by_shift, bath, mode, samples, durations_of):
 
 
 def _resolve_ensemble(bath, mode, n, seed):
-    if mode not in ("exact", "mc"):
-        raise ValidationError(f"unknown ensemble mode {mode!r}; "
-                              "choose 'exact' or 'mc'")
+    if mode not in _ENSEMBLE_MODES:
+        raise ValidationError(f"unknown ensemble mode {mode!r}; choose "
+                              + " or ".join(map(repr, _ENSEMBLE_MODES)))
     if bath is None or mode == "exact":
         return None
     rng = seed if isinstance(seed, np.random.Generator) \

@@ -163,6 +163,17 @@ class TestParse:
         # the pulse section exists, so no misleading missing-pulse report
         assert "requires a pulse" not in text
 
+    def test_bare_zero_in_a_quantity_list_is_zero(self):
+        doc = minimal_rabi_doc()
+        doc["experiment"] = {"kind": "rabi", "energies": [0, "0.1 nJ"]}
+        energies = d.parse_run_config(doc).experiment["energies"]
+        assert energies == pytest.approx([0.0, 1e-10], rel=1e-12, abs=0.0)
+        doc["experiment"] = {"kind": "t1",
+                             "waits": [0, "1 ms", "2 ms", "3 ms"]}
+        waits = d.parse_run_config(doc).experiment["waits"]
+        assert waits == pytest.approx([0.0, 1e-3, 2e-3, 3e-3], rel=1e-12,
+                                      abs=0.0)
+
     def test_pulse_required_for_pulsed_experiments(self):
         doc = minimal_ramsey_doc()
         del doc["pulse"]
@@ -434,6 +445,15 @@ class TestSimulateCommand:
         assert code == 2
         assert "validation error" in stderr
         assert "field.magnitude" in stderr
+
+    def test_negative_rotation_angle_names_the_pulse(self, tmp_path, capsys):
+        code, _, stderr = run_cli(
+            ["simulate", "--config", "configs/ramsey.yaml", "--set",
+             "pulse.rotation_angle=-1", "--out", str(tmp_path / "out")],
+            capsys)
+        assert code == 2
+        assert "- pulse: rotation angle must be non-negative" in stderr
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_flag_exits_2(self, capsys):
         code, _, stderr = run_cli(["simulate"], capsys)
@@ -1203,6 +1223,7 @@ _QUANTITIES = {
     "field": ["'5 T'", "'0.1 T'", "'0 T'", "'-1 T'"],
     "frequency": ["'20 MHz'", "'0 MHz'", "'-5 MHz'", "'1e300 MHz'"],
     "rate": ["auto", "'10 1/s'", "'0 1/s'", "'-1 1/s'", "'1e300 1/s'"],
+    "angle": ["'90 deg'", "'1.2 rad'", "0", "'-1 rad'", "-1"],
 }
 _JUNK = ["abc", "'5 T'", ".nan", ".inf", "null", "[1]", "{a: 1}"]
 _BRANCHING = ("[[0.3, 0.7], [0.5, 0.5]]", "[[1, 0], [0, 1]]",
@@ -1212,6 +1233,11 @@ _BRANCHING = ("[[0.3, 0.7], [0.5, 0.5]]", "[[1, 0], [0, 1]]",
 _ORIENTATION = ("[0, 0, 1]", "[1, 1, 0]", "[true, false, false]",
                 "[0, 0, 0]", "[1, 0]", "[1, 0, 0, 0]", "[.inf, 0, 0]",
                 "[1.0e+308, 1.0e+308, 0]", "[[1], 0, 0]")
+# lists of at most 3 energies and 2 first delays, several holding a bare 0
+_ENERGY_LISTS = ("[0, '0.1 nJ']", "[0, 0.0, '0.45 nJ']", "['0 nJ', 0]", "[0]",
+                 "[]", "[0, '-1 nJ']", "[0, abc]", "['0.2 nJ', 1e300]")
+_TAU1_LISTS = ("['5 us']", "[0, '10 us']", "['5 us', '10 us']", "[0]", "[]",
+               "['-5 us', '10 us']", "['1e400 s']")
 
 
 def _draw_of(kind, high=5):
@@ -1228,11 +1254,12 @@ def _draw_of(kind, high=5):
     return st.one_of(good, good, good, st.sampled_from(junk + ["1.5"]))
 
 
-# every draw stays small: at most 5 rabi points and a few hundred waits
-# or pump samples, so no run can exhaust memory
+# every draw stays small: at most 5 rabi points, 2 echo first delays and
+# a few hundred waits, pump or bath samples, so no run can exhaust memory
 _SET_DRAWS = {
     "rabi": {"experiment.count": _draw_of("count"),
              "experiment.max_energy": _draw_of("energy"),
+             "experiment.energies": _draw_of(_ENERGY_LISTS),
              "pulse.shape": _draw_of(("gaussian", "sech2", "rectangular",
                                       "square")),
              "pulse.duration": _draw_of("time"),
@@ -1258,6 +1285,20 @@ _SET_DRAWS = {
                "bath.ensemble": _draw_of(("exact", "mc")),
                "bath.samples": _draw_of("count", high=300),
                "levels.optical_detuning": _draw_of("frequency")},
+    "echo": {"experiment.tau1_values": _draw_of(_TAU1_LISTS),
+             "experiment.periods": _draw_of(("0.5", "2", "0.1")),
+             "experiment.points_per_period": _draw_of(("8", "9", "7")),
+             "experiment.injected.time_constant": _draw_of("time"),
+             "experiment.injected.exponent": _draw_of(("1", "2", "0.5")),
+             "bath.ensemble": _draw_of(("exact", "mc")),
+             "bath.samples": _draw_of("count", high=300),
+             "pulse.rotation_angle": _draw_of("angle")},
+    "estimate": {"fit.theta2": _draw_of("angle"),
+                 "fit.variant": _draw_of(("numerator-pi", "denominator-pi",
+                                          "pi")),
+                 "field.magnitude": _draw_of("field"),
+                 "field.orientation": _draw_of(_ORIENTATION),
+                 "experiment.rabi_frequency": _draw_of("frequency")},
 }
 
 
@@ -1275,7 +1316,8 @@ def test_set_overrides_keep_the_exit_code_contract(tmp_path_factory, config,
                                                    data):
     overrides = data.draw(st.fixed_dictionaries(
         {}, optional=_SET_DRAWS[config]))
-    argv = ["simulate", "--config", f"configs/{config}.yaml"]
+    command = "estimate" if config == "estimate" else "simulate"
+    argv = [command, "--config", f"configs/{config}.yaml"]
     if config == "rabi" and "experiment.count" not in overrides:
         argv += ["--set", "experiment.count=3"]
     for key, value in overrides.items():
