@@ -427,17 +427,17 @@ def parse_run_config(document: dict) -> RunConfig:
                                            minimum=0.0)
         if energy is not None and angle is not None:
             pulse_section.fail("give energy or rotation_angle, not both")
-        if energy is None and angle is None:
+        elif energy is None and angle is None:
             pulse_section.fail("one of energy or rotation_angle is required")
-        if not problems:
+        else:
             pulse = pulse_section.build(
                 PulseSpec, shape, duration,
-                1e-15 if energy is None else energy, calibration=calibration)
+                1e-15 if energy is None else energy, 0.0, calibration)
         if angle is not None:
             # solved inside the guard, so its errors name the section
             pulse = pulse_section.build(
-                lambda p: replace(p, energy=energy_for_rotation_angle(
-                    p, levels, angle)), pulse)
+                lambda p, lv: replace(p, energy=energy_for_rotation_angle(
+                    p, lv, angle)), pulse, levels)
 
     # bath ------------------------------------------------------------
     bath_section = doc.section("bath")
@@ -466,7 +466,7 @@ def parse_run_config(document: dict) -> RunConfig:
     # a drive that overflows is a listed problem, not a failed run: the
     # generator at the pulse peak scales with these two rates, and no
     # entry of a pump step exceeds 1 in a true propagator
-    if pulse is not None and not math.isfinite(
+    if None not in (pulse, dissipators) and not math.isfinite(
             dissipators.laser_dephasing_rate(pulse.peak_rabi)):
         key = "pulse.energy" if angle is None else "levels.optical_detuning"
         doc.add(f"{key}: the pulse energy {pulse.energy:.6g} J makes the "

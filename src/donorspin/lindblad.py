@@ -487,7 +487,8 @@ class SilencePropagator:
         Returns {s: (n, 16)} for s in (0, +1, -1) such that the state
         after gap ``taus[k]`` at detuning delta is the sum over s of
         exp(-i*delta*s*taus[k]) * out[s][k]; s is read from
-        :attr:`detuning_sign`. ``vec`` may be one branch of a state,
+        :attr:`detuning_sign`. ``vec`` is one state for every gap or an
+        (n, 16) stack of one state per gap. A state may be one branch,
         whose populations are complex; they stay complex so that the
         branches still sum to the state.
         """
@@ -495,8 +496,9 @@ class SilencePropagator:
         pop_idx = np.diag(_IDX)
         moved = np.exp(np.multiply.outer(taus, self.coherence_rate.ravel())) \
             * vec
-        moved[:, pop_idx] = [self.population_matrix(float(tau)) @ vec[pop_idx]
-                             for tau in taus]
+        rows = np.broadcast_to(vec, moved.shape)
+        moved[:, pop_idx] = [self.population_matrix(float(tau)) @ v[pop_idx]
+                             for tau, v in zip(taus, rows)]
         groups = -self.detuning_sign.imag.ravel()
         return {s: np.where(groups == s, moved, 0.0) for s in (0, 1, -1)}
 

@@ -6,19 +6,19 @@ pulse shape and energy), the analytic between-pulse propagator, and an
 average over the frozen Overhauser detuning of each donor.
 
 Ramsey and echo share one contraction: equal pulse windows separated
-by silent gaps. The detuning enters only through phase factors on
-coherences involving the spin-up level, so
-:meth:`SilencePropagator.split_by_detuning` splits the state across a
-gap into detuning groups s in (0, +1, -1) that gain
-exp(-i*delta*s*gap); one such split serves a fixed gap (one length) and
-the scanned gap (every length at once). A pathway is keyed by a sign
-tuple, one sign per gap, and its phase duration is sum(s * gap): a
-Ramsey scan has one gap, an echo two (tau1 fixed, tau2 scanned). The
-detuning-independent complex amplitude of each key is contracted with
-either the bath's characteristic function at that duration (``exact``
-ensemble mode) or the empirical phase average of Monte Carlo samples
-(``mc`` mode). A thousand-sample Ramsey scan therefore costs
-milliseconds, not hours.
+by silent gaps, one row per scan point. The detuning enters only
+through phase factors on coherences involving the spin-up level, so
+:meth:`SilencePropagator.split_by_detuning` splits each row's state
+across its gap into detuning groups s in (0, +1, -1) that gain
+exp(-i*delta*s*gap). Every gap is a per-row array. A pathway is keyed
+by a sign tuple, one sign per gap, and its phase duration is
+sum(s * gap): a Ramsey scan has one gap, an echo two (tau1 repeated
+on each row of its tau2 scan), and an echo decay joins all its scans.
+The detuning-independent complex amplitude of each key is contracted
+with either the bath's characteristic function at that duration
+(``exact`` ensemble mode) or the empirical phase average of Monte
+Carlo samples (``mc`` mode). A thousand-sample Ramsey scan therefore
+costs milliseconds, not hours.
 
 Timing convention: delays are pulse-center to pulse-center, and the
 drive-free stretch between two windows of half-width w is that delay
@@ -368,41 +368,35 @@ def _clip_populations(values: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def _split_gap(silence, u, taus, mults):
-    """Split one branch across a gap; ``mults`` scale its ground coherence."""
-    groups = silence.split_by_detuning(u, taus)
-    for s in (1, -1):
-        groups[s][:, _GROUND_COHERENCES] *= np.asarray(mults)[:, None]
-    return groups
+def _contract(window, silence, rho0, gaps, mults, bath, mode, samples,
+              abscissa, abscissa_name) -> ExperimentTrace:
+    """Equal pulse windows separated by silent gaps, one row per point.
 
-
-def _contract(window, silence, rho0, gaps, mults, scan, scan_mult, bath,
-              mode, samples, abscissa, abscissa_name) -> ExperimentTrace:
-    """Equal pulse windows separated by silent gaps, the last one scanned.
-
-    The window acts on ``rho0``; each fixed gap (with its injected
-    ground-coherence factor from ``mults``) splits every branch into
-    its detuning groups and is followed by another window. The scanned
-    gap ``scan`` (factors ``scan_mult``) splits each branch once, and
-    that split is contracted against the final window's p_up and p_down
-    rows. A key holds one sign per gap, and its phase duration is
+    The window acts on ``rho0``. Gap j of row k lasts ``gaps[j][k]``
+    and scales the ground coherence by ``mults[j][k]``; it splits every
+    branch into its detuning groups, and the next window acts on each
+    group. The final window's p_up and p_down rows read the last split.
+    A key holds one sign per gap, and its phase duration is
     sum(s * gap).
     """
-    branches = {(): window @ rho0.reshape(16)}
+    branches = {(): rho0.reshape(16)}
     for gap, mult in zip(gaps, mults):
-        branches = {key + (s,): window @ v[0]
-                    for key, u in branches.items()
-                    for s, v in _split_gap(silence, u, [gap], [mult]).items()}
-    scanned = {key + (s,): v
-               for key, u in branches.items()
-               for s, v in _split_gap(silence, u, scan, scan_mult).items()}
+        # a stack of matrix-vector products keeps the bits of one
+        # product per row, which v @ window.T does not
+        branches = {key + (s,): v for key, u in branches.items()
+                    for s, v in silence.split_by_detuning(
+                        (window @ u[..., None])[..., 0], gap).items()}
+        for v in branches.values():
+            v[:, _GROUND_COHERENCES] *= mult[:, None]
 
     def durations(key):
-        return sum((s * gap for s, gap in zip(key, gaps)), key[-1] * scan)
+        # no 0.0 start: a zero gap keeps the sign the mc mirror match reads
+        return sum((s * gap for s, gap in zip(key[1:], gaps[1:])),
+                   key[0] * gaps[0])
 
     results = {}
     for name, flat in (("p_up", _UP_FLAT), ("p_down", _DOWN_FLAT)):
-        terms = {key: v @ window[flat] for key, v in scanned.items()}
+        terms = {key: v @ window[flat] for key, v in branches.items()}
         mean, stderr = _ensemble_reduce(terms, bath, mode, samples, durations)
         results[name] = (_clip_populations(mean), stderr)
     return ExperimentTrace(
@@ -410,6 +404,27 @@ def _contract(window, silence, rho0, gaps, mults, scan, scan_mult, bath,
         p_up=results["p_up"][0], p_down=results["p_down"][0],
         p_up_stderr=results["p_up"][1],
         p_down_stderr=results["p_down"][1]).validate()
+
+
+def _window_fits(windows, trace, larmor):
+    """Center, visibility and its stderr of each window of ``trace``.
+
+    The visibility is fitted at the precession frequency ``larmor``; a
+    window of fewer than four points gets nan.
+    """
+    fits, start = [], 0
+    for win in windows:
+        stop = start + len(win)
+        vis = err = math.nan
+        if len(win) >= 4:
+            stderr = trace.p_up_stderr[start:stop] \
+                if trace.p_up_stderr is not None else None
+            fit = fit_fringe(win, trace.p_up[start:stop],
+                             known_frequency=larmor, stderr=stderr)
+            vis, err = fit.visibility, fit.visibility_stderr
+        fits.append((float(np.mean(win)), vis, err))
+        start = stop
+    return [np.asarray(column) for column in zip(*fits)]
 
 
 # ---------------------------------------------------------------------------
@@ -555,32 +570,9 @@ def run_ramsey(tau, levels: LevelScheme, pulse: PulseSpec,
     mult = injected.ratio(0.0, all_tau) if injected is not None \
         else np.ones_like(all_tau)
     trace = _contract(window, SilencePropagator(levels, dissipators),
-                      _as_matrix(None), (), (),
-                      np.maximum(all_tau - 2.0 * w, 0.0), mult, bath,
-                      ensemble_mode, samples, all_tau, "tau_s")
-
-    centers, vis, vis_err = [], [], []
-    start = 0
-    for win in windows:
-        stop = start + len(win)
-        centers.append(float(np.mean(win)))
-        if len(win) >= 4:
-            stderr = trace.p_up_stderr[start:stop] \
-                if trace.p_up_stderr is not None else None
-            fit = fit_fringe(win, trace.p_up[start:stop],
-                             known_frequency=larmor, stderr=stderr)
-            vis.append(fit.visibility)
-            vis_err.append(fit.visibility_stderr)
-        else:
-            vis.append(math.nan)
-            vis_err.append(math.nan)
-        start = stop
-    return RamseyResult(
-        trace=trace,
-        window_centers=np.asarray(centers),
-        visibilities=np.asarray(vis),
-        visibility_stderr=np.asarray(vis_err),
-    )
+                      _as_matrix(None), (np.maximum(all_tau - 2.0 * w, 0.0),),
+                      (mult,), bath, ensemble_mode, samples, all_tau, "tau_s")
+    return RamseyResult(trace, *_window_fits(windows, trace, larmor))
 
 
 def fringe_visibilities(energies, levels: LevelScheme, pulse: PulseSpec,
@@ -621,13 +613,51 @@ class EchoResult:
     trace: ExperimentTrace
 
 
+def _run_echoes(tau1_values, scans, levels, pulse, dissipators, bath=None,
+                ensemble_mode="exact", bath_samples=1000, seed=None,
+                initial=None, pump=None, injected=None, expm_steps=1024):
+    """Echo scans, tau2 scan k at tau1_values[k], as one contraction.
+
+    Every scan is checked first; the bath is drawn, the initial state
+    prepared and the pulse window built once for all of them. Returns
+    the joined trace and each scan's total time, amplitude and stderr.
+    """
+    w = pulse.half_window
+    larmor = levels.electron_splitting
+    for tau1, tau2 in zip(tau1_values, scans):
+        if tau2.ndim != 1 or len(tau2) == 0:
+            raise ValidationError("tau2 must be a non-empty 1-D sequence")
+        if np.any(np.diff(tau2) <= 0):
+            raise ValidationError("tau2 values must be strictly increasing")
+        if tau1 < 2.0 * w:
+            raise ValidationError(f"tau1 must be >= one full pulse window "
+                                  f"(2w = {2 * w:.3e} s)")
+        if tau2[0] < 2.0 * w:
+            raise ValidationError(f"tau2 must be >= one full pulse window "
+                                  f"(2w = {2 * w:.3e} s)")
+        _check_sampling(tau2, larmor, "tau2")
+
+    samples = _resolve_ensemble(bath, ensemble_mode, bath_samples, seed)
+    rho0 = _prepare_initial(initial, pump, levels, dissipators)
+    window = pulse_window_propagator(levels, pulse, dissipators,
+                                     expm_steps=expm_steps)
+    tau1 = np.repeat(tau1_values, [len(scan) for scan in scans])
+    tau2 = np.concatenate(scans)
+    mults = (injected.ratio(0.0, tau1), injected.ratio(tau1, tau1 + tau2)) \
+        if injected is not None else (np.ones_like(tau2),) * 2
+    trace = _contract(window, SilencePropagator(levels, dissipators), rho0,
+                      (tau1 - 2.0 * w, tau2 - 2.0 * w), mults, bath,
+                      ensemble_mode, samples, tau2, "tau2_s")
+    centers, amplitudes, stderr = _window_fits(scans, trace, larmor)
+    return trace, tau1_values + centers, amplitudes, stderr
+
+
 def run_echo(tau1: float, tau2, levels: LevelScheme, pulse: PulseSpec,
              dissipators: DissipatorSet, bath: BathModel | None = None,
              ensemble_mode: str = "exact", bath_samples: int = 1000,
              seed=None, initial=None, pump: PumpSettings | None = None,
              injected: InjectedDecoherence | None = None,
-             expm_steps: int = 1024, *,
-             _window: np.ndarray | None = None) -> EchoResult:
+             expm_steps: int = 1024) -> EchoResult:
     """Three equal pulses at 0, tau1, tau1+tau2; scan tau2, read p_up.
 
     A static detuning acquired over tau1 unwinds over tau2, so the
@@ -635,44 +665,13 @@ def run_echo(tau1: float, tau2, levels: LevelScheme, pulse: PulseSpec,
     condition tau2 = tau1 and, for a purely static bath, is independent
     of tau1 + tau2. An ``injected`` channel multiplies the ground
     coherence by its cumulative envelope and is what a decay fit
-    recovers. ``_window`` is a prebuilt pulse-window propagator for
-    this pulse, shared by the points of :func:`run_echo_decay`.
+    recovers. A scan of fewer than four points has a nan amplitude.
     """
-    tau2 = np.asarray(tau2, dtype=float)
-    if tau2.ndim != 1 or len(tau2) == 0:
-        raise ValidationError("tau2 must be a non-empty 1-D sequence")
-    if np.any(np.diff(tau2) <= 0):
-        raise ValidationError("tau2 values must be strictly increasing")
-    w = pulse.half_window
-    if tau1 < 2.0 * w:
-        raise ValidationError(f"tau1 must be >= one full pulse window "
-                              f"(2w = {2 * w:.3e} s)")
-    if tau2[0] < 2.0 * w:
-        raise ValidationError(f"tau2 must be >= one full pulse window "
-                              f"(2w = {2 * w:.3e} s)")
-    larmor = levels.electron_splitting
-    _check_sampling(tau2, larmor, "tau2")
-
-    samples = _resolve_ensemble(bath, ensemble_mode, bath_samples, seed)
-    rho0 = _prepare_initial(initial, pump, levels, dissipators)
-    window = _window if _window is not None else pulse_window_propagator(
-        levels, pulse, dissipators, expm_steps=expm_steps)
-
-    mult1 = float(injected.ratio(0.0, tau1)) if injected is not None else 1.0
-    mult2 = injected.ratio(tau1, tau1 + tau2) if injected is not None \
-        else np.ones_like(tau2)
-    trace = _contract(window, SilencePropagator(levels, dissipators), rho0,
-                      (tau1 - 2.0 * w,), (mult1,), tau2 - 2.0 * w, mult2,
-                      bath, ensemble_mode, samples, tau2, "tau2_s")
-
-    fringe = fit_fringe(tau2, trace.p_up, known_frequency=larmor,
-                        stderr=trace.p_up_stderr)
-    return EchoResult(
-        total_time=float(tau1 + np.mean(tau2)),
-        amplitude=fringe.visibility,
-        amplitude_stderr=fringe.visibility_stderr,
-        trace=trace,
-    )
+    trace, times, amplitudes, stderr = _run_echoes(
+        np.array([tau1], dtype=float), [np.asarray(tau2, dtype=float)],
+        levels, pulse, dissipators, bath, ensemble_mode, bath_samples, seed,
+        initial, pump, injected, expm_steps)
+    return EchoResult(float(times[0]), amplitudes[0], stderr[0], trace)
 
 
 @dataclass
@@ -682,7 +681,7 @@ class EchoDecayResult:
     total_times: np.ndarray
     amplitudes: np.ndarray
     amplitude_stderr: np.ndarray
-    points: list
+    trace: ExperimentTrace
 
     def as_rows(self):
         header = ["echo_total_s", "amplitude", "amplitude_stderr"]
@@ -693,36 +692,23 @@ class EchoDecayResult:
 
 def run_echo_decay(tau1_values, levels: LevelScheme, pulse: PulseSpec,
                    dissipators: DissipatorSet, periods: float = 2.0,
-                   points_per_period: int = 9, *, initial=None,
-                   pump: PumpSettings | None = None,
-                   expm_steps: int = 1024, **kwargs) -> EchoDecayResult:
+                   points_per_period: int = 9, **kwargs) -> EchoDecayResult:
     """Echo amplitude versus total time: one fringe scan per tau1.
 
     Each tau1 gets a tau2 scan of ``periods`` precession periods
-    centered on the echo condition tau2 = tau1. The initial state and
-    the pulse propagator are prepared once and shared by every point.
-    Keyword arguments pass through to :func:`run_echo`.
+    centered on the echo condition tau2 = tau1. One draw of the bath,
+    one initial state and one pulse propagator serve every scan, and
+    ``trace`` joins the scans in order. Keyword arguments are those of
+    :func:`run_echo`.
     """
     tau1_values = np.asarray(tau1_values, dtype=float)
     if tau1_values.ndim != 1 or len(tau1_values) == 0:
         raise ValidationError("tau1_values must be a non-empty 1-D sequence")
-    larmor = levels.electron_splitting
-    rho0 = _prepare_initial(initial, pump, levels, dissipators)
-    window = pulse_window_propagator(levels, pulse, dissipators,
-                                     expm_steps=expm_steps)
-    points = []
-    for tau1 in tau1_values:
-        scan = ramsey_window_plan([tau1], larmor, periods,
-                                  points_per_period)[0]
-        points.append(run_echo(float(tau1), scan, levels, pulse, dissipators,
-                               initial=rho0, expm_steps=expm_steps,
-                               _window=window, **kwargs))
-    return EchoDecayResult(
-        total_times=np.array([p.total_time for p in points]),
-        amplitudes=np.array([p.amplitude for p in points]),
-        amplitude_stderr=np.array([p.amplitude_stderr for p in points]),
-        points=points,
-    )
+    scans = ramsey_window_plan(tau1_values, levels.electron_splitting,
+                               periods, points_per_period)
+    trace, times, amplitudes, stderr = _run_echoes(
+        tau1_values, scans, levels, pulse, dissipators, **kwargs)
+    return EchoDecayResult(times, amplitudes, stderr, trace)
 
 
 # ---------------------------------------------------------------------------

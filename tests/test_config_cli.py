@@ -903,6 +903,24 @@ def test_gaussian_bath_t2_star_is_listed_with_every_problem(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_a_bad_pulse_is_listed_with_every_problem(tmp_path, capsys):
+    # the pulse was once built only when no other problem was listed
+    bad_pulse = "pulse: invalid pulse: pulse duration must be positive"
+    with pytest.raises(d.ValidationError) as err:
+        d.load_run_config("configs/rabi.yaml", [
+            "pulse.duration=-1 ps", "dissipators.ground_dephasing_rate=abc"])
+    assert len(err.value.problems) == 2
+    assert any(p.startswith(bad_pulse) for p in err.value.problems)
+    code, _, stderr = run_cli(
+        ["simulate", "--config", "configs/ramsey.yaml",
+         "--set", "field.magnitude=abc", "--set", "pulse.duration=-1 ps",
+         "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert "field.magnitude" in stderr and bad_pulse in stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "estimate", "fit"])
 def test_only_sweep_takes_jobs(command):
     with pytest.raises(SystemExit):

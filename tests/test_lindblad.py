@@ -219,6 +219,21 @@ class TestSilencePropagator:
             assert np.max(np.abs(whole[s] - a * parts[0][s]
                                  - b * parts[1][s])) < 1e-14
 
+    def test_split_by_detuning_takes_one_state_per_gap(self, levels_5t,
+                                                       lossy):
+        # one row per gap, complex branch rows included, gives the bits
+        # of one call per row
+        rng = np.random.default_rng(31)
+        silence = SilencePropagator(levels_5t, lossy)
+        rows = [random_density_matrix(rng).reshape(16)]
+        rows += list(rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16)))
+        taus = np.array([0.0, 2e-11, 5e-9])
+        stacked = silence.split_by_detuning(np.array(rows), taus)
+        for k, (u, tau) in enumerate(zip(rows, taus)):
+            single = silence.split_by_detuning(u, [tau])
+            for s in (0, 1, -1):
+                assert np.array_equal(stacked[s][k], single[s][0])
+
     def test_population_block_conserves_probability(self, levels_5t, lossy):
         silence = SilencePropagator(levels_5t, lossy)
         p = silence.population_matrix(1e-6)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -44,6 +47,18 @@ def _outside_text() -> str:
     return "\n".join(p.read_text(encoding="utf-8") for p in files)
 
 
+# the parameters that the benchmark's probes bind by name
+PROBED_PARAMETERS = {
+    "lindblad.pulse_window_propagator": (
+        "levels", "pulse", "dissipators", "config", "spin_detuning",
+        "expm_steps"),
+    "bath.BathModel.sample_detunings": ("n",),
+    "fitting.fit_fringe": ("known_frequency",),
+    "fitting.ingest_trace": ("path",),
+    "cli.write_trace_file": ("path",),
+}
+
+
 def test_every_export_is_used_outside_tests():
     modules = [_Module(path) for path in sorted(PACKAGE.glob("*.py"))
                if path.name not in ("__init__.py", "__main__.py")]
@@ -55,3 +70,27 @@ def test_every_export_is_used_outside_tests():
               if not any(other.mentions(name) for other in modules)
               and not re.search(rf"\b{re.escape(name)}\b", outside)]
     assert unused == []
+
+
+def test_the_benchmark_traces_live_names():
+    # the benchmark wraps these by name, so a deleted or renamed one
+    # would leave its spans empty rather than fail a run
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for full in tracing.traced_names():
+        module, *path = full.split(".")
+        target = importlib.import_module(f"donorspin.{module}")
+        for attr in path:
+            target = getattr(target, attr, None)
+        if not callable(target):
+            missing.append(full)
+            continue
+        parameters = inspect.signature(target).parameters
+        missing += [f"{full}({name}=)"
+                    for name in PROBED_PARAMETERS.get(full, ())
+                    if name not in parameters]
+    assert missing == []
+    assert set(PROBED_PARAMETERS) <= set(tracing.traced_names())

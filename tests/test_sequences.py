@@ -265,6 +265,24 @@ class TestEchoDualRoute:
                                      detuning=delta)
             assert abs(result.trace.p_up[k] - brute) < bound
 
+    def test_decay_rows_match_brute_force_within_window_bound(
+            self, levels_5t, quiet, half_pi_pulse):
+        # one contraction holds both scans, whose rows differ in the
+        # first gap
+        delta = TWO_PI * 30e6
+        tau1_values = np.array([self.TAU1, 3e-9])
+        decay = d.run_echo_decay(tau1_values, levels_5t, half_pi_pulse,
+                                 quiet, bath=spike_bath(delta, 1.97),
+                                 ensemble_mode="exact")
+        bound = delta * 3.0 * 2.0 * half_pi_pulse.half_window + 1e-4
+        n = len(decay.trace.abscissa) // len(tau1_values)
+        for j, tau1 in enumerate(tau1_values):
+            for k in (j * n + 3, j * n + 13):
+                tau2 = decay.trace.abscissa[k]
+                brute = brute_force_p_up((0.0, tau1, tau1 + tau2), levels_5t,
+                                         half_pi_pulse, quiet, detuning=delta)
+                assert abs(decay.trace.p_up[k] - brute) < bound
+
 
 class TestRamseyEnsembles:
     def test_mc_agrees_with_exact(self, levels_5t, quiet, half_pi_pulse):
@@ -505,19 +523,35 @@ class TestPropagatorBuilds:
                                  **options)
         assert len(builds) == 1
 
-        # one generator drawn from in turn, as the decay draws per tau1
-        rng = np.random.default_rng(4)
+        # the decay draws the bath once for every tau1
         larmor = levels_5t.electron_splitting
         singles = [d.run_echo(tau1, d.ramsey_window_plan([tau1], larmor)[0],
-                              levels_5t, half_pi_pulse, lossy, seed=rng,
-                              **options)
+                              levels_5t, half_pi_pulse, lossy,
+                              seed=np.random.default_rng(4), **options)
                    for tau1 in tau1_values]
         assert np.array_equal(decay.amplitudes,
                               [p.amplitude for p in singles])
         assert np.array_equal(decay.amplitude_stderr,
                               [p.amplitude_stderr for p in singles])
-        for point, single in zip(decay.points, singles):
-            assert np.array_equal(point.trace.p_up, single.trace.p_up)
+        assert np.array_equal(decay.trace.p_up, np.concatenate(
+            [single.trace.p_up for single in singles]))
+
+
+def test_mc_echo_decay_draws_the_bath_once(monkeypatch, levels_5t, quiet,
+                                          half_pi_pulse):
+    draws = []
+    original = BathModel.sample_detunings
+
+    def counted(self, rng, n):
+        draws.append(n)
+        return original(self, rng, n)
+
+    monkeypatch.setattr(BathModel, "sample_detunings", counted)
+    d.run_echo_decay(np.array([2e-7, 5e-7, 9e-7]), levels_5t, half_pi_pulse,
+                     quiet, bath=BathModel.gaussian(17e-9, 1.97),
+                     ensemble_mode="mc", bath_samples=64, seed=3,
+                     expm_steps=64)
+    assert draws == [64]
 
 
 class TestT1Recovery:
