@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -249,7 +249,7 @@ class FitResult:
 _STEP_TOL, _COST_TOL = 1e-8, 1e-10
 
 
-def _lm_minimize(residual_fn, p0, lower, upper, max_iterations=500):
+def _lm_minimize(residual_fn, p0, lower, upper, max_iterations):
     """Bounded LM on a residual function. Returns (p, info dict)."""
     p = np.array(p0, dtype=float)
     lower = np.asarray(lower, dtype=float)
@@ -265,7 +265,6 @@ def _lm_minimize(residual_fn, p0, lower, upper, max_iterations=500):
     iterations = 0
     converged = False
     message = "iteration limit reached"
-    jac = None
 
     for iterations in range(1, max_iterations + 1):
         jac = _numeric_jacobian(residual_fn, p, lower, upper, r)
@@ -313,7 +312,7 @@ def _lm_minimize(residual_fn, p0, lower, upper, max_iterations=500):
             message = "relative residual change below tolerance"
             break
 
-    if jac is not None and converged:
+    if converged:
         # Normalize columns before the rank test: parameters carry
         # wildly different units, so raw singular values only reflect
         # scale. A parameter is unconstrained when its column is zero
@@ -403,8 +402,7 @@ def _least_squares(kind, specs, residual_fn, max_iterations) -> FitResult:
     """Run LM from the :class:`ParameterSpec` inits and summarize the fit.
 
     The covariance is the reduced chi-square times the pseudo-inverse
-    of J^T J, from the last Jacobian of the run (or one computed at the
-    result when no iteration ran).
+    of J^T J, from the last Jacobian of the run.
     """
     names = tuple(spec.name for spec in specs)
     lower = np.array([spec.lower for spec in specs])
@@ -413,8 +411,6 @@ def _least_squares(kind, specs, residual_fn, max_iterations) -> FitResult:
                            lower, upper, max_iterations)
     dof = max(info["residual"].size - len(names), 1)
     jac = info["jacobian"]
-    if jac is None:
-        jac = _numeric_jacobian(residual_fn, p, lower, upper, info["residual"])
     cov = info["cost"] / dof * np.linalg.pinv(jac.T @ jac)
     cov = 0.5 * (cov + cov.T)
     sigma = np.sqrt(np.maximum(np.diag(cov), 0.0))

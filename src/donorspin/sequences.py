@@ -5,20 +5,22 @@ pieces: a pulse-window superoperator (numerically integrated once per
 pulse shape and energy), the analytic between-pulse propagator, and an
 average over the frozen Overhauser detuning of each donor.
 
-Ramsey and echo share one contraction: equal pulse windows separated
-by silent gaps, one row per scan point. The detuning enters only
-through phase factors on coherences involving the spin-up level, so
-:meth:`SilencePropagator.split_by_detuning` splits each row's state
-across its gap into detuning groups s in (0, +1, -1) that gain
-exp(-i*delta*s*gap). Every gap is a per-row array. A pathway is keyed
-by a sign tuple, one sign per gap, and its phase duration is
-sum(s * gap): a Ramsey scan has one gap, an echo two (tau1 repeated
+Every pulse experiment is one contraction: pulse windows separated by
+silent gaps, one row per scan point. A Rabi scan has no gap and one
+window per energy; a Ramsey scan has one gap, as has the joint fit's
+fringe side, with rows of every energy; an echo has two (tau1 repeated
 on each row of its tau2 scan), and an echo decay joins all its scans.
+The detuning enters only through phase factors on coherences involving
+the spin-up level, so :meth:`SilencePropagator.split_by_detuning`
+splits each row's state across its gap into detuning groups s in
+(0, +1, -1) that gain exp(-i*delta*s*gap). A pathway is keyed by a
+sign tuple, one sign per gap, and its phase duration is sum(s * gap).
 The detuning-independent complex amplitude of each key is contracted
 with either the bath's characteristic function at that duration
 (``exact`` ensemble mode) or the empirical phase average of Monte
-Carlo samples (``mc`` mode). A thousand-sample Ramsey scan therefore
-costs milliseconds, not hours.
+Carlo samples (``mc`` mode), so a thousand-sample Ramsey scan costs
+milliseconds, not hours. One check reads the population rows of every
+contraction and of a T1 recovery.
 
 Timing convention: delays are pulse-center to pulse-center, and the
 drive-free stretch between two windows of half-width w is that delay
@@ -97,22 +99,6 @@ class ExperimentTrace:
         self.abscissa = np.asarray(self.abscissa, dtype=float)
         self.p_up = np.asarray(self.p_up, dtype=float)
         self.p_down = np.asarray(self.p_down, dtype=float)
-
-    def validate(self, tol: float = 1e-6) -> "ExperimentTrace":
-        problems = []
-        for name, values in (("p_up", self.p_up), ("p_down", self.p_down)):
-            if values.shape != self.abscissa.shape:
-                problems.append(f"{name} length differs from abscissa")
-                continue
-            if np.any(values < -tol) or np.any(values > 1.0 + tol):
-                problems.append(f"{name} leaves [0, 1]")
-        if self.p_up.shape == self.p_down.shape \
-                and np.any(self.p_up + self.p_down > 1.0 + tol):
-            problems.append("p_up + p_down exceeds 1")
-        if problems:
-            raise ValidationError("invalid trace: " + "; ".join(problems),
-                                  problems)
-        return self
 
     def as_rows(self):
         """(header, rows) ready for delimited-file output."""
@@ -358,28 +344,38 @@ def _check_sampling(taus: np.ndarray, larmor: float, label: str):
             f"precession; use a step of at most {limit:.3e} s")
 
 
-def _clip_populations(values: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        raise NumericsError("population is not finite")
-    if np.any(values < -tol) or np.any(values > 1.0 + tol):
-        raise NumericsError(
-            f"population left [0, 1] by more than {tol}: "
-            f"range [{values.min():.3e}, {values.max():.3e}]")
-    return np.clip(values, 0.0, 1.0)
+def _clip_populations(p_up, p_down, tol: float = 1e-6):
+    """Both population rows, checked and clipped to [0, 1].
 
-
-def _contract(window, silence, rho0, gaps, mults, bath, mode, samples,
-              abscissa, abscissa_name) -> ExperimentTrace:
-    """Equal pulse windows separated by silent gaps, one row per point.
-
-    The window acts on ``rho0``. Gap j of row k lasts ``gaps[j][k]``
-    and scales the ground coherence by ``mults[j][k]``; it splits every
-    branch into its detuning groups, and the next window acts on each
-    group. The final window's p_up and p_down rows read the last split.
-    A key holds one sign per gap, and its phase duration is
-    sum(s * gap).
+    A non-finite value, a row outside [0, 1] or a pair summing above 1,
+    by more than ``tol``, raises NumericsError stating the excursion.
     """
-    branches = {(): rho0.reshape(16)}
+    if not np.all(np.isfinite(p_up + p_down)):
+        raise NumericsError("population is not finite")
+    up, down = np.clip(p_up, 0.0, 1.0), np.clip(p_down, 0.0, 1.0)
+    for what, excess in (
+            ("p_up left [0, 1]", np.abs(p_up - up).max(initial=0.0)),
+            ("p_down left [0, 1]", np.abs(p_down - down).max(initial=0.0)),
+            ("p_up + p_down exceeds 1", (up + down).max(initial=1.0) - 1.0)):
+        if excess > tol:
+            raise NumericsError(f"{what} by {excess:.3e}, more than {tol}")
+    return up, down
+
+
+def _contract(window, rho0, abscissa, abscissa_name, silence=None, gaps=(),
+              mults=(), bath=None, mode="exact", samples=None
+              ) -> ExperimentTrace:
+    """Pulse windows separated by silent gaps, one row per point.
+
+    ``window`` is one (16, 16) window for all rows or an (n, 16, 16)
+    stack, one per row; it acts on ``rho0``. Gap j of row k lasts
+    ``gaps[j][k]`` and scales the ground coherence by ``mults[j][k]``;
+    it splits every branch into its detuning groups, and the next
+    window acts on each group. The final window's p_up and p_down rows
+    read the last split (``rho0`` with no gap). A key holds one sign
+    per gap, and its phase duration is sum(s * gap).
+    """
+    branches = {(): np.broadcast_to(rho0.reshape(16), (len(abscissa), 16))}
     for gap, mult in zip(gaps, mults):
         # a stack of matrix-vector products keeps the bits of one
         # product per row, which v @ window.T does not
@@ -394,16 +390,16 @@ def _contract(window, silence, rho0, gaps, mults, bath, mode, samples,
         return sum((s * gap for s, gap in zip(key[1:], gaps[1:])),
                    key[0] * gaps[0])
 
-    results = {}
-    for name, flat in (("p_up", _UP_FLAT), ("p_down", _DOWN_FLAT)):
-        terms = {key: v @ window[flat] for key, v in branches.items()}
-        mean, stderr = _ensemble_reduce(terms, bath, mode, samples, durations)
-        results[name] = (_clip_populations(mean), stderr)
-    return ExperimentTrace(
-        abscissa=abscissa, abscissa_name=abscissa_name,
-        p_up=results["p_up"][0], p_down=results["p_down"][0],
-        p_up_stderr=results["p_up"][1],
-        p_down_stderr=results["p_down"][1]).validate()
+    rows = []
+    for flat in (_UP_FLAT, _DOWN_FLAT):
+        # one dot per row keeps the bits of a gemv and of a lone dot
+        terms = {key: np.einsum("...i,...i->...", window[..., flat, :], v,
+                                optimize=True)
+                 for key, v in branches.items()}
+        rows.append(_ensemble_reduce(terms, bath, mode, samples, durations))
+    (p_up, up_err), (p_down, down_err) = rows
+    return ExperimentTrace(abscissa, abscissa_name,
+                           *_clip_populations(p_up, p_down), up_err, down_err)
 
 
 def _window_fits(windows, trace, larmor):
@@ -431,35 +427,24 @@ def _window_fits(windows, trace, larmor):
 # single-pulse experiments
 
 
-def _pulse_populations(energies, levels, pulse, dissipators, initial,
-                       expm_steps, flats, integrator=None):
-    """Populations after one control pulse, one propagator per energy.
-
-    Returns one clipped (n,) array per flat density-matrix index in
-    ``flats``, all read from the same pulse-window propagator.
-    """
-    v0 = _as_matrix(initial).reshape(16)
-    out = np.empty((len(flats), len(energies)))
-    for k, energy in enumerate(energies):
-        w = pulse_window_propagator(levels, replace(pulse, energy=float(energy)),
-                                    dissipators, config=integrator,
-                                    expm_steps=expm_steps)
-        for j, flat in enumerate(flats):
-            out[j, k] = float(np.real(w[flat] @ v0))
-    return [_clip_populations(row) for row in out]
+def _windows(energies, levels, pulse, dissipators, expm_steps,
+             integrator=None):
+    """One pulse window per energy, as an (n, 16, 16) stack."""
+    return np.array([
+        pulse_window_propagator(levels, replace(pulse, energy=float(energy)),
+                                dissipators, config=integrator,
+                                expm_steps=expm_steps)
+        for energy in energies]).reshape(-1, 16, 16)
 
 
 def rabi_populations(energies, levels: LevelScheme, pulse: PulseSpec,
                      dissipators: DissipatorSet, initial=None,
                      integrator: IntegratorConfig | None = None,
-                     expm_steps: int = 256,
-                     observable: str = "p_up") -> np.ndarray:
-    """Population after one control pulse, per pulse energy."""
-    flat = {"p_up": _UP_FLAT, "p_down": _DOWN_FLAT}.get(observable)
-    if flat is None:
-        raise ValidationError(f"unknown observable {observable!r}")
-    return _pulse_populations(energies, levels, pulse, dissipators, initial,
-                              expm_steps, (flat,), integrator)[0]
+                     expm_steps: int = 256) -> np.ndarray:
+    """p_up after one control pulse per energy, read as in a Rabi sweep."""
+    return _contract(_windows(energies, levels, pulse, dissipators,
+                              expm_steps, integrator),
+                     _as_matrix(initial), energies, "pulse_energy_J").p_up
 
 
 def run_rabi_sweep(energies, levels: LevelScheme, pulse: PulseSpec,
@@ -478,10 +463,8 @@ def run_rabi_sweep(energies, levels: LevelScheme, pulse: PulseSpec,
     if np.any(energies < 0):
         raise ValidationError("pulse energies must be non-negative")
     rho0 = _prepare_initial(None, pump, levels, dissipators)
-    p_up, p_down = _pulse_populations(energies, levels, pulse, dissipators,
-                                      rho0, expm_steps, (_UP_FLAT, _DOWN_FLAT))
-    return ExperimentTrace(abscissa=energies, abscissa_name="pulse_energy_J",
-                           p_up=p_up, p_down=p_down).validate()
+    return _contract(_windows(energies, levels, pulse, dissipators,
+                              expm_steps), rho0, energies, "pulse_energy_J")
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +552,10 @@ def run_ramsey(tau, levels: LevelScheme, pulse: PulseSpec,
     all_tau = np.concatenate(windows)
     mult = injected.ratio(0.0, all_tau) if injected is not None \
         else np.ones_like(all_tau)
-    trace = _contract(window, SilencePropagator(levels, dissipators),
-                      _as_matrix(None), (np.maximum(all_tau - 2.0 * w, 0.0),),
-                      (mult,), bath, ensemble_mode, samples, all_tau, "tau_s")
+    trace = _contract(window, _as_matrix(None), all_tau, "tau_s",
+                      SilencePropagator(levels, dissipators),
+                      (np.maximum(all_tau - 2.0 * w, 0.0),), (mult,), bath,
+                      ensemble_mode, samples)
     return RamseyResult(trace, *_window_fits(windows, trace, larmor))
 
 
@@ -581,22 +565,25 @@ def fringe_visibilities(energies, levels: LevelScheme, pulse: PulseSpec,
     """Ramsey fringe amplitude against pulse energy (fixed short delay).
 
     This is the second dataset of the joint pulse-response fit: for
-    each energy a two-pulse scan over one fringe window is run (no
-    bath) and the fixed-frequency amplitude extracted.
+    each energy, a two-pulse scan (no bath) over one fringe window and
+    the amplitude fitted at the precession frequency. The window does
+    not depend on the energy, so all energies share one contraction.
     """
     energies = np.asarray(energies, dtype=float)
+    if len(energies) == 0:
+        return np.empty(0)
     larmor = levels.electron_splitting
-    out = np.empty(len(energies))
-    for k, energy in enumerate(energies):
-        p = replace(pulse, energy=float(energy))
-        window = ramsey_window_plan([2.0 * p.half_window
-                                     + 4.0 * math.pi / larmor],
-                                    larmor, periods=2.0)[0]
-        window = window[window >= 2.0 * p.half_window]
-        result = run_ramsey(window, levels, p, dissipators,
-                            expm_steps=expm_steps)
-        out[k] = result.visibilities[0]
-    return out
+    w = pulse.half_window
+    # two precession periods past the pulse overlap, so every delay > 2w
+    delays = ramsey_window_plan([2.0 * w + 4.0 * math.pi / larmor], larmor,
+                                periods=2.0)[0]
+    tau = np.tile(delays, len(energies))
+    windows = np.repeat(_windows(energies, levels, pulse, dissipators,
+                                 expm_steps), len(delays), axis=0)
+    trace = _contract(windows, _as_matrix(None), tau, "tau_s",
+                      SilencePropagator(levels, dissipators),
+                      (tau - 2.0 * w,), (np.ones_like(tau),))
+    return _window_fits([delays] * len(energies), trace, larmor)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -645,9 +632,10 @@ def _run_echoes(tau1_values, scans, levels, pulse, dissipators, bath=None,
     tau2 = np.concatenate(scans)
     mults = (injected.ratio(0.0, tau1), injected.ratio(tau1, tau1 + tau2)) \
         if injected is not None else (np.ones_like(tau2),) * 2
-    trace = _contract(window, SilencePropagator(levels, dissipators), rho0,
+    trace = _contract(window, rho0, tau2, "tau2_s",
+                      SilencePropagator(levels, dissipators),
                       (tau1 - 2.0 * w, tau2 - 2.0 * w), mults, bath,
-                      ensemble_mode, samples, tau2, "tau2_s")
+                      ensemble_mode, samples)
     centers, amplitudes, stderr = _window_fits(scans, trace, larmor)
     return trace, tau1_values + centers, amplitudes, stderr
 
@@ -741,16 +729,11 @@ def run_t1_recovery(wait_values, levels: LevelScheme,
     pumped = optical_pump(DensityMatrix.scrambled().matrix, levels,
                           pump.rabi, pump.duration, dissipators, pump.samples)
     silence = SilencePropagator(levels, dissipators)
-    p_up = np.empty(len(wait_values))
-    p_down = np.empty(len(wait_values))
-    for k, wait in enumerate(wait_values):
-        rho = silence.propagate(pumped.final.matrix, float(wait))
-        p_up[k] = float(rho[GROUND_UP, GROUND_UP].real)
-        p_down[k] = float(rho[GROUND_DOWN, GROUND_DOWN].real)
-    trace = ExperimentTrace(
-        abscissa=wait_values, abscissa_name="wait_s",
-        p_up=_clip_populations(p_up),
-        p_down=_clip_populations(p_down)).validate()
+    rhos = [silence.propagate(pumped.final.matrix, float(wait))
+            for wait in wait_values]
+    trace = ExperimentTrace(wait_values, "wait_s", *_clip_populations(
+        np.array([rho[GROUND_UP, GROUND_UP].real for rho in rhos]),
+        np.array([rho[GROUND_DOWN, GROUND_DOWN].real for rho in rhos])))
     result = fit_curve("exp_decay", wait_values, trace.p_up)
     return T1RecoveryResult(trace=trace,
                             fitted_t1=result.parameters["t_decay"],

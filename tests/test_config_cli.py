@@ -613,6 +613,30 @@ class TestSimulateCommand:
         assert "Traceback" not in stderr
         assert not (tmp_path / "out").exists()
 
+    def test_a_population_pair_above_one_exits_3(self, tmp_path, capsys):
+        # each row stays within [0, 1]; only their sum leaves it
+        code, _, stderr = run_cli(
+            ["simulate", "--config", "configs/ramsey.yaml", "--set",
+             "bath.ensemble=exact", "--set",
+             "levels.optical_detuning=1e+18 MHz",
+             "--out", str(tmp_path / "out")], capsys)
+        assert code == 3
+        assert stderr.startswith(
+            "numerical failure: p_up + p_down exceeds 1 by ")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_population_excursion_states_its_size(self, tmp_path, capsys):
+        code, _, stderr = run_cli(
+            ["simulate", "--config", "configs/rabi.yaml", "--set",
+             "experiment.count=5", "--set",
+             "levels.optical_detuning=1e+21 MHz",
+             "--out", str(tmp_path / "out")], capsys)
+        assert code == 3
+        assert stderr.splitlines() == [
+            "numerical failure: p_down left [0, 1] by 2.567e-04, "
+            "more than 1e-06"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind, key, value", [
         ("ramsey", "levels.optical_detuning", "1e+300 MHz"),
         ("ramsey", "pulse.calibration", "1e-300"),
