@@ -21,12 +21,12 @@ steps), in time-ordered batches of at most 64 steps, in a Hermitian
 operator basis where a Lindblad generator is a real 16x16 matrix
 (Havel, J. Math. Phys. 44, 534 (2003)). The adaptive method runs
 scipy's embedded Runge-Kutta integrator (DOP853) on the complex
-propagator equation. Pulse-free stretches are never integrated
-numerically: with the drive off the generator is constant and
-block-diagonal, so populations advance with a small matrix
-exponential and each coherence picks up an exact phase-and-decay
-factor. That removes the stiffness of picosecond pulses separated by
-microsecond delays.
+propagator equation. Drive-free stretches are never integrated: the
+generator is then constant and block-diagonal, and one exact step,
+:meth:`SilencePropagator.split_by_detuning`, crosses every gap and
+every T1 wait, with a small matrix exponential for the populations
+and a phase-and-decay factor per coherence. That removes the
+stiffness of picosecond pulses separated by microsecond delays.
 """
 
 from __future__ import annotations
@@ -420,9 +420,9 @@ class SilencePropagator:
     with a complex rate (phase plus damping). Both facts are checked
     against the assembled generator at construction time.
 
-    The spin-up level may carry a per-donor Overhauser detuning; it
-    enters only through the phase of coherences involving that level,
-    with sensitivity recorded in :attr:`detuning_sign`.
+    The spin-up level may carry a per-donor Overhauser detuning delta;
+    it turns the coherences involving that level by exp(-i*delta*s*t),
+    with s read from the flat :attr:`detuning_group`.
     """
 
     def __init__(self, levels: LevelScheme, dissipators: DissipatorSet):
@@ -445,13 +445,12 @@ class SilencePropagator:
         self.coherence_rate = np.diag(gen).reshape(_DIM, _DIM).copy()
         np.fill_diagonal(self.coherence_rate, 0.0)
 
-        # phase sensitivity to a shift of the spin-up level:
-        # d(rate_ij)/d(detuning) = -i (delta_{i,up} - delta_{j,up})
-        sign = np.zeros((_DIM, _DIM))
-        sign[GROUND_UP, :] -= 1.0
-        sign[:, GROUND_UP] += 1.0
-        np.fill_diagonal(sign, 0.0)
-        self.detuning_sign = 1j * sign  # multiply by detuning, add to rate
+        # a shift delta of the spin-up level adds -i*delta*s to the rate
+        # of element (i, j): s = +1 where i is spin-up, -1 where j is
+        group = np.zeros((_DIM, _DIM))
+        group[GROUND_UP, :] += 1.0
+        group[:, GROUND_UP] -= 1.0
+        self.detuning_group = group.ravel()
 
         self._pop_cache: dict[float, np.ndarray] = {}
 
@@ -462,45 +461,31 @@ class SilencePropagator:
             self._pop_cache[dt] = got
         return got
 
-    def coherence_factors(self, dt: float, detuning: float = 0.0) -> np.ndarray:
-        rate = self.coherence_rate + detuning * self.detuning_sign
-        fac = np.exp(rate * dt)
-        np.fill_diagonal(fac, 0.0)
-        return fac
-
-    def propagate(self, rho: np.ndarray, dt: float,
-                  detuning: float = 0.0) -> np.ndarray:
-        """Advance a state across a silent gap of length ``dt``."""
-        if dt < 0:
-            raise ValidationError(f"silence duration must be non-negative, got {dt}")
-        if dt == 0:
-            return np.array(rho, dtype=complex)
-        rho = np.asarray(rho, dtype=complex)
-        out = rho * self.coherence_factors(dt, detuning)
-        pops = self.population_matrix(dt) @ np.real(np.diag(rho))
-        out[np.arange(_DIM), np.arange(_DIM)] = pops
-        return out
-
     def split_by_detuning(self, vec: np.ndarray, taus) -> dict:
         """Advance a flat state across each gap in ``taus``, by detuning group.
 
         Returns {s: (n, 16)} for s in (0, +1, -1) such that the state
         after gap ``taus[k]`` at detuning delta is the sum over s of
         exp(-i*delta*s*taus[k]) * out[s][k]; s is read from
-        :attr:`detuning_sign`. ``vec`` is one state for every gap or an
-        (n, 16) stack of one state per gap. A state may be one branch,
-        whose populations are complex; they stay complex so that the
-        branches still sum to the state.
+        :attr:`detuning_group`, and the populations sit in group 0.
+        ``vec`` is one state for every gap or an (n, 16) stack of one
+        state per gap. A state may be one branch, whose populations are
+        complex; they stay complex so that the branches still sum to the
+        state. A negative gap raises :class:`ValidationError`.
         """
         taus = np.asarray(taus, dtype=float)
+        if np.any(taus < 0):
+            raise ValidationError("silence duration must be non-negative, "
+                                  f"got {taus.min()}")
         pop_idx = np.diag(_IDX)
         moved = np.exp(np.multiply.outer(taus, self.coherence_rate.ravel())) \
             * vec
         rows = np.broadcast_to(vec, moved.shape)
-        moved[:, pop_idx] = [self.population_matrix(float(tau)) @ v[pop_idx]
-                             for tau, v in zip(taus, rows)]
-        groups = -self.detuning_sign.imag.ravel()
-        return {s: np.where(groups == s, moved, 0.0) for s in (0, 1, -1)}
+        moved[:, pop_idx] = np.reshape(
+            [self.population_matrix(float(tau)) @ v[pop_idx]
+             for tau, v in zip(taus, rows)], (-1, _DIM))
+        return {s: np.where(self.detuning_group == s, moved, 0.0)
+                for s in (0, 1, -1)}
 
 
 # ---------------------------------------------------------------------------

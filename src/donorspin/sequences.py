@@ -16,11 +16,12 @@ splits each row's state across its gap into detuning groups s in
 (0, +1, -1) that gain exp(-i*delta*s*gap). A pathway is keyed by a
 sign tuple, one sign per gap, and its phase duration is sum(s * gap).
 The detuning-independent complex amplitude of each key is contracted
-with either the bath's characteristic function at that duration
-(``exact`` ensemble mode) or the empirical phase average of Monte
-Carlo samples (``mc`` mode), so a thousand-sample Ramsey scan costs
-milliseconds, not hours. One check reads the population rows of every
-contraction and of a T1 recovery.
+with the bath's characteristic function at that duration (``exact``
+ensemble mode) or, when samples are drawn, their empirical phase
+average (``mc`` mode), so a thousand-sample Ramsey scan costs
+milliseconds, not hours. A T1 wait crosses the same split and reads
+its populations from group 0. One check reads the population rows of
+every contraction and of a T1 recovery.
 
 Timing convention: delays are pulse-center to pulse-center, and the
 drive-free stretch between two windows of half-width w is that delay
@@ -247,34 +248,33 @@ def _prepare_initial(initial, pump, levels, dissipators):
 # the contraction
 
 
-def _ensemble_reduce(terms_by_shift, bath, mode, samples, durations_of):
+def _ensemble_reduce(terms_by_shift, bath, samples, durations_of):
     """Average sum_s exp(-i*delta*shift_s) * T_s over the bath.
 
     ``terms_by_shift`` maps a shift key to a (n,) complex array;
     ``durations_of(key)`` returns the (n,) array of phase durations for
     that key. Returns (mean, stderr or None).
 
-    ``mc`` adds a key with all-zero durations without a phase, and gives
-    a key whose durations negate an earlier key's bit for bit (IEEE
-    negation is exact) the conjugate of that key's phase. Memory grows
+    Without ``samples`` the sum is exact, each term weighted by the
+    bath's characteristic function (bare with no bath). ``mc`` samples
+    add a key with all-zero durations without a phase, and give a key
+    whose durations negate an earlier key's bit for bit (IEEE negation
+    is exact) the conjugate of that key's phase. Memory grows
     as 8 bytes x samples x points, plus two complex blocks of
     ``_MC_BLOCK`` samples, which the phases held for their mirrors
     share; stderr takes ``_STD_COLUMNS`` points at a time.
     """
-    keys = list(terms_by_shift)
-    if bath is None:
-        total = sum(terms_by_shift[k] for k in keys)
-        return np.real(total), None
-    if mode == "exact":
-        total = 0.0
-        for k in keys:
-            total = total + bath.characteristic_function(durations_of(k)) \
-                * terms_by_shift[k]
+    if samples is None:
+        total = 0.0  # a bath-free term adds bare: (1+0j) * (x+inf*j) is nan
+        for k, terms in terms_by_shift.items():
+            if bath is not None:
+                terms = bath.characteristic_function(durations_of(k)) * terms
+            total = total + terms
         return np.real(total), None
     # Monte Carlo over frozen detunings: dynamics are linear in the phase
     # factors, so averaging the phases exactly averages per-donor traces
     n_points = len(next(iter(terms_by_shift.values())))
-    pairs = [(durations_of(k), terms_by_shift[k]) for k in keys]
+    pairs = [(durations_of(k), t) for k, t in terms_by_shift.items()]
     mirror_of, unmatched = {}, {}
     for i, (durations, _) in enumerate(pairs):
         if durations.tobytes() in unmatched:
@@ -316,6 +316,7 @@ def _ensemble_reduce(terms_by_shift, bath, mode, samples, durations_of):
 
 
 def _resolve_ensemble(bath, mode, n, seed):
+    """The Monte Carlo detunings of a run, or None for an exact sum."""
     if mode not in _ENSEMBLE_MODES:
         raise ValidationError(f"unknown ensemble mode {mode!r}; choose "
                               + " or ".join(map(repr, _ENSEMBLE_MODES)))
@@ -363,8 +364,7 @@ def _clip_populations(p_up, p_down, tol: float = 1e-6):
 
 
 def _contract(window, rho0, abscissa, abscissa_name, silence=None, gaps=(),
-              mults=(), bath=None, mode="exact", samples=None
-              ) -> ExperimentTrace:
+              mults=(), bath=None, samples=None) -> ExperimentTrace:
     """Pulse windows separated by silent gaps, one row per point.
 
     ``window`` is one (16, 16) window for all rows or an (n, 16, 16)
@@ -396,7 +396,7 @@ def _contract(window, rho0, abscissa, abscissa_name, silence=None, gaps=(),
         terms = {key: np.einsum("...i,...i->...", window[..., flat, :], v,
                                 optimize=True)
                  for key, v in branches.items()}
-        rows.append(_ensemble_reduce(terms, bath, mode, samples, durations))
+        rows.append(_ensemble_reduce(terms, bath, samples, durations))
     (p_up, up_err), (p_down, down_err) = rows
     return ExperimentTrace(abscissa, abscissa_name,
                            *_clip_populations(p_up, p_down), up_err, down_err)
@@ -420,7 +420,7 @@ def _window_fits(windows, trace, larmor):
             vis, err = fit.visibility, fit.visibility_stderr
         fits.append((float(np.mean(win)), vis, err))
         start = stop
-    return [np.asarray(column) for column in zip(*fits)]
+    return np.reshape(fits, (-1, 3)).T
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +555,7 @@ def run_ramsey(tau, levels: LevelScheme, pulse: PulseSpec,
     trace = _contract(window, _as_matrix(None), all_tau, "tau_s",
                       SilencePropagator(levels, dissipators),
                       (np.maximum(all_tau - 2.0 * w, 0.0),), (mult,), bath,
-                      ensemble_mode, samples)
+                      samples)
     return RamseyResult(trace, *_window_fits(windows, trace, larmor))
 
 
@@ -570,8 +570,6 @@ def fringe_visibilities(energies, levels: LevelScheme, pulse: PulseSpec,
     not depend on the energy, so all energies share one contraction.
     """
     energies = np.asarray(energies, dtype=float)
-    if len(energies) == 0:
-        return np.empty(0)
     larmor = levels.electron_splitting
     w = pulse.half_window
     # two precession periods past the pulse overlap, so every delay > 2w
@@ -634,8 +632,7 @@ def _run_echoes(tau1_values, scans, levels, pulse, dissipators, bath=None,
         if injected is not None else (np.ones_like(tau2),) * 2
     trace = _contract(window, rho0, tau2, "tau2_s",
                       SilencePropagator(levels, dissipators),
-                      (tau1 - 2.0 * w, tau2 - 2.0 * w), mults, bath,
-                      ensemble_mode, samples)
+                      (tau1 - 2.0 * w, tau2 - 2.0 * w), mults, bath, samples)
     centers, amplitudes, stderr = _window_fits(scans, trace, larmor)
     return trace, tau1_values + centers, amplitudes, stderr
 
@@ -728,12 +725,10 @@ def run_t1_recovery(wait_values, levels: LevelScheme,
         raise ValidationError("wait values must be non-negative")
     pumped = optical_pump(DensityMatrix.scrambled().matrix, levels,
                           pump.rabi, pump.duration, dissipators, pump.samples)
-    silence = SilencePropagator(levels, dissipators)
-    rhos = [silence.propagate(pumped.final.matrix, float(wait))
-            for wait in wait_values]
+    rows = SilencePropagator(levels, dissipators).split_by_detuning(
+        pumped.final.matrix.reshape(16), wait_values)[0].real
     trace = ExperimentTrace(wait_values, "wait_s", *_clip_populations(
-        np.array([rho[GROUND_UP, GROUND_UP].real for rho in rhos]),
-        np.array([rho[GROUND_DOWN, GROUND_DOWN].real for rho in rhos])))
+        rows[:, _UP_FLAT], rows[:, _DOWN_FLAT]))
     result = fit_curve("exp_decay", wait_values, trace.p_up)
     return T1RecoveryResult(trace=trace,
                             fitted_t1=result.parameters["t_decay"],

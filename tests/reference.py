@@ -13,7 +13,11 @@ something:
 * ``integrate_master`` and ``evolve`` integrate the state with scipy's
   DOP853 on that matrix-form right-hand side, where the package steps
   the propagator with midpoint exponentials in a real basis. ``evolve``
-  crosses the silent gaps between pulses with ``SilencePropagator``.
+  crosses the silent gaps between pulses with the matrix exponential of
+  the whole drive-free generator, which ``drive_free_generator`` builds
+  column by column from that right-hand side, where the package splits
+  each gap into populations and per-coherence factors
+  (``SilencePropagator.split_by_detuning``).
 * ``effective_rabi`` and ``pulse_rotation_angle`` give the closed-form
   angle of the far-detuned two-level reduction, which
   ``extracted_rotation_angle`` reads from the full four-level window;
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from donorspin import (
     EXCITED_LOWER,
@@ -41,7 +46,6 @@ from donorspin import (
     DissipatorSet,
     IntegrationFailure,
     IntegratorConfig,
-    SilencePropagator,
     ValidationError,
     pulse_window_propagator,
     zeeman_splitting,
@@ -107,6 +111,14 @@ def lindblad_rhs(rho, hamiltonian, dissipators, rabi=0.0):
     return out
 
 
+def drive_free_generator(levels, dissipators, spin_detuning=0.0):
+    """The 16x16 generator of the flat state with no pulse: column k is
+    ``lindblad_rhs`` of the k-th basis matrix."""
+    h = build_hamiltonian(levels, [], 0.0, spin_detuning)
+    return np.stack([lindblad_rhs(e.reshape(4, 4), h, dissipators).ravel()
+                     for e in np.eye(16)], axis=1)
+
+
 @dataclass
 class EvolutionResult:
     times: np.ndarray
@@ -148,22 +160,27 @@ def evolve(rho0, levels, pulses, dissipators, t_span, t_eval=None,
            spin_detuning=0.0) -> EvolutionResult:
     """A state through a train of pulses: each window by
     :func:`integrate_master`, with steps of at most a fiftieth of the
-    pulse duration, and each gap by the exact silence propagator."""
+    pulse duration, and each gap by the exponential of the drive-free
+    generator."""
     pulses = sorted(pulses, key=lambda p: p.arrival_time)
     if any(b.window()[0] < a.window()[1] for a, b in zip(pulses, pulses[1:])):
         raise ValidationError("pulse windows overlap; merge pulses instead")
-    silence = SilencePropagator(levels, dissipators)
+    generator = drive_free_generator(levels, dissipators, spin_detuning)
     pending = [float(t_span[1])] if t_eval is None else [float(t) for t in t_eval]
     rho = np.asarray(getattr(rho0, "matrix", rho0), dtype=complex)
     cursor, times, states = float(t_span[0]), [], []
+
+    def gap(dt):
+        if dt < 0:
+            raise ValidationError(f"gap must be non-negative, got {dt}")
+        return (expm(generator * dt) @ rho.reshape(16)).reshape(4, 4)
 
     def silent(upto):
         nonlocal rho, cursor
         while pending and pending[0] <= upto:
             times.append(pending.pop(0))
-            states.append(silence.propagate(rho, times[-1] - cursor,
-                                            spin_detuning))
-        rho = silence.propagate(rho, upto - cursor, spin_detuning)
+            states.append(gap(times[-1] - cursor))
+        rho = gap(upto - cursor)
         cursor = upto
 
     for pulse in pulses:

@@ -43,6 +43,14 @@ def random_dissipators(rng):
     )
 
 
+def silence_step(silence, rho, tau, delta=0.0):
+    """The 4x4 state after a drive-free gap ``tau`` at detuning ``delta``:
+    the split's groups summed with their phases exp(-i*delta*s*tau)."""
+    split = silence.split_by_detuning(np.reshape(rho, 16), [tau])
+    return sum(np.exp(-1j * delta * s * tau) * v[0]
+               for s, v in split.items()).reshape(4, 4)
+
+
 def random_hamiltonian(rng):
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     return (h + h.conj().T) * 1e9
@@ -171,7 +179,7 @@ class TestSilencePropagator:
             rho = random_density_matrix(rng)
             tau = float(rng.uniform(1e-10, 1e-7))
             expected = (expm(gen * tau) @ rho.reshape(16)).reshape(4, 4)
-            actual = silence.propagate(rho, tau)
+            actual = silence_step(silence, rho, tau)
             assert np.max(np.abs(actual - expected)) < 1e-9
 
     def test_detuning_matches_shifted_liouvillian(self, levels_5t, lossy):
@@ -183,7 +191,7 @@ class TestSilencePropagator:
         rho = random_density_matrix(rng)
         tau = 3e-9
         expected = (expm(gen * tau) @ rho.reshape(16)).reshape(4, 4)
-        actual = silence.propagate(rho, tau, detuning=delta)
+        actual = silence_step(silence, rho, tau, delta)
         assert np.max(np.abs(actual - expected)) < 1e-9
 
     def test_split_by_detuning_sums_to_propagation(self, lossy):
@@ -198,11 +206,27 @@ class TestSilencePropagator:
         split = silence.split_by_detuning(rho.reshape(16), taus)
         assert sorted(split) == [-1, 0, 1]
         for delta in (0.0, TWO_PI * 40e6, -TWO_PI * 3e8):
+            gen = liouvillian(np.diag(levels.diagonal(spin_detuning=delta))
+                              .astype(complex), lossy)
             for k, tau in enumerate(taus):
                 total = sum(np.exp(-1j * delta * s * tau) * v[k]
                             for s, v in split.items())
-                expected = silence.propagate(rho, tau, detuning=delta)
-                assert np.max(np.abs(total - expected.ravel())) < 1e-14
+                expected = expm(gen * tau) @ rho.reshape(16)
+                assert np.max(np.abs(total - expected)) < 1e-14
+
+    def test_split_by_detuning_of_no_gaps_is_three_empty_groups(
+            self, levels_5t, lossy):
+        silence = SilencePropagator(levels_5t, lossy)
+        rho = random_density_matrix(np.random.default_rng(37))
+        split = silence.split_by_detuning(rho.reshape(16), [])
+        assert sorted(split) == [-1, 0, 1]
+        assert all(v.shape == (0, 16) for v in split.values())
+
+    def test_negative_gap_rejected(self, levels_5t, lossy):
+        silence = SilencePropagator(levels_5t, lossy)
+        rho = random_density_matrix(np.random.default_rng(41))
+        with pytest.raises(d.ValidationError, match="non-negative"):
+            silence.split_by_detuning(rho.reshape(16), [1e-9, -1e-12])
 
     def test_split_by_detuning_is_linear_over_complex_branches(self, levels_5t,
                                                                lossy):
@@ -245,9 +269,11 @@ class TestSilencePropagator:
         diss = d.DissipatorSet(ground_dephasing_rate=kappa)
         silence = SilencePropagator(levels_5t, diss)
         tau = 1e-7
-        factors = silence.coherence_factors(tau)
-        assert abs(factors[0, 1]) == pytest.approx(math.exp(-kappa * tau),
-                                                   rel=1e-12)
+        coherence = np.zeros((4, 4), dtype=complex)
+        coherence[0, 1] = 1.0
+        moved = silence_step(silence, coherence, tau)
+        assert abs(moved[0, 1]) == pytest.approx(math.exp(-kappa * tau),
+                                                 rel=1e-12)
 
 
 class TestPulseWindowPropagator:
@@ -547,7 +573,7 @@ def test_property_silence_preserves_state_validity(seed, tau):
     diss = random_dissipators(rng)
     silence = SilencePropagator(levels, diss)
     rho = random_density_matrix(rng)
-    out = DensityMatrix(silence.propagate(rho, tau))
+    out = DensityMatrix(silence_step(silence, rho, tau))
     assert out.trace_error() < 1e-9
     assert out.hermiticity_error() < 1e-10
     assert out.min_eigenvalue() > -1e-7

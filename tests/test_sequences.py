@@ -382,8 +382,7 @@ class TestBlockedMcReduction:
         terms, bath, samples, durations = mc_reduction_inputs(
             gaps, n_points, n_samples, seed=n_samples)
         assert len(terms) == 3 ** (len(gaps) + 1)
-        mean, stderr = _ensemble_reduce(terms, bath, "mc", samples,
-                                        durations)
+        mean, stderr = _ensemble_reduce(terms, bath, samples, durations)
         want_mean, want_stderr = one_shot_mc_reduce(terms, samples,
                                                     durations)
         assert mean.tobytes() == want_mean.tobytes()
@@ -399,7 +398,7 @@ class TestBlockedMcReduction:
                 else durations(key)
 
         assert not np.array_equal(-skewed((1, 1)), skewed((-1, -1)))
-        mean, stderr = _ensemble_reduce(terms, bath, "mc", samples, skewed)
+        mean, stderr = _ensemble_reduce(terms, bath, samples, skewed)
         want_mean, want_stderr = one_shot_mc_reduce(terms, samples, skewed)
         assert mean.tobytes() == want_mean.tobytes()
         assert stderr.tobytes() == want_stderr.tobytes()
@@ -411,7 +410,7 @@ class TestBlockedMcReduction:
             (), 228, 20_000, seed=3)
         tracemalloc.start()
         try:
-            _ensemble_reduce(terms, bath, "mc", samples, durations)
+            _ensemble_reduce(terms, bath, samples, durations)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -600,6 +599,20 @@ class TestT1Recovery:
         assert result.fitted_t1 == pytest.approx(0.1, rel=1e-6)
         assert result.trace.p_up[0] < 0.05
         assert result.trace.p_up[-1] == pytest.approx(0.5, abs=0.01)
+
+    def test_rows_are_the_population_step_of_the_pumped_state(
+            self, levels_5t):
+        diss = d.DissipatorSet(radiative_rate=1e9, t1_rate=10.0)
+        pump = d.PumpSettings(rabi=TWO_PI * 20e6, duration=10e-6,
+                              samples=200)
+        waits = np.linspace(0.0, 0.5, 12)
+        result = d.run_t1_recovery(waits, levels_5t, diss, pump)
+        silence = d.SilencePropagator(levels_5t, diss)
+        pumped = np.diag(result.pump.final.matrix).real
+        for k, wait in enumerate(waits):
+            want = silence.population_matrix(wait) @ pumped
+            assert abs(result.trace.p_up[k] - want[d.GROUND_UP]) <= 1e-15
+            assert abs(result.trace.p_down[k] - want[d.GROUND_DOWN]) <= 1e-15
 
     def test_fewer_than_four_waits_rejected_before_pumping(
             self, levels_5t, monkeypatch):
