@@ -32,7 +32,8 @@ from .hamiltonian import (_SHAPES, LevelScheme, PulseSpec,
 from .lindblad import DissipatorSet, t1_rate_model
 from .materials import (FieldConfig, MaterialParams, dump_yaml, load_material,
                         load_yaml)
-from .sequences import _ENSEMBLE_MODES, InjectedDecoherence, PumpSettings
+from .sequences import (_ENSEMBLE_MODES, _MC_SAMPLES_CAP, InjectedDecoherence,
+                        PumpSettings)
 from .units import _NUMBER, parse_quantity
 
 __all__ = [
@@ -446,6 +447,9 @@ def parse_run_config(document: dict) -> RunConfig:
                                         default="exact") or "exact"
     bath_samples = bath_section.number("samples", default=1000, minimum=1,
                                        integer=True) or 1000
+    if bath_samples > _MC_SAMPLES_CAP:  # listed before any draw
+        bath_section.add(f"{bath_section.at('samples')} must be <= "
+                         f"{_MC_SAMPLES_CAP}")
     bath_kind = bath_section.choice("kind", ("none", "material", "gaussian"),
                                     default="none") or "none"
     if bath_kind == "material" and material is not None:

@@ -81,7 +81,8 @@ _UP_FLAT = _IDX[GROUND_UP, GROUND_UP]
 _DOWN_FLAT = _IDX[GROUND_DOWN, GROUND_DOWN]
 _GROUND_COHERENCES = [_IDX[GROUND_UP, GROUND_DOWN],
                       _IDX[GROUND_DOWN, GROUND_UP]]
-_MC_BLOCK, _STD_COLUMNS = 512, 16  # mc samples per block; points per std
+_MC_BLOCK = 512  # mc samples per block of the streamed average
+_MC_SAMPLES_CAP = 10 ** 7  # most bath samples a run may draw
 _ENSEMBLE_MODES = ("exact", "mc")  # the bath averages a run can take
 
 
@@ -256,13 +257,15 @@ def _ensemble_reduce(terms_by_shift, bath, samples, durations_of):
     that key. Returns (mean, stderr or None).
 
     Without ``samples`` the sum is exact, each term weighted by the
-    bath's characteristic function (bare with no bath). ``mc`` samples
-    add a key with all-zero durations without a phase, and give a key
-    whose durations negate an earlier key's bit for bit (IEEE negation
-    is exact) the conjugate of that key's phase. Memory grows
-    as 8 bytes x samples x points, plus two complex blocks of
-    ``_MC_BLOCK`` samples, which the phases held for their mirrors
-    share; stderr takes ``_STD_COLUMNS`` points at a time.
+    bath's characteristic function (bare with no bath). With ``mc``
+    samples, keys with all-zero durations add without a phase, and the
+    others merge into one term per duration up to sign: a key whose
+    durations negate a merged key's bit for bit (IEEE negation is
+    exact) adds its conjugate terms, since Re(e^{+i delta d} T) =
+    Re(e^{-i delta d} conj T). Blocks of ``_MC_BLOCK`` samples stream
+    into a running sum and sum of squared deviations (the pairwise
+    update of Chan, Golub & LeVeque, Am. Stat. 37, 242 (1983)), so
+    memory is a few (block, points) arrays for any sample count.
     """
     if samples is None:
         total = 0.0  # a bath-free term adds bare: (1+0j) * (x+inf*j) is nan
@@ -274,45 +277,33 @@ def _ensemble_reduce(terms_by_shift, bath, samples, durations_of):
     # Monte Carlo over frozen detunings: dynamics are linear in the phase
     # factors, so averaging the phases exactly averages per-donor traces
     n_points = len(next(iter(terms_by_shift.values())))
-    pairs = [(durations_of(k), t) for k, t in terms_by_shift.items()]
-    mirror_of, unmatched = {}, {}
-    for i, (durations, _) in enumerate(pairs):
-        if durations.tobytes() in unmatched:
-            mirror_of[i] = unmatched.pop(durations.tobytes())
-        elif np.any(durations):
-            unmatched[(-durations).tobytes()] = i
-    held_keys = set(mirror_of.values())
-    # the held phases and one product share two blocks of _MC_BLOCK
-    rows = 2 * _MC_BLOCK // (1 + len(held_keys))
-    values = np.zeros((len(samples), n_points))
-    for start in range(0, len(samples), rows):
-        block, held, phase = samples[start:start + rows], {}, None
-        # a complex sum adds the real parts alone: sum them in place
-        acc = values[start:start + rows]
-        for i, (durations, terms) in enumerate(pairs):
-            if not np.any(durations):
-                acc += terms.real
-                continue
-            if i in mirror_of:
-                phase = held.pop(mirror_of[i])
-                np.conjugate(phase, out=phase)
-            else:
-                phase = np.multiply.outer(block, -1j * durations)
-                np.exp(phase, out=phase)
-            if i in held_keys:
-                held[i], phase = phase, phase * terms
-            else:
-                phase *= terms
-            acc += phase.real
-    mean = values.mean(axis=0)
-    stderr = np.zeros(n_points)
-    if len(samples) > 1:
-        # a lone column slice sums pairwise, not row by row: never leave one
-        starts = list(range(0, max(n_points - 1, 1), _STD_COLUMNS))
-        for a, b in zip(starts, starts[1:] + [n_points]):
-            stderr[a:b] = values[:, a:b].std(axis=0, ddof=1) \
-                / math.sqrt(len(samples))
-    return mean, stderr
+    still, merged = 0.0, {}
+    for k, terms in terms_by_shift.items():
+        durations = durations_of(k)
+        if not np.any(durations):
+            still = still + terms.real
+            continue
+        if (-durations).tobytes() in merged:
+            durations, terms = -durations, np.conj(terms)
+        entry = merged.setdefault(durations.tobytes(), [durations, 0.0])
+        entry[1] = entry[1] + terms
+    n, total, m2 = 0, 0.0, 0.0
+    for start in range(0, len(samples), _MC_BLOCK):
+        block = samples[start:start + _MC_BLOCK]
+        values = np.zeros((len(block), n_points))
+        for durations, terms in merged.values():
+            phase = np.multiply.outer(block, -1j * durations)
+            np.exp(phase, out=phase)
+            phase *= terms
+            values += phase.real
+        # Chan et al.: fold the block's sum and squared deviations in
+        block_total = values.sum(axis=0)
+        block_m2 = np.square(values - block_total / len(block)).sum(axis=0)
+        delta = block_total / len(block) - total / max(n, 1)
+        m2 = m2 + block_m2 + delta ** 2 * (n * len(block) / (n + len(block)))
+        n, total = n + len(block), total + block_total
+    stderr = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros(n_points)
+    return still + total / n, stderr
 
 
 def _resolve_ensemble(bath, mode, n, seed):
@@ -324,8 +315,9 @@ def _resolve_ensemble(bath, mode, n, seed):
         return None
     rng = seed if isinstance(seed, np.random.Generator) \
         else np.random.default_rng(seed)
-    if n < 1:
-        raise ValidationError(f"bath_samples must be >= 1, got {n}")
+    if not 1 <= n <= _MC_SAMPLES_CAP:
+        raise ValidationError(f"bath_samples must lie in [1, "
+                              f"{_MC_SAMPLES_CAP}], got {n}")
     return bath.sample_detunings(rng, n)
 
 
@@ -386,7 +378,7 @@ def _contract(window, rho0, abscissa, abscissa_name, silence=None, gaps=(),
             v[:, _GROUND_COHERENCES] *= mult[:, None]
 
     def durations(key):
-        # no 0.0 start: a zero gap keeps the sign the mc mirror match reads
+        # no 0.0 start: a zero gap keeps the sign the mc merge reads
         return sum((s * gap for s, gap in zip(key[1:], gaps[1:])),
                    key[0] * gaps[0])
 

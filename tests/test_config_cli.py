@@ -28,6 +28,7 @@ from donorspin.config import (
     config_digest,
     load_config_document,
 )
+from donorspin.sequences import _MC_SAMPLES_CAP
 
 
 def minimal_rabi_doc():
@@ -419,6 +420,22 @@ class TestSimulateCommand:
         assert meta["summary"]["total_time_span_s"] == pytest.approx(
             2 * 50e-9, rel=1e-6)
         assert (run_dir / "echo_trace.csv").exists()
+
+    def test_monte_carlo_echo_tracks_the_exact_one(self, tmp_path, capsys):
+        # 1/sqrt(samples) is two worst-case standard errors of a mean of
+        # per-donor values in [0, 1]
+        amplitudes = {}
+        for mode in ("exact", "mc"):
+            code, stdout, _ = run_cli(
+                ["simulate", "--config", "configs/echo.yaml",
+                 "--set", f"bath.ensemble={mode}", "--set", "bath.samples=2000",
+                 "--out", str(tmp_path / mode)], capsys)
+            assert code == 0
+            amplitudes[mode] = np.loadtxt(
+                run_dir_from(stdout) / "echo_trace.csv", delimiter=",",
+                skiprows=5)[:, 1]
+        error = np.abs(amplitudes["mc"] - amplitudes["exact"]).max()
+        assert 0.0 < error <= 1.0 / math.sqrt(2000)
 
     def test_pump_artifacts(self, tmp_path, capsys):
         doc = {
@@ -1109,9 +1126,11 @@ class TestSweepCommand:
 @settings(max_examples=15, deadline=None)
 @given(st.one_of(st.integers(min_value=-5, max_value=1500),
                  st.sampled_from([".nan", ".inf", "abc", "1.5"])))
+@example(samples=10 ** 12)
 def test_mc_sample_count_keeps_the_exit_code_contract(tmp_path_factory,
                                                       samples):
-    # counts stay small, so no draw can exhaust memory
+    # drawn counts stay small; a count past the cap is listed before
+    # any draw, so no draw can exhaust memory
     out = tmp_path_factory.mktemp("mc")
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -1126,7 +1145,8 @@ def test_mc_sample_count_keeps_the_exit_code_contract(tmp_path_factory,
             (run_dir_from(stdout.getvalue()) / "ramsey_meta.yaml").read_text())
         assert meta["config"]["bath_samples"] == samples
     else:
-        assert not isinstance(samples, int) or samples < 1
+        assert not isinstance(samples, int) or samples < 1 \
+            or samples > _MC_SAMPLES_CAP
 
 
 _INJECTED = st.one_of(
