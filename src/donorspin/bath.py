@@ -148,10 +148,6 @@ class BathModel:
         field = sigma * HBAR / (electron_g * BOHR_MAGNETON)
         return cls((0.0,), field, electron_g)
 
-    @classmethod
-    def none(cls, electron_g: float = 2.0) -> "BathModel":
-        return cls((0.0,), 0.0, electron_g)
-
     # -- derived quantities -------------------------------------------
     @property
     def ga_rms(self) -> float:

@@ -475,6 +475,15 @@ def parse_run_config(document: dict) -> RunConfig:
         key = "pulse.energy" if angle is None else "levels.optical_detuning"
         doc.add(f"{key}: the pulse energy {pulse.energy:.6g} J makes the "
                 "generator at the envelope peak non-finite")
+    # the rotation_angle solve is the far-detuned closed form: it needs a
+    # detuning well clear of the pulse bandwidth and the hole splitting
+    if None not in (pulse, levels) and angle is not None:
+        needed = 5.0 * (1.0 / pulse.duration + levels.hole_splitting)
+        if not levels.optical_detuning >= needed:
+            doc.add(f"levels.optical_detuning: {levels.optical_detuning:.6g} "
+                    "rad/s is below 5 x (1/pulse.duration + hole splitting)"
+                    f" = {needed:.6g} rad/s, where pulse.rotation_angle "
+                    "sets the pulse energy")
     pump = experiment.get("pump") if experiment else None
     with np.errstate(all="ignore"):
         if None not in (pump, levels, dissipators) and not np.max(

@@ -215,10 +215,6 @@ class CurveModel:
             specs.append(ParameterSpec(n, float(init), lo, hi))
         return cls(kind, tuple(specs))
 
-    @property
-    def parameter_names(self) -> tuple:
-        return tuple(p.name for p in self.parameters)
-
     def evaluate(self, values, x) -> np.ndarray:
         return _CATALOGUE[self.kind][1](np.asarray(values, dtype=float),
                                         np.asarray(x, dtype=float))
@@ -710,10 +706,6 @@ class IngestedTrace:
     path: str
     columns: dict
     comments: list
-
-    @property
-    def column_names(self) -> tuple:
-        return tuple(self.columns)
 
     @property
     def abscissa(self) -> np.ndarray:

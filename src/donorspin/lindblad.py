@@ -24,9 +24,9 @@ scipy's embedded Runge-Kutta integrator (DOP853) on the complex
 propagator equation. Drive-free stretches are never integrated: the
 generator is then constant and block-diagonal, and one exact step,
 :meth:`SilencePropagator.split_by_detuning`, crosses every gap and
-every T1 wait, with a small matrix exponential for the populations
-and a phase-and-decay factor per coherence. That removes the
-stiffness of picosecond pulses separated by microsecond delays.
+every T1 wait, with a batched exponential for the populations and a
+phase-and-decay factor per coherence. That removes the stiffness of
+picosecond pulses separated by microsecond delays.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ __all__ = [
 
 _DIM = 4
 _IDX = np.arange(16).reshape(4, 4)  # element (i, j) -> flat index
+_SIGNS = (0, 1, -1)  # the detuning groups of a silence split, in order
 
 
 # ---------------------------------------------------------------------------
@@ -93,41 +94,6 @@ class DensityMatrix:
         m[GROUND_DOWN, GROUND_DOWN] = 0.5
         m[GROUND_UP, GROUND_UP] = 0.5
         return cls(m)
-
-    # -- observables -------------------------------------------------
-    @property
-    def p_down(self) -> float:
-        return float(self.matrix[GROUND_DOWN, GROUND_DOWN].real)
-
-    @property
-    def p_up(self) -> float:
-        return float(self.matrix[GROUND_UP, GROUND_UP].real)
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-    def trace_error(self) -> float:
-        return abs(np.trace(self.matrix) - 1.0)
-
-    def hermiticity_error(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def min_eigenvalue(self) -> float:
-        sym = 0.5 * (self.matrix + self.matrix.conj().T)
-        return float(np.linalg.eigvalsh(sym)[0])
-
-    def validate(self, trace_tol=1e-9, herm_tol=1e-10, positivity_floor=-1e-7):
-        problems = []
-        if self.trace_error() > trace_tol:
-            problems.append(f"trace deviates by {self.trace_error():.3e}")
-        if self.hermiticity_error() > herm_tol:
-            problems.append(f"hermiticity violated by {self.hermiticity_error():.3e}")
-        if self.min_eigenvalue() < positivity_floor:
-            problems.append(f"negative eigenvalue {self.min_eigenvalue():.3e}")
-        if problems:
-            raise ValidationError("unphysical density matrix: " + "; ".join(problems),
-                                  problems)
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -452,26 +418,28 @@ class SilencePropagator:
         group[:, GROUND_UP] -= 1.0
         self.detuning_group = group.ravel()
 
-        self._pop_cache: dict[float, np.ndarray] = {}
-
-    def population_matrix(self, dt: float) -> np.ndarray:
-        got = self._pop_cache.get(dt)
-        if got is None:
-            got = expm(self.pop_generator * dt)
-            self._pop_cache[dt] = got
-        return got
+    def population_matrix(self, taus) -> np.ndarray:
+        """exp(G * tau) of the 4x4 population generator G for each
+        duration in ``taus``, as an (n, 4, 4) stack. Each distinct
+        duration is exponentiated once, all in one batched call, which
+        gives the bits of one call per duration."""
+        uniq, inverse = np.unique(np.asarray(taus, dtype=float),
+                                  return_inverse=True)
+        return expm(self.pop_generator * uniq[:, None, None])[inverse]
 
     def split_by_detuning(self, vec: np.ndarray, taus) -> dict:
-        """Advance a flat state across each gap in ``taus``, by detuning group.
+        """Advance flat states across each gap in ``taus``, by detuning group.
 
-        Returns {s: (n, 16)} for s in (0, +1, -1) such that the state
-        after gap ``taus[k]`` at detuning delta is the sum over s of
-        exp(-i*delta*s*taus[k]) * out[s][k]; s is read from
+        Returns {s: (..., n, 16)} for s in (0, +1, -1), in that order
+        (``_SIGNS``), such that the state after gap ``taus[k]`` at
+        detuning delta is the sum over s of
+        exp(-i*delta*s*taus[k]) * out[s][..., k, :]; s is read from
         :attr:`detuning_group`, and the populations sit in group 0.
-        ``vec`` is one state for every gap or an (n, 16) stack of one
-        state per gap. A state may be one branch, whose populations are
-        complex; they stay complex so that the branches still sum to the
-        state. A negative gap raises :class:`ValidationError`.
+        ``vec`` is one state for every gap or a stack with leading axes
+        (..., n), one state per gap along the last of them. A state may
+        be one branch, whose populations are complex; they stay complex
+        so that the branches still sum to the state. A negative gap
+        raises :class:`ValidationError`.
         """
         taus = np.asarray(taus, dtype=float)
         if np.any(taus < 0):
@@ -480,12 +448,10 @@ class SilencePropagator:
         pop_idx = np.diag(_IDX)
         moved = np.exp(np.multiply.outer(taus, self.coherence_rate.ravel())) \
             * vec
-        rows = np.broadcast_to(vec, moved.shape)
-        moved[:, pop_idx] = np.reshape(
-            [self.population_matrix(float(tau)) @ v[pop_idx]
-             for tau, v in zip(taus, rows)], (-1, _DIM))
+        moved[..., pop_idx] = (self.population_matrix(taus)
+                               @ vec[..., pop_idx, None])[..., 0]
         return {s: np.where(self.detuning_group == s, moved, 0.0)
-                for s in (0, 1, -1)}
+                for s in _SIGNS}
 
 
 # ---------------------------------------------------------------------------

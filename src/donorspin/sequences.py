@@ -13,8 +13,9 @@ on each row of its tau2 scan), and an echo decay joins all its scans.
 The detuning enters only through phase factors on coherences involving
 the spin-up level, so :meth:`SilencePropagator.split_by_detuning`
 splits each row's state across its gap into detuning groups s in
-(0, +1, -1) that gain exp(-i*delta*s*gap). A pathway is keyed by a
-sign tuple, one sign per gap, and its phase duration is sum(s * gap).
+(0, +1, -1) that gain exp(-i*delta*s*gap). Each gap splits the whole
+(keys, n, 16) stack of pathways in one call; a pathway holds one sign
+per gap, and its phase duration is sum(s * gap), a (keys, n) array.
 The detuning-independent complex amplitude of each key is contracted
 with the bath's characteristic function at that duration (``exact``
 ensemble mode) or, when samples are drawn, their empirical phase
@@ -48,6 +49,7 @@ from .hamiltonian import (
     PulseSpec,
 )
 from .lindblad import (
+    _SIGNS,
     DensityMatrix,
     DissipatorSet,
     IntegratorConfig,
@@ -237,56 +239,55 @@ def optical_pump(state, levels: LevelScheme, rabi: float, duration: float,
     )
 
 
-def _prepare_initial(initial, pump, levels, dissipators):
+def _prepare_initial(pump, levels, dissipators):
     if pump is not None:
         return optical_pump(DensityMatrix.scrambled().matrix, levels,
                             pump.rabi, pump.duration, dissipators,
                             pump.samples).final.matrix
-    return _as_matrix(initial)
+    return _as_matrix(None)
 
 
 # ---------------------------------------------------------------------------
 # the contraction
 
 
-def _ensemble_reduce(terms_by_shift, bath, samples, durations_of):
-    """Average sum_s exp(-i*delta*shift_s) * T_s over the bath.
+def _ensemble_reduce(terms, durations, bath, samples):
+    """Average sum_k exp(-i*delta*durations[k]) * terms[k] over the bath.
 
-    ``terms_by_shift`` maps a shift key to a (n,) complex array;
-    ``durations_of(key)`` returns the (n,) array of phase durations for
-    that key. Returns (mean, stderr or None).
+    ``terms`` (complex) and ``durations`` are (keys, n) arrays. Returns
+    (mean, stderr or None).
 
-    Without ``samples`` the sum is exact, each term weighted by the
-    bath's characteristic function (bare with no bath). With ``mc``
-    samples, keys with all-zero durations add without a phase, and the
-    others merge into one term per duration up to sign: a key whose
-    durations negate a merged key's bit for bit (IEEE negation is
-    exact) adds its conjugate terms, since Re(e^{+i delta d} T) =
-    Re(e^{-i delta d} conj T). Blocks of ``_MC_BLOCK`` samples stream
-    into a running sum and sum of squared deviations (the pairwise
-    update of Chan, Golub & LeVeque, Am. Stat. 37, 242 (1983)), so
-    memory is a few (block, points) arrays for any sample count.
+    Without ``samples`` the sum is exact, each key weighted by the
+    bath's characteristic function (bare with no bath), in key order.
+    With ``mc`` samples, keys with all-zero durations add without a
+    phase, and the others merge into one term per duration up to sign:
+    a key whose durations negate a merged key's bit for bit (IEEE
+    negation is exact) adds its conjugate terms, since
+    Re(e^{+i delta d} T) = Re(e^{-i delta d} conj T). Blocks of
+    ``_MC_BLOCK`` samples stream into a running sum and sum of squared
+    deviations (the pairwise update of Chan, Golub & LeVeque, Am. Stat.
+    37, 242 (1983)), so memory is a few (block, points) arrays for any
+    sample count.
     """
     if samples is None:
         total = 0.0  # a bath-free term adds bare: (1+0j) * (x+inf*j) is nan
-        for k, terms in terms_by_shift.items():
+        for term, duration in zip(terms, durations):
             if bath is not None:
-                terms = bath.characteristic_function(durations_of(k)) * terms
-            total = total + terms
+                term = bath.characteristic_function(duration) * term
+            total = total + term
         return np.real(total), None
     # Monte Carlo over frozen detunings: dynamics are linear in the phase
     # factors, so averaging the phases exactly averages per-donor traces
-    n_points = len(next(iter(terms_by_shift.values())))
+    n_points = terms.shape[1]
     still, merged = 0.0, {}
-    for k, terms in terms_by_shift.items():
-        durations = durations_of(k)
-        if not np.any(durations):
-            still = still + terms.real
+    for term, duration in zip(terms, durations):
+        if not np.any(duration):
+            still = still + term.real
             continue
-        if (-durations).tobytes() in merged:
-            durations, terms = -durations, np.conj(terms)
-        entry = merged.setdefault(durations.tobytes(), [durations, 0.0])
-        entry[1] = entry[1] + terms
+        if (-duration).tobytes() in merged:
+            duration, term = -duration, np.conj(term)
+        entry = merged.setdefault(duration.tobytes(), [duration, 0.0])
+        entry[1] = entry[1] + term
     n, total, m2 = 0, 0.0, 0.0
     for start in range(0, len(samples), _MC_BLOCK):
         block = samples[start:start + _MC_BLOCK]
@@ -361,34 +362,34 @@ def _contract(window, rho0, abscissa, abscissa_name, silence=None, gaps=(),
 
     ``window`` is one (16, 16) window for all rows or an (n, 16, 16)
     stack, one per row; it acts on ``rho0``. Gap j of row k lasts
-    ``gaps[j][k]`` and scales the ground coherence by ``mults[j][k]``;
-    it splits every branch into its detuning groups, and the next
-    window acts on each group. The final window's p_up and p_down rows
-    read the last split (``rho0`` with no gap). A key holds one sign
-    per gap, and its phase duration is sum(s * gap).
+    ``gaps[j][k]`` and scales the ground coherence by ``mults[j][k]``.
+    Each gap splits the (keys, n, 16) stack of branches in one call,
+    each branch followed by its groups in the split's order, and the
+    next window acts on every branch; their (keys, n) phase durations
+    sum(s * gap) grow alike. The final window's p_up and p_down rows
+    read the last split (``rho0`` with no gap).
     """
-    branches = {(): np.broadcast_to(rho0.reshape(16), (len(abscissa), 16))}
+    n = len(abscissa)
+    states = np.broadcast_to(rho0.reshape(16), (1, n, 16))
+    # -0.0 adds as an exact identity: a zero gap keeps the mc merge's sign
+    durations = np.full((1, n), -0.0)
     for gap, mult in zip(gaps, mults):
         # a stack of matrix-vector products keeps the bits of one
         # product per row, which v @ window.T does not
-        branches = {key + (s,): v for key, u in branches.items()
-                    for s, v in silence.split_by_detuning(
-                        (window @ u[..., None])[..., 0], gap).items()}
-        for v in branches.values():
-            v[:, _GROUND_COHERENCES] *= mult[:, None]
-
-    def durations(key):
-        # no 0.0 start: a zero gap keeps the sign the mc merge reads
-        return sum((s * gap for s, gap in zip(key[1:], gaps[1:])),
-                   key[0] * gaps[0])
+        split = silence.split_by_detuning(
+            (window @ states[..., None])[..., 0], gap)
+        states = np.stack([split[s] for s in _SIGNS], axis=1).reshape(
+            3 * len(states), n, 16)
+        states[..., _GROUND_COHERENCES] *= mult[:, None]
+        durations = (durations[:, None]
+                     + np.multiply.outer(_SIGNS, gap)).reshape(len(states), n)
 
     rows = []
     for flat in (_UP_FLAT, _DOWN_FLAT):
         # one dot per row keeps the bits of a gemv and of a lone dot
-        terms = {key: np.einsum("...i,...i->...", window[..., flat, :], v,
-                                optimize=True)
-                 for key, v in branches.items()}
-        rows.append(_ensemble_reduce(terms, bath, samples, durations))
+        terms = np.einsum("...i,...i->...", window[..., flat, :], states,
+                          optimize=True)
+        rows.append(_ensemble_reduce(terms, durations, bath, samples))
     (p_up, up_err), (p_down, down_err) = rows
     return ExperimentTrace(abscissa, abscissa_name,
                            *_clip_populations(p_up, p_down), up_err, down_err)
@@ -454,7 +455,7 @@ def run_rabi_sweep(energies, levels: LevelScheme, pulse: PulseSpec,
         raise ValidationError("energies must be a non-empty 1-D sequence")
     if np.any(energies < 0):
         raise ValidationError("pulse energies must be non-negative")
-    rho0 = _prepare_initial(None, pump, levels, dissipators)
+    rho0 = _prepare_initial(pump, levels, dissipators)
     return _contract(_windows(energies, levels, pulse, dissipators,
                               expm_steps), rho0, energies, "pulse_energy_J")
 
@@ -592,7 +593,7 @@ class EchoResult:
 
 def _run_echoes(tau1_values, scans, levels, pulse, dissipators, bath=None,
                 ensemble_mode="exact", bath_samples=1000, seed=None,
-                initial=None, pump=None, injected=None, expm_steps=1024):
+                pump=None, injected=None, expm_steps=1024):
     """Echo scans, tau2 scan k at tau1_values[k], as one contraction.
 
     Every scan is checked first; the bath is drawn, the initial state
@@ -615,7 +616,7 @@ def _run_echoes(tau1_values, scans, levels, pulse, dissipators, bath=None,
         _check_sampling(tau2, larmor, "tau2")
 
     samples = _resolve_ensemble(bath, ensemble_mode, bath_samples, seed)
-    rho0 = _prepare_initial(initial, pump, levels, dissipators)
+    rho0 = _prepare_initial(pump, levels, dissipators)
     window = pulse_window_propagator(levels, pulse, dissipators,
                                      expm_steps=expm_steps)
     tau1 = np.repeat(tau1_values, [len(scan) for scan in scans])
@@ -632,7 +633,7 @@ def _run_echoes(tau1_values, scans, levels, pulse, dissipators, bath=None,
 def run_echo(tau1: float, tau2, levels: LevelScheme, pulse: PulseSpec,
              dissipators: DissipatorSet, bath: BathModel | None = None,
              ensemble_mode: str = "exact", bath_samples: int = 1000,
-             seed=None, initial=None, pump: PumpSettings | None = None,
+             seed=None, pump: PumpSettings | None = None,
              injected: InjectedDecoherence | None = None,
              expm_steps: int = 1024) -> EchoResult:
     """Three equal pulses at 0, tau1, tau1+tau2; scan tau2, read p_up.
@@ -647,7 +648,7 @@ def run_echo(tau1: float, tau2, levels: LevelScheme, pulse: PulseSpec,
     trace, times, amplitudes, stderr = _run_echoes(
         np.array([tau1], dtype=float), [np.asarray(tau2, dtype=float)],
         levels, pulse, dissipators, bath, ensemble_mode, bath_samples, seed,
-        initial, pump, injected, expm_steps)
+        pump, injected, expm_steps)
     return EchoResult(float(times[0]), amplitudes[0], stderr[0], trace)
 
 

@@ -23,6 +23,10 @@ something:
   ``extracted_rotation_angle`` reads from the full four-level window;
   ``zeeman_frequency_hz`` states a splitting as the published anchors
   do, in Hz.
+* ``trace_error``, ``hermiticity_error``, ``min_eigenvalue`` and
+  ``purity`` read the invariants of a 4x4 density matrix that the tests
+  hold every propagated state to; no package code checks a state this
+  way.
 * ``fringe_grid_costs`` prices the free fringe fit's frequency grid
   with one ``lstsq`` per frequency, where ``fitting._grid_costs``
   projects onto batched SVDs of many designs at once.
@@ -99,6 +103,22 @@ def extracted_rotation_angle(levels, pulse, expm_steps=1024):
     v0 = DensityMatrix.pure(GROUND_DOWN).matrix.reshape(16)
     p_up = float(np.real(w[4 * GROUND_UP + GROUND_UP] @ v0))
     return 2.0 * math.asin(math.sqrt(min(max(p_up, 0.0), 1.0)))
+
+
+def trace_error(m):
+    return abs(np.trace(m) - 1.0)
+
+
+def hermiticity_error(m):
+    return float(np.max(np.abs(m - m.conj().T)))
+
+
+def min_eigenvalue(m):
+    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+
+
+def purity(m):
+    return float(np.real(np.trace(m @ m)))
 
 
 def lindblad_rhs(rho, hamiltonian, dissipators, rabi=0.0):

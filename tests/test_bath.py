@@ -127,7 +127,8 @@ class TestBathModel:
                         electron_g=0.0)
 
     def test_silent_bath_constructor(self):
-        bath = d.BathModel.none()
+        bath = d.BathModel(ga_field_values=(0.0,), zn_dispersion=0.0,
+                           electron_g=2.0)
         t = np.linspace(0.0, 1e-6, 11)
         assert np.allclose(bath.characteristic_function(t), 1.0)
 

@@ -702,6 +702,22 @@ class TestSimulateCommand:
             "at the envelope peak non-finite"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["ramsey", "echo"])
+    def test_detuning_inside_the_pulse_bandwidth_exits_2(self, tmp_path,
+                                                         capsys, kind):
+        # at 20 MHz the far-detuned "pi/2" pulse would rotate by 5.8e-4 rad
+        code, _, stderr = run_cli(
+            ["simulate", "--config", f"configs/{kind}.yaml", "--set",
+             "levels.optical_detuning=20 MHz", "--set", "bath.ensemble=exact",
+             "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert stderr.splitlines() == [
+            "validation error:",
+            "  - levels.optical_detuning: 1.25664e+08 rad/s is below 5 x "
+            "(1/pulse.duration + hole splitting) = 3.37908e+12 rad/s, where "
+            "pulse.rotation_angle sets the pulse energy"]
+        assert not (tmp_path / "out").exists()
+
     def test_stray_linalg_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def singular(config):
             raise np.linalg.LinAlgError("Singular matrix")

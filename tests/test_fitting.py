@@ -51,7 +51,7 @@ ROUNDTRIPS = {
 def synthesize(kind):
     x, params = ROUNDTRIPS[kind]
     model = CurveModel.for_kind(kind)
-    y = model.evaluate([params[n] for n in model.parameter_names], x)
+    y = model.evaluate([params[p.name] for p in model.parameters], x)
     return x, y, params
 
 
@@ -150,7 +150,7 @@ class TestFitDiagnostics:
         model = CurveModel.for_kind(kind)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = model.evaluate([p[n] for n in model.parameter_names],
+            values = model.evaluate([p[s.name] for s in model.parameters],
                                     [0.0, 1e-6, 1e9])
         assert values[0] == 1.25 and values[2] == pytest.approx(0.25)
 
@@ -319,8 +319,8 @@ class TestIngestTrace:
             "",
         ]))
         trace = d.ingest_trace(source)
-        assert trace.column_names == ("tau_s", "p_up", "p_up_stderr",
-                                      "p_down")
+        assert tuple(trace.columns) == ("tau_s", "p_up", "p_up_stderr",
+                                        "p_down")
         assert trace.comments == ["experiment: ramsey", "seed: 9"]
         assert np.allclose(trace.abscissa, [1e-9, 2e-9])
         assert np.allclose(trace.ordinate, [0.5, 0.4])

@@ -94,3 +94,31 @@ def test_the_benchmark_traces_live_names():
                     if name not in parameters]
     assert missing == []
     assert set(PROBED_PARAMETERS) <= set(tracing.traced_names())
+
+
+def _attribute_reads(paths) -> set:
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_method_is_read_outside_tests():
+    # a method or property is used when code reads it as an attribute:
+    # package code, the benchmark or a script, not tests and not prose
+    package = sorted(PACKAGE.glob("*.py"))
+    reads = _attribute_reads(package + sorted((ROOT / "perfbench").rglob(
+        "*.py")) + sorted((ROOT / "scripts").rglob("*.py")))
+    unread = []
+    for path in package:
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(cls, ast.ClassDef):
+                unread += [f"{path.name}:{cls.name}.{node.name}"
+                           for node in cls.body
+                           if isinstance(node, ast.FunctionDef)
+                           and not node.name.startswith("_")
+                           and node.name not in reads]
+    assert unread == []

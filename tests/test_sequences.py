@@ -13,7 +13,7 @@ import donorspin as d
 from donorspin import BathModel, ExperimentTrace, ValidationError
 from donorspin.sequences import _ensemble_reduce
 from conftest import pulse_for_angle, spike_bath
-from reference import evolve, extracted_rotation_angle
+from reference import evolve, extracted_rotation_angle, trace_error
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,7 +33,7 @@ def brute_force_p_up(arrivals, levels, pulse, dissipators, detuning=0.0):
     result = evolve(d.DensityMatrix.pure(d.GROUND_DOWN), levels, pulses,
                     dissipators, t_span=(-w, arrivals[-1] + w),
                     spin_detuning=detuning)
-    return result.final.p_up
+    return float(result.final.matrix[d.GROUND_UP, d.GROUND_UP].real)
 
 
 def ensemble_average(run, bath: BathModel, n: int, seed=None) -> ExperimentTrace:
@@ -107,7 +107,7 @@ class TestOpticalPump:
                                 rabi=TWO_PI * 20e6, duration=10e-6,
                                 dissipators=lossy, samples=400)
         assert result.fidelity > 0.95
-        assert result.final.trace_error() < 1e-9
+        assert trace_error(result.final.matrix) < 1e-9
         assert np.all(result.emission_rate >= -1e-12)
 
     def test_no_drive_means_no_initialization(self, levels_5t, lossy):
@@ -351,11 +351,19 @@ def one_shot_mc_reduce(terms_by_shift, samples, durations_of):
     return mean, stderr
 
 
+def as_arrays(terms_by_shift, durations_of):
+    """The (keys, n) terms and durations arrays that the reduction takes,
+    in the keys' order."""
+    return (np.array(list(terms_by_shift.values())),
+            np.array([durations_of(k) for k in terms_by_shift]))
+
+
 def assert_matches_one_shot(terms, samples, durations):
     """The streamed reduction against its oracle: the mean within
     1e-13 * sum_k |T_k|, the stderr within 1e-12 relative (more than
     30x the largest drift measured over 1 to 20,000 samples)."""
-    mean, stderr = _ensemble_reduce(terms, None, samples, durations)
+    mean, stderr = _ensemble_reduce(*as_arrays(terms, durations), None,
+                                    samples)
     want_mean, want_stderr = one_shot_mc_reduce(terms, samples, durations)
     scale = sum(np.abs(t) for t in terms.values())
     assert np.all(np.abs(mean - want_mean) <= 1e-13 * scale)
@@ -417,9 +425,10 @@ class TestBlockedMcReduction:
         for n_samples in (2_000, 40_000):
             terms, bath, samples, durations = mc_reduction_inputs(
                 (), 228, n_samples, seed=3)
+            terms, durations = as_arrays(terms, durations)
             tracemalloc.start()
             try:
-                _ensemble_reduce(terms, bath, samples, durations)
+                _ensemble_reduce(terms, durations, bath, samples)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -618,8 +627,8 @@ class TestT1Recovery:
         result = d.run_t1_recovery(waits, levels_5t, diss, pump)
         silence = d.SilencePropagator(levels_5t, diss)
         pumped = np.diag(result.pump.final.matrix).real
-        for k, wait in enumerate(waits):
-            want = silence.population_matrix(wait) @ pumped
+        for k, step in enumerate(silence.population_matrix(waits)):
+            want = step @ pumped
             assert abs(result.trace.p_up[k] - want[d.GROUND_UP]) <= 1e-15
             assert abs(result.trace.p_down[k] - want[d.GROUND_DOWN]) <= 1e-15
 
