@@ -103,20 +103,7 @@ def _execute(config: RunConfig) -> dict:
     payload["kind"] = kind
     payload["meta"] = dict(_meta_head(config.resolved, config.seed),
                            summary=payload["summary"])
-    comments = [
-        "donorspin trace",
-        f"experiment: {kind}",
-        f"seed: {config.seed}",
-        f"config digest: {payload['meta']['config_digest']}",
-    ]
-    for entry in payload["files"].values():
-        entry.setdefault("comments", comments)
     return payload
-
-
-def _trace_payload(trace) -> dict:
-    header, rows = trace.as_rows()
-    return {"header": header, "rows": rows}
 
 
 def _execute_rabi(config: RunConfig) -> dict:
@@ -126,7 +113,7 @@ def _execute_rabi(config: RunConfig) -> dict:
         config.dissipators, pump=exp.get("pump"))
     summary = {"p_up_max": float(np.max(trace.p_up)),
                "p_up_at_zero": float(trace.p_up[0])}
-    return {"files": {"rabi_trace.csv": _trace_payload(trace)},
+    return {"files": {"rabi_trace.csv": trace.as_rows()},
             "summary": summary}
 
 
@@ -144,13 +131,11 @@ def _execute_ramsey(config: RunConfig) -> dict:
                         ensemble_mode=config.ensemble_mode,
                         bath_samples=config.bath_samples, seed=config.seed,
                         injected=exp.get("injected"))
-    files = {"ramsey_trace.csv": _trace_payload(result.trace)}
-    vis_rows = list(zip(result.window_centers, result.visibilities,
-                        result.visibility_stderr))
-    files["ramsey_visibility.csv"] = {
-        "header": ["tau_center_s", "visibility", "visibility_stderr"],
-        "rows": vis_rows,
-    }
+    files = {"ramsey_trace.csv": result.trace.as_rows(),
+             "ramsey_visibility.csv": (
+                 ["tau_center_s", "visibility", "visibility_stderr"],
+                 list(zip(result.window_centers, result.visibilities,
+                          result.visibility_stderr)))}
     first = windows[0]
     try:
         free = fit_fringe(first, result.trace.p_up[:len(first)],
@@ -176,14 +161,13 @@ def _execute_echo(config: RunConfig) -> dict:
         points_per_period=exp["points_per_period"], bath=config.bath,
         ensemble_mode=config.ensemble_mode, bath_samples=config.bath_samples,
         seed=config.seed, injected=exp.get("injected"))
-    header, rows = result.as_rows()
     summary = {
         "amplitude_first": float(result.amplitudes[0]),
         "amplitude_last": float(result.amplitudes[-1]),
         "total_time_span_s": float(result.total_times[-1]
                                    - result.total_times[0]),
     }
-    return {"files": {"echo_trace.csv": {"header": header, "rows": rows}},
+    return {"files": {"echo_trace.csv": result.as_rows()},
             "summary": summary}
 
 
@@ -196,7 +180,7 @@ def _execute_t1(config: RunConfig) -> dict:
         "pump_fidelity": float(result.pump.fidelity),
         "t1_rate_per_s": float(config.dissipators.t1_rate),
     }
-    return {"files": {"t1_trace.csv": _trace_payload(result.trace)},
+    return {"files": {"t1_trace.csv": result.trace.as_rows()},
             "summary": summary}
 
 
@@ -209,20 +193,23 @@ def _execute_pump(config: RunConfig) -> dict:
     summary = {"fidelity": float(result.fidelity),
                "pump_rabi_rad_per_s": float(settings.rabi),
                "pump_duration_s": float(settings.duration)}
-    return {"files": {"pump_trace.csv": {
-                "header": ["time_s", "emission_rate_Hz"], "rows": rows}},
+    return {"files": {"pump_trace.csv": (["time_s", "emission_rate_Hz"],
+                                         rows)},
             "summary": summary}
 
 
 def _write_payload(run_dir: Path, payload: dict) -> list:
+    meta = payload["meta"]
+    comments = ["donorspin trace", f"experiment: {payload['kind']}",
+                f"seed: {meta['seed']}",
+                f"config digest: {meta['config_digest']}"]
     written = []
-    for name, entry in payload["files"].items():
+    for name, (header, rows) in payload["files"].items():
         path = run_dir / name
-        write_trace_file(path, entry["header"], entry["rows"],
-                         entry.get("comments", ()))
+        write_trace_file(path, header, rows, comments)
         written.append(path)
     meta_path = run_dir / f"{payload['kind']}_meta.yaml"
-    _write_meta(meta_path, payload["meta"])
+    _write_meta(meta_path, meta)
     written.append(meta_path)
     return written
 
@@ -288,7 +275,7 @@ def cmd_fit(args) -> int:
         seed = config.seed
         out_base = config.output
     traces = [ingest_trace(path) for path in args.data]
-    if args.compare:
+    if args.compare is not None:
         kinds = canonical_models(args.compare.split(","), "--compare")
 
     reports = []
@@ -383,6 +370,11 @@ def cmd_sweep(args) -> int:
     if not _document_has_path(document, args.axis):
         raise ValidationError(
             f"sweep axis {args.axis!r} does not name an existing config key")
+    loglog = config.experiment_kind == "t1" and len(values) >= 2
+    if loglog and not all(math.isfinite(v) and v > 0 for v in numeric_values):
+        raise ValidationError(
+            f"the log-log T1 fit needs finite positive sweep values, got "
+            f"{numeric_values}")
 
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(values) > 1:
@@ -392,10 +384,8 @@ def cmd_sweep(args) -> int:
     else:
         payloads = [_sweep_one(document, args.axis, v) for v in values]
 
-    slope = None
-    if payloads[0]["kind"] == "t1" and len(values) >= 2:
-        slope = _loglog_slope(numeric_values,
-                              [p["summary"]["fitted_t1_s"] for p in payloads])
+    slope = _loglog_slope(numeric_values, [
+        p["summary"]["fitted_t1_s"] for p in payloads]) if loglog else None
 
     sweep_meta = _meta_head(config.resolved, config.seed)
     digest = sweep_meta["config_digest"]
@@ -428,13 +418,9 @@ def cmd_sweep(args) -> int:
 
 
 def _loglog_slope(axis_values, t1s) -> float:
-    """Slope of log T1 against the log of the swept value."""
-    axis_values = np.asarray(axis_values, dtype=float)
+    """Slope of log T1 against the log of the swept value; the swept
+    values are checked finite and positive before the sweep runs."""
     t1s = np.asarray(t1s, dtype=float)
-    if not np.all(np.isfinite(axis_values) & (axis_values > 0)):
-        raise ValidationError(
-            f"the log-log T1 fit needs finite positive sweep values, got "
-            f"{axis_values.tolist()}")
     if not np.all(np.isfinite(t1s) & (t1s > 0)):
         raise NumericsError(
             f"the log-log T1 fit needs finite positive fitted T1 values, "

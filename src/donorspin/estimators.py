@@ -110,13 +110,12 @@ class LatticeSumResult:
 
     ``sum_b_squared`` is f * (mu0^2/16 pi^2) (mu_Zn^4/hbar^2) *
     sum_j (1 - 3 cos^2 theta_j)^2 / r_j^6 in rad^2/s^2 over the
-    ``site_count`` sites within ``cutoff_radius``. ``growth_change`` is
+    ``site_count`` sites within the cutoff. ``growth_change`` is
     the share of the whole-lattice sum that lies beyond the cutoff, by
     the continuum tail; ``converged`` certifies it is at most 1%.
     """
 
     sum_b_squared: float
-    cutoff_radius: float
     site_count: int
     converged: bool
     growth_change: float
@@ -160,8 +159,7 @@ def dipolar_lattice_sum(material: MaterialParams, field_direction=None,
                  * material.zinc67_moment ** 4 / HBAR ** 2)
     return LatticeSumResult(
         sum_b_squared=material.zinc67_abundance * prefactor * total,
-        cutoff_radius=cutoff, site_count=count, converged=True,
-        growth_change=share)
+        site_count=count, converged=True, growth_change=share)
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def _eval_damped_sinusoid(p, x):
         angular_frequency * x + phase)
 
 
-def _guess_decay(x, y, names):
+def _guess_decay(x, y):
     offset = float(y[-1])
     amplitude = float(y[0] - offset)
     norm = (y - offset) / (amplitude if amplitude != 0 else 1.0)
@@ -120,7 +120,7 @@ def _dominant_frequency(x, y):
     return 2.0 * math.pi * float(freqs[peak])
 
 
-def _guess_sinusoid(x, y, names):
+def _guess_sinusoid(x, y):
     return {
         "amplitude": float((y.max() - y.min()) / 2.0),
         "angular_frequency": max(_dominant_frequency(x, y), 1e-30),
@@ -129,13 +129,13 @@ def _guess_sinusoid(x, y, names):
     }
 
 
-def _guess_damped_sinusoid(x, y, names):
-    out = _guess_sinusoid(x, y, names)
+def _guess_damped_sinusoid(x, y):
+    out = _guess_sinusoid(x, y)
     out["t_decay"] = float(max(x[-1], np.finfo(float).tiny))
     return out
 
 
-def _guess_power_law(x, y, names):
+def _guess_power_law(x, y):
     mask = (x > 0) & (y > 0)
     if mask.sum() >= 2:
         slope, intercept = np.polyfit(np.log(x[mask]), np.log(y[mask]), 1)
@@ -199,7 +199,7 @@ class CurveModel:
         if x is not None and y is not None and len(x) >= 2:
             x = np.asarray(x, dtype=float)
             y = np.asarray(y, dtype=float)
-            inits = guess(x, y, names)
+            inits = guess(x, y)
         else:
             inits = {n: 1.0 for n in names}
         if overrides:
@@ -224,10 +224,8 @@ class CurveModel:
 class FitResult:
     """Outcome of one least-squares fit."""
 
-    model_kind: str
     parameters: dict
     uncertainties: dict
-    covariance: np.ndarray
     residual_norm: float
     iterations: int
     converged: bool
@@ -391,14 +389,14 @@ def fit_curve(model, x, y, weights=None) -> FitResult:
     def residual_fn(p):
         return (model.evaluate(p, x) - y) * sw
 
-    return _least_squares(model.kind, model.parameters, residual_fn, 500)
+    return _least_squares(model.parameters, residual_fn, 500)
 
 
-def _least_squares(kind, specs, residual_fn, max_iterations) -> FitResult:
+def _least_squares(specs, residual_fn, max_iterations) -> FitResult:
     """Run LM from the :class:`ParameterSpec` inits and summarize the fit.
 
-    The covariance is the reduced chi-square times the pseudo-inverse
-    of J^T J, from the last Jacobian of the run.
+    The uncertainties are the root diagonal of the reduced chi-square
+    times the pseudo-inverse of J^T J, from the last Jacobian of the run.
     """
     names = tuple(spec.name for spec in specs)
     lower = np.array([spec.lower for spec in specs])
@@ -408,13 +406,10 @@ def _least_squares(kind, specs, residual_fn, max_iterations) -> FitResult:
     dof = max(info["residual"].size - len(names), 1)
     jac = info["jacobian"]
     cov = info["cost"] / dof * np.linalg.pinv(jac.T @ jac)
-    cov = 0.5 * (cov + cov.T)
     sigma = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FitResult(
-        model_kind=kind,
         parameters=dict(zip(names, map(float, p))),
         uncertainties=dict(zip(names, map(float, sigma))),
-        covariance=cov,
         residual_norm=math.sqrt(info["cost"]),
         iterations=info["iterations"],
         converged=info["converged"],
@@ -444,19 +439,16 @@ def compare_models(kinds, x, y, weights=None) -> dict:
 
 @dataclass(frozen=True)
 class FringeFit:
-    """Sinusoid parameters of one fringe window.
+    """Amplitude and frequency of one fringe window.
 
     ``visibility`` is the oscillation amplitude, half the peak-to-peak
-    excursion of the noiseless fitted curve.
+    excursion of the noiseless fitted curve, and ``frequency`` the
+    angular frequency it oscillates at, fitted or as given.
     """
 
     visibility: float
     visibility_stderr: float
-    phase: float
-    offset: float
     frequency: float                 # rad/s
-    frequency_stderr: float | None
-    residual_norm: float
 
 
 def _inverse_variance(stderr, y):
@@ -504,7 +496,7 @@ def _grid_costs(x, y, w, omegas):
 
 def fit_fringe(x, y, known_frequency: float | None = None, stderr=None,
                frequency_guess: float | None = None) -> FringeFit:
-    """Extract fringe amplitude, phase, and offset from a scan.
+    """Extract the fringe amplitude, its stderr and frequency from a scan.
 
     With ``known_frequency`` (rad/s) the problem is linear and solved
     directly. Otherwise the frequency is found by a dense grid search
@@ -524,7 +516,7 @@ def fit_fringe(x, y, known_frequency: float | None = None, stderr=None,
         if known_frequency <= 0:
             raise ValidationError("known_frequency must be positive")
         coef, cost, design = _linear_fringe(x, y, w, known_frequency)
-        offset, b, c = coef
+        _, b, c = coef
         visibility = math.hypot(b, c)
         dof = max(len(x) - 3, 1)
         scale = cost / dof if stderr is None else 1.0
@@ -534,11 +526,8 @@ def fit_fringe(x, y, known_frequency: float | None = None, stderr=None,
             v_err = float(math.sqrt(max(grad @ cov @ grad, 0.0)))
         else:
             v_err = float(math.sqrt(max(cov[1, 1] + cov[2, 2], 0.0)))
-        return FringeFit(
-            visibility=float(visibility), visibility_stderr=v_err,
-            phase=math.atan2(-c, b), offset=float(offset),
-            frequency=float(known_frequency), frequency_stderr=None,
-            residual_norm=math.sqrt(cost))
+        return FringeFit(visibility=float(visibility), visibility_stderr=v_err,
+                         frequency=float(known_frequency))
 
     guess = frequency_guess if frequency_guess else _dominant_frequency(x, y)
     if guess <= 0:
@@ -562,11 +551,7 @@ def fit_fringe(x, y, known_frequency: float | None = None, stderr=None,
     return FringeFit(
         visibility=abs(result.parameters["amplitude"]),
         visibility_stderr=result.uncertainties["amplitude"],
-        phase=result.parameters["phase"],
-        offset=result.parameters["offset"],
-        frequency=result.parameters["angular_frequency"],
-        frequency_stderr=result.uncertainties["angular_frequency"],
-        residual_norm=result.residual_norm)
+        frequency=result.parameters["angular_frequency"])
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +560,9 @@ def fit_fringe(x, y, known_frequency: float | None = None, stderr=None,
 
 @dataclass
 class SimultaneousFitResult:
+    """The joint fit of ``calibration``, ``beta1`` and ``beta2``."""
+
     fit: FitResult
-    rabi_model: np.ndarray
-    fringe_model: np.ndarray
-    dephasing_rabi_axis: np.ndarray    # peak Rabi rates, rad/s
-    dephasing_rate_curve: np.ndarray   # gamma at those rates, 1/s
 
 
 def simultaneous_fit_rabi_fringe(rabi_energies, rabi_p_up,
@@ -600,7 +583,8 @@ def simultaneous_fit_rabi_fringe(rabi_energies, rabi_p_up,
     weight. The fit stops after 200 iterations.
 
     Forward-model failures at trial parameters are logged and rejected
-    through a large residual penalty instead of aborting the fit.
+    through a large residual penalty instead of aborting the fit; a
+    failure at the returned parameters raises its error.
     """
     from . import sequences  # imported here to avoid a module cycle
 
@@ -645,41 +629,25 @@ def simultaneous_fit_rabi_fringe(rabi_energies, rabi_p_up,
         return np.concatenate([rabi, fringe])
 
     penalty = 1e6 * max(float(np.linalg.norm(y_all * sw)), 1.0)
-    models = {}  # forward model by parameter bytes, reused at the result
+    failed = set()  # parameter bytes the forward model failed at
 
     def residual_fn(p):
         try:
             model = forward(p)
         except Exception as exc:  # forward model failed at these parameters
             logger.warning("forward model rejected parameters %s: %s", p, exc)
+            failed.add(p.tobytes())
             return np.full(y_all.shape, penalty)
-        models[p.tobytes()] = model
         return (model - y_all) * sw
 
     specs = (ParameterSpec("calibration", init["calibration"], _TINY),
              ParameterSpec("beta1", init["beta1"], 0.0),
              ParameterSpec("beta2", init["beta2"], 0.0))
-    fit = _least_squares("four-level pulse response", specs, residual_fn,
-                         200)
+    fit = _least_squares(specs, residual_fn, 200)
     p = fit.parameter_array()
-    best = models.get(p.tobytes())
-    if best is None:  # the model failed at p: raise its error here
-        best = forward(p)
-    pulse_at_best = replace(pulse_template, calibration=p[0])
-    peaks = np.array([
-        replace(pulse_at_best, energy=e).peak_rabi
-        for e in np.linspace(min(rabi_energies.min(), fringe_energies.min()),
-                             max(rabi_energies.max(), fringe_energies.max()),
-                             64)
-    ])
-    gamma = p[1] * peaks + p[2] * peaks ** 2
-    return SimultaneousFitResult(
-        fit=fit,
-        rabi_model=best[:rabi_energies.size],
-        fringe_model=best[rabi_energies.size:],
-        dephasing_rabi_axis=peaks,
-        dephasing_rate_curve=gamma,
-    )
+    if p.tobytes() in failed:  # the model failed at p: raise its error here
+        forward(p)
+    return SimultaneousFitResult(fit=fit)
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +673,6 @@ class IngestedTrace:
 
     path: str
     columns: dict
-    comments: list
 
     @property
     def abscissa(self) -> np.ndarray:
@@ -733,7 +700,6 @@ def ingest_trace(path) -> IngestedTrace:
     Malformed rows are reported all at once with their line numbers.
     """
     path = str(path)
-    comments: list[str] = []
     header: list[str] | None = None
     rows: list[list[float]] = []
     problems: list[str] = []
@@ -743,7 +709,6 @@ def ingest_trace(path) -> IngestedTrace:
             if not line:
                 continue
             if line.startswith("#"):
-                comments.append(line.lstrip("#").strip())
                 continue
             cells = [c.strip() for c in line.split(",")]
             if header is None:
@@ -780,4 +745,4 @@ def ingest_trace(path) -> IngestedTrace:
 
     data = np.asarray(rows, dtype=float)
     columns = {name: data[:, k].copy() for k, name in enumerate(header)}
-    return IngestedTrace(path=path, columns=columns, comments=comments)
+    return IngestedTrace(path=path, columns=columns)

@@ -39,7 +39,7 @@ from scipy.linalg import expm
 
 from .bath import BathModel
 from .errors import NumericsError, ValidationError
-from .fitting import FitResult, fit_curve, fit_fringe
+from .fitting import fit_curve, fit_fringe
 from .hamiltonian import (
     EXCITED_LOWER,
     EXCITED_UPPER,
@@ -138,10 +138,6 @@ class InjectedDecoherence:
         if self.exponent < 1.0:
             raise ValidationError("exponent must be >= 1")
 
-    def envelope(self, t):
-        return np.exp(-np.power(np.asarray(t, dtype=float)
-                                / self.time_constant, self.exponent))
-
     def ratio(self, t_start, t_end):
         t_start = np.asarray(t_start, dtype=float)
         t_end = np.asarray(t_end, dtype=float)
@@ -191,8 +187,6 @@ class PumpResult:
     fidelity: float
     times: np.ndarray
     emission_rate: np.ndarray   # radiative_rate * excited population, 1/s
-    rabi: float
-    duration: float
 
 
 def _pump_hamiltonian(levels: LevelScheme, rabi: float) -> np.ndarray:
@@ -234,8 +228,6 @@ def optical_pump(state, levels: LevelScheme, rabi: float, duration: float,
         fidelity=float(final.matrix[GROUND_DOWN, GROUND_DOWN].real),
         times=times,
         emission_rate=dissipators.radiative_rate * excited,
-        rabi=rabi,
-        duration=duration,
     )
 
 
@@ -585,7 +577,6 @@ def fringe_visibilities(energies, levels: LevelScheme, pulse: PulseSpec,
 class EchoResult:
     """One echo point: fringe scan at fixed tau1, swept tau2."""
 
-    total_time: float
     amplitude: float
     amplitude_stderr: float
     trace: ExperimentTrace
@@ -645,11 +636,11 @@ def run_echo(tau1: float, tau2, levels: LevelScheme, pulse: PulseSpec,
     coherence by its cumulative envelope and is what a decay fit
     recovers. A scan of fewer than four points has a nan amplitude.
     """
-    trace, times, amplitudes, stderr = _run_echoes(
+    trace, _, amplitudes, stderr = _run_echoes(
         np.array([tau1], dtype=float), [np.asarray(tau2, dtype=float)],
         levels, pulse, dissipators, bath, ensemble_mode, bath_samples, seed,
         pump, injected, expm_steps)
-    return EchoResult(float(times[0]), amplitudes[0], stderr[0], trace)
+    return EchoResult(amplitudes[0], stderr[0], trace)
 
 
 @dataclass
@@ -697,7 +688,6 @@ def run_echo_decay(tau1_values, levels: LevelScheme, pulse: PulseSpec,
 class T1RecoveryResult:
     trace: ExperimentTrace
     fitted_t1: float
-    fit: FitResult
     pump: PumpResult
 
 
@@ -722,7 +712,6 @@ def run_t1_recovery(wait_values, levels: LevelScheme,
         pumped.final.matrix.reshape(16), wait_values)[0].real
     trace = ExperimentTrace(wait_values, "wait_s", *_clip_populations(
         rows[:, _UP_FLAT], rows[:, _DOWN_FLAT]))
-    result = fit_curve("exp_decay", wait_values, trace.p_up)
-    return T1RecoveryResult(trace=trace,
-                            fitted_t1=result.parameters["t_decay"],
-                            fit=result, pump=pumped)
+    fitted_t1 = fit_curve("exp_decay", wait_values,
+                          trace.p_up).parameters["t_decay"]
+    return T1RecoveryResult(trace=trace, fitted_t1=fitted_t1, pump=pumped)

@@ -854,6 +854,16 @@ class TestFitCommand:
         assert code == 2
         assert "exp_decay" in stderr and "aliases" in stderr
 
+    def test_empty_compare_is_a_listed_problem(self, tmp_path, capsys):
+        data = write_decay_trace(tmp_path)
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(
+            ["fit", "--data", str(data), "--compare", "", "--out", str(out)],
+            capsys)
+        assert code == 2
+        assert "--compare: unknown model ''" in stderr
+        assert not out.exists()
+
     def test_power_law_on_a_decay_from_zero_is_a_listed_problem(
             self, tmp_path, capsys):
         data = write_decay_trace(tmp_path)
@@ -1061,6 +1071,26 @@ class TestSweepCommand:
              "--values", "0 T,3 T", "--jobs", "1", "--out", str(out)], capsys)
         assert code == 2
         assert "finite positive sweep values" in stderr
+        assert not out.exists()
+
+    def test_t1_sweep_checks_its_axis_before_any_run(self, tmp_path,
+                                                     capsys, monkeypatch):
+        runs, sweep_one = [], cli._sweep_one
+
+        def counted(document, axis, value):
+            runs.append(value)
+            return sweep_one(document, axis, value)
+
+        monkeypatch.setattr(cli, "_sweep_one", counted)
+        config = write_config(tmp_path, self.t1_doc())
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(
+            ["sweep", "--config", config, "--axis", "field.magnitude",
+             "--values", "0 T,2 T", "--jobs", "1", "--out", str(out)], capsys)
+        assert code == 2
+        assert "the log-log T1 fit needs finite positive sweep values, got " \
+            "[0.0, 2.0]" in stderr
+        assert runs == []
         assert not out.exists()
 
     def test_loglog_fit_rejects_non_finite_t1(self):
