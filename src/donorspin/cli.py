@@ -24,6 +24,7 @@ import numpy as np
 import yaml
 
 from .config import (
+    _KINDS,
     RunConfig,
     apply_overrides,
     canonical_models,
@@ -35,17 +36,8 @@ from .config import (
 )
 from .errors import NumericsError, ValidationError
 from .estimators import decoherence_budget
-from .fitting import compare_models, fit_fringe, ingest_trace
-from .lindblad import DensityMatrix
+from .fitting import compare_models, ingest_trace
 from .materials import dump_yaml, load_yaml
-from .sequences import (
-    optical_pump,
-    ramsey_window_plan,
-    run_echo_decay,
-    run_rabi_sweep,
-    run_ramsey,
-    run_t1_recovery,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -92,110 +84,9 @@ def _make_run_dir(base: str, digest: str) -> Path:
 
 def _execute(config: RunConfig) -> dict:
     kind = config.experiment_kind
-    runner = {
-        "rabi": _execute_rabi,
-        "ramsey": _execute_ramsey,
-        "echo": _execute_echo,
-        "t1": _execute_t1,
-        "pump": _execute_pump,
-    }[kind]
-    payload = runner(config)
-    payload["kind"] = kind
-    payload["meta"] = dict(_meta_head(config.resolved, config.seed),
-                           summary=payload["summary"])
-    return payload
-
-
-def _execute_rabi(config: RunConfig) -> dict:
-    exp = config.experiment
-    trace = run_rabi_sweep(
-        np.asarray(exp["energies"], dtype=float), config.levels, config.pulse,
-        config.dissipators, pump=exp.get("pump"))
-    summary = {"p_up_max": float(np.max(trace.p_up)),
-               "p_up_at_zero": float(trace.p_up[0])}
-    return {"files": {"rabi_trace.csv": trace.as_rows()},
-            "summary": summary}
-
-
-def _execute_ramsey(config: RunConfig) -> dict:
-    exp = config.experiment
-    larmor = config.levels.electron_splitting
-    if exp.get("delays") is not None:
-        windows = [np.asarray(exp["delays"], dtype=float)]
-    else:
-        windows = ramsey_window_plan(exp["delay_centers"], larmor,
-                                     exp["periods"],
-                                     exp["points_per_period"])
-    result = run_ramsey(windows, config.levels, config.pulse,
-                        config.dissipators, bath=config.bath,
-                        ensemble_mode=config.ensemble_mode,
-                        bath_samples=config.bath_samples, seed=config.seed,
-                        injected=exp.get("injected"))
-    files = {"ramsey_trace.csv": result.trace.as_rows(),
-             "ramsey_visibility.csv": (
-                 ["tau_center_s", "visibility", "visibility_stderr"],
-                 list(zip(result.window_centers, result.visibilities,
-                          result.visibility_stderr)))}
-    first = windows[0]
-    try:
-        free = fit_fringe(first, result.trace.p_up[:len(first)],
-                          stderr=None, frequency_guess=larmor)
-        fitted_hz = free.frequency / (2 * math.pi)
-    except ValidationError:
-        fitted_hz = math.nan
-    summary = {
-        "larmor_rad_per_s": larmor,
-        "windows": len(result.window_centers),
-        "fitted_frequency_Hz": fitted_hz,
-        "visibility_first": float(result.visibilities[0]),
-        "visibility_last": float(result.visibilities[-1]),
-    }
-    return {"files": files, "summary": summary}
-
-
-def _execute_echo(config: RunConfig) -> dict:
-    exp = config.experiment
-    result = run_echo_decay(
-        np.asarray(exp["tau1_values"], dtype=float), config.levels,
-        config.pulse, config.dissipators, periods=exp["periods"],
-        points_per_period=exp["points_per_period"], bath=config.bath,
-        ensemble_mode=config.ensemble_mode, bath_samples=config.bath_samples,
-        seed=config.seed, injected=exp.get("injected"))
-    summary = {
-        "amplitude_first": float(result.amplitudes[0]),
-        "amplitude_last": float(result.amplitudes[-1]),
-        "total_time_span_s": float(result.total_times[-1]
-                                   - result.total_times[0]),
-    }
-    return {"files": {"echo_trace.csv": result.as_rows()},
-            "summary": summary}
-
-
-def _execute_t1(config: RunConfig) -> dict:
-    exp = config.experiment
-    result = run_t1_recovery(np.asarray(exp["waits"], dtype=float),
-                             config.levels, config.dissipators, exp["pump"])
-    summary = {
-        "fitted_t1_s": float(result.fitted_t1),
-        "pump_fidelity": float(result.pump.fidelity),
-        "t1_rate_per_s": float(config.dissipators.t1_rate),
-    }
-    return {"files": {"t1_trace.csv": result.trace.as_rows()},
-            "summary": summary}
-
-
-def _execute_pump(config: RunConfig) -> dict:
-    settings = config.experiment["pump"]
-    result = optical_pump(DensityMatrix.scrambled().matrix, config.levels,
-                          settings.rabi, settings.duration,
-                          config.dissipators, settings.samples)
-    rows = list(zip(result.times, result.emission_rate))
-    summary = {"fidelity": float(result.fidelity),
-               "pump_rabi_rad_per_s": float(settings.rabi),
-               "pump_duration_s": float(settings.duration)}
-    return {"files": {"pump_trace.csv": (["time_s", "emission_rate_Hz"],
-                                         rows)},
-            "summary": summary}
+    files, summary = _KINDS[kind].runner(config)
+    meta = dict(_meta_head(config.resolved, config.seed), summary=summary)
+    return {"kind": kind, "files": files, "summary": summary, "meta": meta}
 
 
 def _write_payload(run_dir: Path, payload: dict) -> list:
@@ -230,12 +121,8 @@ def _config_args(args) -> tuple:
     return args.config, overrides
 
 
-def _load_config(args) -> RunConfig:
-    return load_run_config(*_config_args(args))
-
-
 def cmd_simulate(args) -> int:
-    config = _load_config(args)
+    config = load_run_config(*_config_args(args))
     payload = _execute(config)
     run_dir = _make_run_dir(config.output, payload["meta"]["config_digest"])
     written = _write_payload(run_dir, payload)
@@ -246,7 +133,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    config = _load_config(args)
+    config = load_run_config(*_config_args(args))
     budget = decoherence_budget(config.material, theta2=config.fit["theta2"],
                                 field_direction=config.field.orientation,
                                 variant=config.fit["variant"])
@@ -269,7 +156,7 @@ def cmd_fit(args) -> int:
     seed = args.seed if args.seed is not None else 0
     out_base = args.out or "runs"
     if args.config:
-        config = _load_config(args)
+        config = load_run_config(*_config_args(args))
         kinds = config.fit["models"]
         resolved = config.resolved
         seed = config.seed
@@ -280,13 +167,11 @@ def cmd_fit(args) -> int:
 
     reports = []
     for trace in traces:
-        x = trace.abscissa
-        y = trace.ordinate
         stderr = trace.stderr
-        weights = None
-        if stderr is not None and np.all(stderr > 0):
-            weights = 1.0 / np.square(stderr)
-        results = compare_models(kinds, x, y, weights)
+        weights = 1.0 / np.square(stderr) \
+            if stderr is not None and np.all(stderr > 0) else None
+        results = compare_models(kinds, trace.abscissa, trace.ordinate,
+                                 weights)
         entry = {"data": str(trace.path), "models": {}}
         for kind, result in results.items():
             entry["models"][kind] = {"error": str(result)} \
@@ -365,16 +250,24 @@ def cmd_sweep(args) -> int:
     if not args.axis or args.values is None:
         raise ValidationError("sweep requires --axis and --values")
     values, numeric_values = _axis_values(args.values)
+    if len({" ".join(v.split()[1:]) for v in values}) > 1:
+        raise ValidationError(f"sweep values must share one unit (the text "
+                              f"after their number), got {values}")
     document = load_config_document(*_config_args(args))
     config = parse_run_config(document)  # validates the base document
     if not _document_has_path(document, args.axis):
         raise ValidationError(
             f"sweep axis {args.axis!r} does not name an existing config key")
-    loglog = config.experiment_kind == "t1" and len(values) >= 2
+    loglog = len(values) >= 2 and _KINDS[config.experiment_kind].loglog
+    problems = []
     if loglog and not all(math.isfinite(v) and v > 0 for v in numeric_values):
-        raise ValidationError(
-            f"the log-log T1 fit needs finite positive sweep values, got "
-            f"{numeric_values}")
+        problems.append(f"the log-log T1 fit needs finite positive sweep "
+                        f"values, got {numeric_values}")
+    if loglog and len(set(numeric_values)) < len(values):
+        problems.append(f"the log-log T1 fit needs distinct sweep values, "
+                        f"got {numeric_values}")
+    if problems:
+        raise ValidationError("; ".join(problems), problems)
 
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(values) > 1:
@@ -385,7 +278,7 @@ def cmd_sweep(args) -> int:
         payloads = [_sweep_one(document, args.axis, v) for v in values]
 
     slope = _loglog_slope(numeric_values, [
-        p["summary"]["fitted_t1_s"] for p in payloads]) if loglog else None
+        p["summary"][loglog] for p in payloads]) if loglog else None
 
     sweep_meta = _meta_head(config.resolved, config.seed)
     digest = sweep_meta["config_digest"]

@@ -19,6 +19,7 @@ import hashlib
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -33,7 +34,8 @@ from .lindblad import DissipatorSet, t1_rate_model
 from .materials import (FieldConfig, MaterialParams, dump_yaml, load_material,
                         load_yaml)
 from .sequences import (_ENSEMBLE_MODES, _MC_SAMPLES_CAP, InjectedDecoherence,
-                        PumpSettings)
+                        PumpSettings, _execute_echo, _execute_pump,
+                        _execute_rabi, _execute_ramsey, _execute_t1)
 from .units import _NUMBER, parse_quantity
 
 __all__ = [
@@ -64,15 +66,28 @@ _KEYS = {
     "experiment.injected": ("time_constant", "exponent"),
     "fit": ("theta2", "variant", "model", "compare"),
 }
-# an experiment section knows the keys of its kind
-_EXPERIMENT_KEYS = {
-    "rabi": ("kind", "energies", "max_energy", "count", "pump"),
-    "ramsey": ("kind", "delay_centers", "delays", "periods",
-               "points_per_period", "injected"),
-    "echo": ("kind", "tau1_values", "periods", "points_per_period",
-             "injected"),
-    "t1": ("kind", "waits", "max_wait", "count", "pump"),
-    "pump": ("kind",) + _PUMP_KEYS,
+
+
+class _Kind(NamedTuple):
+    """An experiment kind, as all code outside its parse branch sees it."""
+
+    keys: tuple  # the experiment section's keys besides ``kind``
+    runner: Callable  # parsed config -> (files, summary)
+    needs: tuple = ()  # "pulse" section, positive spin "precession"
+    loglog: str | None = None  # summary value a sweep fits on log-log axes
+
+
+_KINDS = {
+    "rabi": _Kind(("energies", "max_energy", "count", "pump"), _execute_rabi,
+                  ("pulse",)),
+    "ramsey": _Kind(("delay_centers", "delays", "periods",
+                     "points_per_period", "injected"), _execute_ramsey,
+                    ("pulse", "precession")),
+    "echo": _Kind(("tau1_values", "periods", "points_per_period",
+                   "injected"), _execute_echo, ("pulse", "precession")),
+    "t1": _Kind(("waits", "max_wait", "count", "pump"), _execute_t1,
+                loglog="fitted_t1_s"),
+    "pump": _Kind(_PUMP_KEYS, _execute_pump),
 }
 _MODEL_ALIASES = {
     "exp": "exp_decay",
@@ -488,8 +503,8 @@ def parse_run_config(document: dict) -> RunConfig:
     with np.errstate(all="ignore"):
         if None not in (pump, levels, dissipators) and not np.max(
                 np.abs(pump.step(levels, dissipators))) <= 1.0 + 1e-6:
-            key = "rabi_frequency" if experiment["kind"] == "pump" \
-                else "pump.rabi_frequency"
+            key = "pump.rabi_frequency" if "pump" in \
+                _KINDS[experiment["kind"]].keys else "rabi_frequency"
             doc.add(f"experiment.{key} = {pump.rabi / _TWO_PI:.6g} Hz makes "
                     "the pump step non-finite or not a propagator")
 
@@ -499,14 +514,14 @@ def parse_run_config(document: dict) -> RunConfig:
         output = "runs"
     seed = doc.number("seed", default=0, integer=True)
 
-    # experiments that need a pulse; when a pulse section exists but
-    # failed to resolve, its own problems are already on the list
-    if experiment is not None and experiment["kind"] in \
-            ("rabi", "ramsey", "echo") and not pulse_section.data:
+    needs = _KINDS[experiment["kind"]].needs if experiment else ()
+    # when a pulse section exists but failed to resolve, its own
+    # problems are already on the list
+    if "pulse" in needs and not pulse_section.data:
         doc.add(f"experiment '{experiment['kind']}' requires a pulse section")
     # fringe experiments sample the spin precession, so it must run
-    if experiment is not None and experiment["kind"] in ("ramsey", "echo") \
-            and levels is not None and not levels.electron_splitting > 0:
+    if "precession" in needs and levels is not None \
+            and not levels.electron_splitting > 0:
         doc.add(f"experiment '{experiment['kind']}' needs a positive "
                 f"spin precession frequency; got "
                 f"{levels.electron_splitting} rad/s at field.magnitude "
@@ -549,10 +564,10 @@ def _parse_injected(section: _Section):
 def _parse_experiment(section: _Section):
     if not section.data:
         return None
-    kind = section.choice("kind", tuple(_EXPERIMENT_KEYS), required=True)
+    kind = section.choice("kind", tuple(_KINDS), required=True)
     if kind is None:
         return None
-    section.check_keys(_EXPERIMENT_KEYS[kind])
+    section.check_keys(("kind",) + _KINDS[kind].keys)
     experiment: dict = {"kind": kind}
     if kind == "rabi":
         experiment["energies"] = section.grid("energies", "max_energy",

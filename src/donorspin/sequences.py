@@ -715,3 +715,94 @@ def run_t1_recovery(wait_values, levels: LevelScheme,
     fitted_t1 = fit_curve("exp_decay", wait_values,
                           trace.p_up).parameters["t_decay"]
     return T1RecoveryResult(trace=trace, fitted_t1=fitted_t1, pump=pumped)
+
+
+# ---------------------------------------------------------------------------
+# runners: a parsed run config to its trace files and summary values
+
+
+def _execute_rabi(config) -> tuple:
+    exp = config.experiment
+    trace = run_rabi_sweep(
+        np.asarray(exp["energies"], dtype=float), config.levels, config.pulse,
+        config.dissipators, pump=exp.get("pump"))
+    summary = {"p_up_max": float(np.max(trace.p_up)),
+               "p_up_at_zero": float(trace.p_up[0])}
+    return {"rabi_trace.csv": trace.as_rows()}, summary
+
+
+def _execute_ramsey(config) -> tuple:
+    exp = config.experiment
+    larmor = config.levels.electron_splitting
+    if exp.get("delays") is not None:
+        windows = [np.asarray(exp["delays"], dtype=float)]
+    else:
+        windows = ramsey_window_plan(exp["delay_centers"], larmor,
+                                     exp["periods"],
+                                     exp["points_per_period"])
+    result = run_ramsey(windows, config.levels, config.pulse,
+                        config.dissipators, bath=config.bath,
+                        ensemble_mode=config.ensemble_mode,
+                        bath_samples=config.bath_samples, seed=config.seed,
+                        injected=exp.get("injected"))
+    files = {"ramsey_trace.csv": result.trace.as_rows(),
+             "ramsey_visibility.csv": (
+                 ["tau_center_s", "visibility", "visibility_stderr"],
+                 list(zip(result.window_centers, result.visibilities,
+                          result.visibility_stderr)))}
+    first = windows[0]
+    try:
+        free = fit_fringe(first, result.trace.p_up[:len(first)],
+                          stderr=None, frequency_guess=larmor)
+        fitted_hz = free.frequency / (2 * math.pi)
+    except ValidationError:
+        fitted_hz = math.nan
+    summary = {
+        "larmor_rad_per_s": larmor,
+        "windows": len(result.window_centers),
+        "fitted_frequency_Hz": fitted_hz,
+        "visibility_first": float(result.visibilities[0]),
+        "visibility_last": float(result.visibilities[-1]),
+    }
+    return files, summary
+
+
+def _execute_echo(config) -> tuple:
+    exp = config.experiment
+    result = run_echo_decay(
+        np.asarray(exp["tau1_values"], dtype=float), config.levels,
+        config.pulse, config.dissipators, periods=exp["periods"],
+        points_per_period=exp["points_per_period"], bath=config.bath,
+        ensemble_mode=config.ensemble_mode, bath_samples=config.bath_samples,
+        seed=config.seed, injected=exp.get("injected"))
+    summary = {
+        "amplitude_first": float(result.amplitudes[0]),
+        "amplitude_last": float(result.amplitudes[-1]),
+        "total_time_span_s": float(result.total_times[-1]
+                                   - result.total_times[0]),
+    }
+    return {"echo_trace.csv": result.as_rows()}, summary
+
+
+def _execute_t1(config) -> tuple:
+    exp = config.experiment
+    result = run_t1_recovery(np.asarray(exp["waits"], dtype=float),
+                             config.levels, config.dissipators, exp["pump"])
+    summary = {
+        "fitted_t1_s": float(result.fitted_t1),
+        "pump_fidelity": float(result.pump.fidelity),
+        "t1_rate_per_s": float(config.dissipators.t1_rate),
+    }
+    return {"t1_trace.csv": result.trace.as_rows()}, summary
+
+
+def _execute_pump(config) -> tuple:
+    settings = config.experiment["pump"]
+    result = optical_pump(DensityMatrix.scrambled().matrix, config.levels,
+                          settings.rabi, settings.duration,
+                          config.dissipators, settings.samples)
+    rows = list(zip(result.times, result.emission_rate))
+    summary = {"fidelity": float(result.fidelity),
+               "pump_rabi_rad_per_s": float(settings.rabi),
+               "pump_duration_s": float(settings.duration)}
+    return {"pump_trace.csv": (["time_s", "emission_rate_Hz"], rows)}, summary

@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 import donorspin as d
 from donorspin import cli
 from donorspin.config import (
-    _EXPERIMENT_KEYS,
     _KEYS,
+    _KINDS,
+    _Kind,
     apply_overrides,
     config_digest,
     load_config_document,
@@ -313,8 +314,8 @@ def test_the_digest_table_names_every_config_key():
     sections = set(_KEYS) | {"experiment"}
     keys = {f"{path}.{key}" if path else key
             for path, names in _KEYS.items() for key in names}
-    keys |= {f"experiment.{key}" for names in _EXPERIMENT_KEYS.values()
-             for key in names}
+    keys |= {f"experiment.{key}" for kind in _KINDS.values()
+             for key in ("kind",) + kind.keys}
     assert set(_DIGEST_ALTERNATES) == keys - sections - {"output"}
 
 
@@ -556,7 +557,7 @@ class TestSimulateCommand:
         def must_not_run(*args, **kwargs):
             raise AssertionError("the experiment ran")
 
-        monkeypatch.setattr(cli, "run_t1_recovery", must_not_run)
+        monkeypatch.setattr(d.sequences, "run_t1_recovery", must_not_run)
         code, _, stderr = run_cli(
             ["simulate", "--config", "configs/t1.yaml", "--set",
              f"{key}={value}", "--out", str(tmp_path / "out")], capsys)
@@ -995,6 +996,36 @@ def test_only_sweep_takes_jobs(command):
     assert cli.build_parser().parse_args(["sweep", "--jobs", "2"]).jobs == 2
 
 
+def test_one_table_entry_is_all_a_kind_needs(tmp_path, capsys,
+                                             monkeypatch):
+    def toy(config):
+        return {"toy_trace.csv": (["x_s", "y"], [(0.0, 1.0)])}, {"rows": 1}
+
+    monkeypatch.setitem(_KINDS, "toy", _Kind(("width",), toy, ("pulse",)))
+    doc = minimal_rabi_doc()
+    doc["experiment"] = {"kind": "toy", "width": 3, "height": 2}
+    with pytest.raises(d.ValidationError) as info:
+        d.parse_run_config(doc)
+    assert info.value.problems == [
+        "unknown key 'experiment.height' (known: ['kind', 'width'])"]
+
+    del doc["experiment"]["height"]
+    code, stdout, _ = run_cli(["simulate", "--config",
+                               write_config(tmp_path, doc), "--out",
+                               str(tmp_path / "out")], capsys)
+    assert code == 0
+    written = sorted(p.name for p in run_dir_from(stdout).iterdir())
+    assert written == ["toy_meta.yaml", "toy_trace.csv"]
+
+    del doc["pulse"]
+    code, _, stderr = run_cli(["simulate", "--config",
+                               write_config(tmp_path, doc), "--out",
+                               str(tmp_path / "refused")], capsys)
+    assert code == 2
+    assert "experiment 'toy' requires a pulse section" in stderr
+    assert not (tmp_path / "refused").exists()
+
+
 def test_readme_lists_the_keys_of_each_section():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")
@@ -1003,8 +1034,8 @@ def test_readme_lists_the_keys_of_each_section():
     listed = {label: re.findall(r"`(\w+)`", keys) for label, keys in rows[1:]}
     expected = {f"`{path}`" if path else "top level": list(keys)
                 for path, keys in _KEYS.items()}
-    expected.update({f"`experiment`, kind `{kind}`": list(keys)
-                     for kind, keys in _EXPERIMENT_KEYS.items()})
+    expected.update({f"`experiment`, kind `{name}`": ["kind", *kind.keys]
+                     for name, kind in _KINDS.items()})
     assert listed == expected
 
 
@@ -1090,6 +1121,28 @@ class TestSweepCommand:
         assert code == 2
         assert "the log-log T1 fit needs finite positive sweep values, got " \
             "[0.0, 2.0]" in stderr
+        assert runs == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values, problem", [
+        ("2 T,3000 mT,4 T", "sweep values must share one unit (the text "
+         "after their number), got ['2 T', '3000 mT', '4 T']"),
+        ("2 T,2.0 T", "the log-log T1 fit needs distinct sweep values, got "
+         "[2.0, 2.0]"),
+    ])
+    def test_t1_sweep_values_are_checked_before_any_run(
+            self, tmp_path, capsys, monkeypatch, values, problem):
+        # mixed units fit the numbers without their units, and a repeated
+        # number leaves the log-log fit rank-deficient
+        runs = []
+        monkeypatch.setattr(cli, "_sweep_one", lambda *args: runs.append(args))
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(
+            ["sweep", "--config", "configs/t1.yaml", "--axis",
+             "field.magnitude", "--values", values, "--jobs", "1",
+             "--out", str(out)], capsys)
+        assert code == 2
+        assert f"- {problem}" in stderr
         assert runs == []
         assert not out.exists()
 
