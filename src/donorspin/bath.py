@@ -91,7 +91,7 @@ def zn_dispersion(material: MaterialParams, mode: str = "continuum",
                 f"({5 * a:.3e} m); the tail would be truncated")
         total, _ = zn_site_sum(
             material.lattice_a, material.lattice_c, cutoff,
-            lambda sites: np.exp(-4.0 * np.linalg.norm(sites, axis=1) / a))
+            lambda x, y, z, r2: np.exp(-4.0 * np.sqrt(r2) / a))
         density_sq_sum = total / (math.pi ** 2 * a ** 6)
     spin = material.zinc67_spin
     return (VACUUM_PERMEABILITY * material.zinc67_moment / material.g_electron
@@ -187,6 +187,29 @@ class BathModel:
         """Real dephasing envelope (the fringe-contrast factor)."""
         return np.real(self.characteristic_function(t))
 
+    def t2_star_summary(self) -> "T2StarSummary":
+        """Inhomogeneous-dephasing figures: the multiplet (through its rms)
+        and the zinc dispersion in quadrature for the headline figure, and
+        the 1/e time of the exact ensemble envelope. A magnetically silent
+        bath (no multiplet, zero dispersion) returns infinities."""
+        combined = self.combined_dispersion
+        if combined == 0.0:
+            quad = env = fit = math.inf
+        else:
+            quad = HBAR / (self.electron_g * BOHR_MAGNETON * combined)
+            fit = math.sqrt(2.0) * quad
+            env = _envelope_1e_time(self, 10.0 * quad)
+        return T2StarSummary(
+            ga_field_values=self.ga_field_values,
+            ga_rms=self.ga_rms,
+            zn_dispersion=self.zn_dispersion,
+            combined_dispersion=combined,
+            electron_g=self.electron_g,
+            quadrature_time=quad,
+            envelope_1e_time=env,
+            gaussian_fit_time=fit,
+        )
+
     def sample_detunings(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n frozen per-donor detunings, rad/s."""
         if n < 1:
@@ -264,29 +287,5 @@ def _envelope_1e_time(bath: BathModel, scale: float) -> float:
 
 def t2_star_theory(material: MaterialParams, mode: str = "continuum",
                    cutoff: float | None = None) -> T2StarSummary:
-    """Predict the inhomogeneous dephasing time of a donor ensemble.
-
-    Combines the donor-nucleus multiplet (through its rms) and the
-    zinc-bath dispersion in quadrature for the headline figure, and
-    also locates the 1/e time of the exact ensemble envelope. A
-    magnetically silent material (no multiplet, zero abundance)
-    returns infinities.
-    """
-    bath = BathModel.from_material(material, mode, cutoff)
-    combined = bath.combined_dispersion
-    if combined == 0.0:
-        quad = env = fit = math.inf
-    else:
-        quad = HBAR / (material.g_electron * BOHR_MAGNETON * combined)
-        fit = math.sqrt(2.0) * quad
-        env = _envelope_1e_time(bath, 10.0 * quad)
-    return T2StarSummary(
-        ga_field_values=bath.ga_field_values,
-        ga_rms=bath.ga_rms,
-        zn_dispersion=bath.zn_dispersion,
-        combined_dispersion=combined,
-        electron_g=material.g_electron,
-        quadrature_time=quad,
-        envelope_1e_time=env,
-        gaussian_fit_time=fit,
-    )
+    """Dephasing figures of the bath of ``material`` in ``mode``."""
+    return BathModel.from_material(material, mode, cutoff).t2_star_summary()

@@ -133,10 +133,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    config = load_run_config(*_config_args(args))
+    document = load_config_document(*_config_args(args))
+    config = parse_run_config(document)
+    material_bath = (document.get("bath") or {}).get("kind") == "material"
     budget = decoherence_budget(config.material, theta2=config.fit["theta2"],
                                 field_direction=config.field.orientation,
-                                variant=config.fit["variant"])
+                                variant=config.fit["variant"],
+                                bath=config.bath if material_bath else None)
     report = _meta_head(config.resolved, config.seed)
     run_dir = _make_run_dir(config.output, report["config_digest"])
     report["budget"] = budget.as_report()

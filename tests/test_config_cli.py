@@ -807,6 +807,35 @@ class TestEstimateCommand:
             (run_dir_from(stdout) / "estimate_report.yaml").read_text())
         assert report["budget"]["t2_sd_s"] == pytest.approx(t2_sd, abs=5e-9)
 
+    @pytest.mark.parametrize("sets, mode", [
+        ((), "continuum"),
+        (("bath.kind=material", "bath.dispersion_mode=lattice-sum"),
+         "lattice-sum"),
+        (("bath.kind=gaussian", "bath.t2_star=20 ns"), "continuum")])
+    def test_t2_star_row_is_the_material_bath(self, tmp_path, capsys,
+                                              monkeypatch, material, sets,
+                                              mode):
+        expected = d.t2_star_theory(material, mode).quadrature_time
+        enumerate_sites, calls = d.lattice.zn_sites_within, []
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_sites(*args)
+
+        monkeypatch.setattr(d.lattice, "zn_sites_within", counted)
+        argv = ["estimate", "--config", "configs/estimate.yaml"]
+        for override in sets:
+            argv += ["--set", override]
+        code, stdout, _ = run_cli(argv + ["--out", str(tmp_path / "out")],
+                                  capsys)
+        assert code == 0
+        report = yaml.safe_load(
+            (run_dir_from(stdout) / "estimate_report.yaml").read_text())
+        assert report["budget"]["t2_star_quadrature_s"] == pytest.approx(
+            expected, rel=1e-12)
+        # the dipolar sum, and the lattice-sum bath's sum once, at parse
+        assert len(calls) == 1 + (mode == "lattice-sum")
+
     def test_bad_variant_exits_2(self, tmp_path, capsys):
         doc = {
             "material": "zno-natural",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,15 +147,24 @@ _LATTICE_CASES = (
        for r in np.linspace(3e-9, 25e-9, 23)])
 
 
+def stacked(blocks):
+    """The (n, 3) positions of a list of ``(x, y, z, r2)`` blocks."""
+    return np.concatenate([np.column_stack(block[:3]) for block in blocks])
+
+
 def all_sites_within(lattice_a, lattice_c, cutoff):
-    return np.concatenate(list(zn_sites_within(lattice_a, lattice_c, cutoff)))
+    return stacked(zn_sites_within(lattice_a, lattice_c, cutoff))
+
+
+def row_sorted(sites):
+    return sites[np.lexsort(sites.T[::-1])]
 
 
 class TestLattice:
     @pytest.mark.parametrize("constants,cutoff", _LATTICE_CASES)
     def test_same_bytes_as_the_whole_box(self, constants, cutoff):
-        expected = full_box_zn_sites_within(*constants, cutoff)
-        [sites] = zn_sites_within(*constants, cutoff)
+        expected = row_sorted(full_box_zn_sites_within(*constants, cutoff))
+        sites = row_sorted(all_sites_within(*constants, cutoff))
         assert sites.shape == expected.shape
         assert sites.tobytes() == expected.tobytes()
 
@@ -164,15 +174,39 @@ class TestLattice:
         monkeypatch.setattr(lattice, "_BLOCK_SITES", 2_000)
         blocks = list(zn_sites_within(a, c, 5e-9))
         assert len(blocks) > 10
-        sites = np.concatenate(blocks)
+        # whole column runs, each at most 2 R / c + 1 sites long
+        assert max(len(x) for x, _, _, _ in blocks) <= 2_000 + 2 * 5e-9 / c
+        for x, y, z, r2 in blocks:
+            rows = np.column_stack([x, y, z])
+            assert np.array_equal(r2, np.einsum("ij,ij->i", rows, rows))
+        sites = stacked(blocks)
         assert np.array_equal(np.unique(sites, axis=0),
                               np.unique(expected, axis=0))
         assert len(sites) == len(expected)
         total, count = lattice.zn_site_sum(a, c, 5e-9,
-                                           lambda s: np.sum(s * s, axis=1))
+                                           lambda x, y, z, r2: r2)
         assert count == len(expected)
         assert total == pytest.approx(float(np.sum(expected * expected)),
                                       rel=1e-12)
+
+    @pytest.mark.parametrize("lattice_sum,cutoff", [
+        ("dipolar", 1e-8), ("dipolar", 2e-8),
+        ("lattice-sum", None), ("lattice-sum", 3e-8)])
+    def test_sum_peak_memory_is_under_8_mb(self, material, lattice_sum,
+                                            cutoff):
+        # one block of flat arrays at a time, whatever the cutoff
+        if lattice_sum == "dipolar":
+            run = lambda: d.dipolar_lattice_sum(material, cutoff=cutoff)
+        else:
+            run = lambda: d.zn_dispersion(material, lattice_sum, cutoff)
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_counts_grow_with_cutoff(self, material):
         a, c = material.lattice_a, material.lattice_c
