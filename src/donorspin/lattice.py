@@ -23,8 +23,8 @@ def zn_sites_within(lattice_a, lattice_c, cutoff):
     (x, y, z, r2) of flat arrays in meters, origin excluded, of whole
     runs of one basis site along (i, j) columns, about 2**14 sites each.
     x, y, z are i a1 + j a2 + k a3 + basis and r2 is (x x + z z) + y y,
-    the order of operations of the whole-box enumeration and its
-    np.einsum, so the sites are its sites bit for bit."""
+    the order of operations of the whole-box enumeration in the tests,
+    so the sites are its sites bit for bit."""
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     a1 = np.array([lattice_a, 0.0, 0.0])

@@ -19,14 +19,14 @@ which is exact for piecewise-constant dynamics; it exponentiates each
 distinct midpoint generator once (keeping at most 512 for later
 steps), in time-ordered batches of at most 64 steps, in a Hermitian
 operator basis where a Lindblad generator is a real 16x16 matrix
-(Havel, J. Math. Phys. 44, 534 (2003)). The adaptive method runs
-scipy's embedded Runge-Kutta integrator (DOP853) on the complex
-propagator equation. Drive-free stretches are never integrated: the
-generator is then constant and block-diagonal, and one exact step,
-:meth:`SilencePropagator.split_by_detuning`, crosses every gap and
-every T1 wait, with a batched exponential for the populations and a
-phase-and-decay factor per coherence. That removes the stiffness of
-picosecond pulses separated by microsecond delays.
+(Havel, J. Math. Phys. 44, 534 (2003)), by :func:`expm`. The adaptive
+method, the only user of scipy, runs its Runge-Kutta integrator DOP853
+on the complex propagator equation. Drive-free stretches are never
+integrated: the generator is then constant and block-diagonal, and one
+exact step, :meth:`SilencePropagator.split_by_detuning`, crosses every
+gap and every T1 wait, with a closed-form exponential for the
+populations and a phase-and-decay factor per coherence. That removes
+the stiffness of picosecond pulses separated by microsecond delays.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import IntegrationFailure, NumericsError, ValidationError
 from .hamiltonian import (
@@ -54,6 +53,7 @@ __all__ = [
     "IntegratorConfig",
     "liouvillian",
     "dissipator_superoperator",
+    "expm",
     "pulse_window_propagator",
     "SilencePropagator",
     "t1_rate_model",
@@ -206,6 +206,62 @@ def liouvillian(hamiltonian: np.ndarray, dissipators: DissipatorSet,
 
 # ---------------------------------------------------------------------------
 # integrators
+
+
+# the 1-norm up to which each Padé degree needs no scaling (Higham, SIAM J.
+# Matrix Anal. Appl. 26, 1179 (2005)); numerator b_j = (2m-j)!/(j!(m-j)!)
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068,
+          13: 5.371920351148152}
+_PADE = {m: [float(math.perm(2 * m - j, m) // math.factorial(j))
+             for j in range(m + 1)] for m in _THETA}
+
+
+def _pade(a, m):
+    """The degree-m Padé approximant of exp for a stack of matrices."""
+    b, diag = _PADE[m], np.s_[..., range(a.shape[-1]), range(a.shape[-1])]
+    a2 = a @ a
+    if m == 13:  # Higham's evaluation: one product fewer, more accurate
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2)
+    else:
+        u, v, power = b[3] * a2, b[2] * a2, a2
+        for j in range(4, m, 2):
+            power = power @ a2
+            u += b[j + 1] * power
+            v += b[j] * power
+    u[diag] += b[1]
+    v[diag] += b[0]
+    u = a @ u
+    return np.linalg.solve(v - u, v + u)
+
+
+def expm(a) -> np.ndarray:
+    """exp(A) of a square matrix or a stack of them, in A's dtype, by
+    scaling and squaring: each matrix takes the lowest Padé degree whose
+    theta bounds its 1-norm, or degree 13 after its own s halvings and s
+    squarings, so it gets the same bits alone as in any stack; NaN if A
+    has a non-finite entry."""
+    a = np.asarray(a)
+    stack = a.reshape(-1, *a.shape[-2:]).astype(np.result_type(a, float))
+    out = np.full_like(stack, np.nan)
+    with np.errstate(all="ignore"):
+        norm = np.abs(stack).sum(axis=-2).max(axis=-1, initial=0.0)
+        ok, band = np.isfinite(norm), np.searchsorted([*_THETA.values()], norm)
+        s = np.where(ok & (band == len(_THETA)),
+                     np.ceil(np.log2(norm / _THETA[13])), 0).astype(int)
+        for i, m in enumerate(_THETA):
+            pick = np.flatnonzero(ok & (np.minimum(band, 4) == i))
+            # 16 at a time, so that the temporaries stay in cache
+            for part in (pick[k:k + 16] for k in range(0, len(pick), 16)):
+                out[part] = _pade(stack[part] * 2.0 ** -s[part, None, None], m)
+        for j in range(s.max(initial=0)):
+            out[s > j] = out[s > j] @ out[s > j]
+    return out.reshape(a.shape)
 
 
 _METHODS = ("adaptive-rk", "fixed-expm")
@@ -378,6 +434,11 @@ def _real_parts(parts):
     return [g.real.copy() for g in mapped]
 
 
+def _phi(z):
+    """(1 - exp(-z)) / z, continued by its limit 1 at z = 0."""
+    return np.where(z == 0, 1.0, -np.expm1(-z) / np.where(z == 0, 1.0, z))
+
+
 class SilencePropagator:
     """Exact evolution between pulses, where the drive is off.
 
@@ -399,14 +460,19 @@ class SilencePropagator:
         self.pop_generator = np.real(gen[np.ix_(pop_idx, pop_idx)]).copy()
 
         # structural checks: populations feed only populations, each
-        # coherence only itself
+        # coherence only itself, and the excited populations only decay
         allowed = np.eye(16, dtype=bool)
         allowed[np.ix_(pop_idx, pop_idx)] = True
-        resid = float(np.max(np.abs(gen[~allowed])))
-        scale = max(1.0, float(np.max(np.abs(gen))))
-        if resid > 1e-12 * scale:
+        g, self.flip_rate = self.pop_generator, dissipators.t1_rate
+        resid = [float(np.max(np.abs(b))) for b in (
+            gen[~allowed], g[2:, :2], g[2:, 2:] - np.diag(np.diag(g)[2:]),
+            g[:2, :2] - self.flip_rate / 2 * np.array([[-1, 1], [1, -1]]))]
+        if resid[0] > 1e-12 * max(1.0, float(np.max(np.abs(gen)))):
             raise NumericsError(
                 "silence generator is not element-diagonal; integrate instead")
+        if max(resid[1:]) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
+            raise NumericsError("silence population generator is not "
+                                "[[B, C], [0, D]] with B a spin flip")
 
         self.coherence_rate = np.diag(gen).reshape(_DIM, _DIM).copy()
         np.fill_diagonal(self.coherence_rate, 0.0)
@@ -419,13 +485,22 @@ class SilencePropagator:
         self.detuning_group = group.ravel()
 
     def population_matrix(self, taus) -> np.ndarray:
-        """exp(G * tau) of the 4x4 population generator G for each
-        duration in ``taus``, as an (n, 4, 4) stack. Each distinct
-        duration is exponentiated once, all in one batched call, which
-        gives the bits of one call per duration."""
-        uniq, inverse = np.unique(np.asarray(taus, dtype=float),
-                                  return_inverse=True)
-        return expm(self.pop_generator * uniq[:, None, None])[inverse]
+        """exp(G * tau) of the population generator G for each duration in
+        ``taus``, as a (..., 4, 4) stack, in closed form. G = [[B, C], [0,
+        -diag(d)]]: B flips the spin at rate k (eigenvalues 0 and -k,
+        projectors P0 and P1) and excited level e decays at d_e, so
+        exp(G tau) = [[P0 + exp(-k tau) P1, F], [0, exp(-d tau)]], with F =
+        P0 C tau phi(d tau) + P1 C exp(-min(k, d) tau) tau phi(|d - k| tau);
+        phi(z) = -expm1(-z)/z keeps k = d, k = 0 and d = 0 exact."""
+        g, k = self.pop_generator, self.flip_rate
+        d, c, p1 = -np.diag(g)[2:], g[:2, 2:], np.array([[1, -1], [-1, 1]]) / 2
+        t = np.asarray(taus, dtype=float)[..., None, None]
+        out = np.zeros(t.shape[:-2] + (4, 4))
+        out[..., :2, :2] = np.eye(2) + p1 * np.expm1(-k * t)
+        odd = np.exp(-np.minimum(k, d) * t) * t * _phi(np.abs(d - k) * t)
+        out[..., :2, 2:] = (c - p1 @ c) * t * _phi(d * t) + p1 @ c * odd
+        out[..., [2, 3], [2, 3]] = np.exp(-d * t)[..., 0, :]
+        return out
 
     def split_by_detuning(self, vec: np.ndarray, taus) -> dict:
         """Advance flat states across each gap in ``taus``, by detuning group.

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bath import BathModel
 from .errors import NumericsError, ValidationError
@@ -54,6 +53,7 @@ from .lindblad import (
     DissipatorSet,
     IntegratorConfig,
     SilencePropagator,
+    expm,
     liouvillian,
     pulse_window_propagator,
 )

@@ -342,6 +342,16 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def prepare_after_every_window(monkeypatch, p_down, p_up):
+    """Make every pulse window the trace-keeping map rho -> tr(rho)
+    diag(p_down, p_up, 1 - p_down - p_up, 0), so that the populations
+    read after it are known exactly."""
+    target = np.diag([p_down, p_up, 1.0 - p_down - p_up, 0.0]).reshape(16, 1)
+    window = target @ np.eye(4).reshape(1, 16)
+    monkeypatch.setattr(d.sequences, "pulse_window_propagator",
+                        lambda *args, **kwargs: window)
+
+
 def run_dir_from(stdout):
     return Path(stdout.splitlines()[0].strip())
 
@@ -631,24 +641,28 @@ class TestSimulateCommand:
         assert "Traceback" not in stderr
         assert not (tmp_path / "out").exists()
 
-    def test_a_population_pair_above_one_exits_3(self, tmp_path, capsys):
+    def test_a_population_pair_above_one_exits_3(self, tmp_path, capsys,
+                                                 monkeypatch):
         # each row stays within [0, 1]; only their sum leaves it
+        prepare_after_every_window(monkeypatch, p_down=0.6, p_up=0.6)
         code, _, stderr = run_cli(
             ["simulate", "--config", "configs/ramsey.yaml", "--set",
-             "bath.ensemble=exact", "--set",
-             "levels.optical_detuning=1e+18 MHz",
-             "--out", str(tmp_path / "out")], capsys)
+             "bath.ensemble=exact", "--out", str(tmp_path / "out")], capsys)
         assert code == 3
         assert stderr.startswith(
             "numerical failure: p_up + p_down exceeds 1 by ")
+        assert stderr.splitlines() == [
+            "numerical failure: p_up + p_down exceeds 1 by 2.000e-01, "
+            "more than 1e-06"]
         assert not (tmp_path / "out").exists()
 
-    def test_a_population_excursion_states_its_size(self, tmp_path, capsys):
+    def test_a_population_excursion_states_its_size(self, tmp_path, capsys,
+                                                    monkeypatch):
+        prepare_after_every_window(monkeypatch, p_down=1.0 + 2.567e-4,
+                                   p_up=0.0)
         code, _, stderr = run_cli(
             ["simulate", "--config", "configs/rabi.yaml", "--set",
-             "experiment.count=5", "--set",
-             "levels.optical_detuning=1e+21 MHz",
-             "--out", str(tmp_path / "out")], capsys)
+             "experiment.count=5", "--out", str(tmp_path / "out")], capsys)
         assert code == 3
         assert stderr.splitlines() == [
             "numerical failure: p_down left [0, 1] by 2.567e-04, "
@@ -1102,6 +1116,26 @@ class TestSweepCommand:
             assert (sub / "t1_trace.csv").exists()
             assert (sub / "t1_meta.yaml").exists()
 
+    def test_parallel_sweep_writes_the_serial_bytes(self, tmp_path, capsys):
+        # workers run the same code on the same values, so every file of
+        # the sweep keeps its bytes; only the meta's output line differs
+        config = write_config(tmp_path, self.t1_doc())
+        files = {}
+        for jobs in ("1", "2"):
+            code, stdout, _ = run_cli(
+                ["sweep", "--config", config, "--axis", "dissipators.t1_rate",
+                 "--values", "10 1/s,20 1/s", "--jobs", jobs,
+                 "--out", str(tmp_path / f"jobs{jobs}")], capsys)
+            assert code == 0
+            sweep_dir = run_dir_from(stdout)
+            files[jobs] = {
+                path.relative_to(sweep_dir): b"".join(
+                    line for line in path.read_bytes().splitlines(True)
+                    if not line.lstrip().startswith(b"output:"))
+                for path in sorted(sweep_dir.rglob("*")) if path.is_file()}
+        assert len(files["1"]) == 6
+        assert files["1"] == files["2"]
+
     def test_base_document_read_once(self, tmp_path, capsys, monkeypatch):
         reads = []
 
@@ -1325,14 +1359,18 @@ def test_echo_inputs_keep_the_exit_code_contract(
 
 
 def test_cli_import_leaves_out_the_ode_solver():
-    # scipy.integrate serves only the adaptive integrator, so a CLI start
-    # does not pay for importing it
+    # scipy serves only the adaptive integrator, which imports
+    # scipy.integrate when it runs, so neither the package nor the CLI
+    # loads any scipy module at start
     src = Path(d.__file__).resolve().parents[1]
-    code = ("import sys, donorspin.cli; "
-            "sys.exit('scipy.integrate' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(src))
-    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
-    assert result.returncode == 0
+    for module in ("donorspin", "donorspin.cli"):
+        code = (f"import sys, {module}; "
+                "sys.exit(sorted(m for m in sys.modules "
+                "if m.startswith('scipy')) or None)")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, (module, result.stderr)
 
 
 @settings(max_examples=15, deadline=None)

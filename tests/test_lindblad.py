@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -55,6 +56,13 @@ def silence_step(silence, rho, tau, delta=0.0):
 def random_hamiltonian(rng):
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     return (h + h.conj().T) * 1e9
+
+
+def exact_expm(a):
+    """exp(a) by mpmath at 40 digits, rounded to a numpy array."""
+    with mpmath.workdps(40):
+        out = mpmath.expm(mpmath.matrix(a.tolist())).tolist()
+    return np.array(out, dtype=complex if np.iscomplexobj(a) else float)
 
 
 class TestDensityMatrix:
@@ -260,15 +268,60 @@ class TestSilencePropagator:
 
     def test_population_matrix_is_one_exponential_per_duration(
             self, levels_5t, lossy):
-        # repeats and a zero share one batched exponential, which keeps
-        # the bits of one scipy call per duration
+        # repeats and a zero give the bits of their first occurrence, and
+        # every step is the 40-digit exponential of the generator
         silence = SilencePropagator(levels_5t, lossy)
         taus = np.array([2e-9, 0.0, 5e-7, 2e-9, 0.5, 0.0, 5e-7])
         steps = silence.population_matrix(taus)
         assert steps.shape == (len(taus), 4, 4)
+        assert np.array_equal(steps[3], steps[0])
+        assert np.array_equal(steps[5], steps[1])
+        assert np.array_equal(steps[6], steps[2])
+        assert np.array_equal(steps[1], np.eye(4))
         for step, tau in zip(steps, taus):
-            assert np.array_equal(step, expm(silence.pop_generator * tau))
+            oracle = exact_expm(silence.pop_generator * tau)
+            assert np.max(np.abs(step - oracle)) < 1e-15
         assert silence.population_matrix(np.array([])).shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("radiative, t1, branching", [
+        (None, None, None),  # configs/t1.yaml
+        (1e3, 1e3, None),
+        (1e3, 1e3 * (1 + 1e-9), None),
+        (1e9, 0.0, None),
+        (0.0, 10.0, None),
+        (1e9, 10.0, ((0.9, 0.1), (0.2, 0.8))),
+    ], ids=["t1-config", "k=gamma", "k=gamma(1+1e-9)", "k=0", "gamma=0",
+            "uneven-branching"])
+    def test_population_matrix_matches_a_40_digit_exponential(
+            self, radiative, t1, branching):
+        # at T1-length waits |G tau| reaches 5e8, where a scaled Padé
+        # exponential loses 3e-9 on the t1 config
+        config = d.load_run_config("configs/t1.yaml")
+        diss = config.dissipators
+        if radiative is not None:
+            diss = d.DissipatorSet(radiative_rate=radiative, t1_rate=t1,
+                                   branching=branching or diss.branching)
+        silence = SilencePropagator(config.levels, diss)
+        taus = [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.5]
+        for step, tau in zip(silence.population_matrix(taus), taus):
+            oracle = exact_expm(silence.pop_generator * tau)
+            assert np.max(np.abs(step - oracle)) < 1e-15
+
+    @pytest.mark.parametrize("row, col", [(2, 0), (0, 1), (2, 3)],
+                             ids=["ground-feeds-excited", "uneven-flip",
+                                  "excited-feeds-excited"])
+    def test_population_generator_out_of_block_form_is_refused(
+            self, levels_5t, lossy, monkeypatch, row, col):
+        # no DissipatorSet breaks the form, so a rate is added to the
+        # assembled generator: population col feeds population row
+        def broken(*args, **kwargs):
+            gen = liouvillian(*args, **kwargs)
+            gen[lindblad._IDX[row, row], lindblad._IDX[col, col]] += 1e3
+            return gen
+
+        monkeypatch.setattr(lindblad, "liouvillian", broken)
+        with pytest.raises(d.NumericsError, match="population generator"):
+            SilencePropagator(levels_5t, lossy)
 
     def test_population_block_conserves_probability(self, levels_5t, lossy):
         silence = SilencePropagator(levels_5t, lossy)
@@ -286,6 +339,64 @@ class TestSilencePropagator:
         moved = silence_step(silence, coherence, tau)
         assert abs(moved[0, 1]) == pytest.approx(math.exp(-kappa * tau),
                                                  rel=1e-12)
+
+
+class TestMatrixExponential:
+    def test_pump_step(self, levels_5t, lossy):
+        # the shipped pump's step: 1-norm 25,393, complex, 13 squarings
+        pump = d.PumpSettings(TWO_PI * 20e6, 10e-6, 400)
+        step = pump.step(levels_5t, lossy)
+        gen = liouvillian(d.sequences._pump_hamiltonian(levels_5t, pump.rabi),
+                          lossy, rabi=pump.rabi) * (10e-6 / 400)
+        assert np.abs(gen).sum(axis=0).max() == pytest.approx(25393, rel=1e-4)
+        assert step.dtype == complex
+        assert np.max(np.abs(step - exact_expm(gen))) < 2e-12
+
+    def test_stiff_window_step(self, levels_low_field):
+        # the joint fit's beta2 probe: gamma * h is about 1.7e5 at the
+        # envelope peak of a 64-step window
+        pulse = pulse_for_angle(levels_low_field, 2.2 * math.pi / 2)
+        stiff = d.DissipatorSet(laser_dephasing_linear=4.8e-3,
+                                laser_dephasing_quadratic=1.49e-8)
+        parts = lindblad._real_parts(
+            pulse_liouvillian_parts(levels_low_field, pulse, stiff))
+        t0, t1 = pulse.window()
+        om, h = pulse.peak_rabi, (t1 - t0) / 64
+        assert stiff.laser_dephasing_rate(om) * h == pytest.approx(1.7e5,
+                                                                   rel=0.01)
+        gen = (parts[0] + om * parts[1]
+               + stiff.laser_dephasing_rate(om) * parts[2]) * h
+        step = lindblad.expm(gen)
+        assert step.dtype == float
+        assert np.max(np.abs(step - exact_expm(gen))) < 1e-11
+
+    def test_random_stacks_in_every_degree_band(self):
+        # 1-norms inside each Padé degree's band, and above theta_13 where
+        # the matrix is scaled; a matrix's bits are the same alone as in
+        # the stack
+        rng = np.random.default_rng(47)
+        edges = [0.0, *lindblad._THETA.values(), 40.0]
+        norms = [rng.uniform(lo, hi) for lo, hi in zip(edges, edges[1:])
+                 for _ in range(2)]
+        stack = rng.normal(size=(len(norms), 8, 8)) \
+            + 1j * rng.normal(size=(len(norms), 8, 8))
+        for a in (stack.real.copy(), stack):
+            a *= np.array(norms)[:, None, None] \
+                / np.abs(a).sum(axis=1).max(axis=1)[:, None, None]
+            got = lindblad.expm(a)
+            assert got.dtype == a.dtype
+            for one, m in zip(got, a):
+                assert np.array_equal(one, lindblad.expm(m))
+                oracle = exact_expm(m)
+                assert np.max(np.abs(one - oracle)) \
+                    < 1e-14 * np.max(np.abs(oracle))
+
+    def test_non_finite_matrix_gives_nan_alone(self):
+        a = np.zeros((3, 4, 4))
+        a[1, 0, 2], a[2, 3, 3] = np.inf, np.nan
+        got = lindblad.expm(a)
+        assert np.array_equal(got[0], np.eye(4))
+        assert np.all(np.isnan(got[1:]))
 
 
 class TestPulseWindowPropagator:
@@ -379,7 +490,7 @@ def per_step_window(levels, pulse, dissipators, steps):
         om = float(om)
         gen = (l_const + om * l_drive
                + dissipators.laser_dephasing_rate(om) * l_deph)
-        y = expm(gen * h) @ y
+        y = lindblad.expm(gen * h) @ y
     return lindblad._T_INV @ y @ lindblad._T
 
 
@@ -395,7 +506,7 @@ def complex_per_step_window(levels, pulse, dissipators, steps):
     for k in range(steps):
         om = float(envelope_value(pulse, a + (k + 0.5) * h))
         if om not in made:
-            made[om] = expm((l_const + om * l_drive
+            made[om] = lindblad.expm((l_const + om * l_drive
                              + dissipators.laser_dephasing_rate(om) * l_deph)
                             * h)
         y = made[om] @ y
@@ -405,11 +516,11 @@ def complex_per_step_window(levels, pulse, dissipators, steps):
 @pytest.fixture
 def expm_count(monkeypatch):
     """Number of matrices the stepper exponentiates."""
-    counted = []
+    counted, original = [], lindblad.expm
 
     def counting(a):
         counted.append(1 if np.ndim(a) == 2 else len(a))
-        return expm(a)
+        return original(a)
 
     monkeypatch.setattr(lindblad, "expm", counting)
     return counted
