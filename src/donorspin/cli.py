@@ -2,12 +2,14 @@
 
 Subcommands ``simulate``, ``estimate``, ``fit`` and ``sweep`` share the
 flags ``--config``, ``--out``, ``--seed`` and repeatable
-``--set key.path=value`` overrides; ``sweep`` adds ``--jobs``. Every
-run writes one directory named ``<timestamp>-<confighash8>`` containing
-delimited trace files (``#`` comments, unit-suffixed headers) plus a
-metadata document with the fully resolved configuration and seed. Exit
-codes are stable for scripting: 0 success, 2 validation problem,
-3 numerical failure, 4 input/output failure.
+``--set key.path=value`` overrides; ``sweep`` adds ``--jobs``, the
+worker pool for the values of a pulse experiment (rabi, ramsey, echo);
+t1 and pump values run in this process. Every run writes one directory
+named ``<timestamp>-<confighash8>`` containing delimited trace files
+(``#`` comments, unit-suffixed headers) plus a metadata document with
+the fully resolved configuration and seed. Exit codes are stable for
+scripting: 0 success, 2 validation problem, 3 numerical failure,
+4 input/output failure.
 """
 
 from __future__ import annotations
@@ -263,6 +265,8 @@ def cmd_sweep(args) -> int:
             f"sweep axis {args.axis!r} does not name an existing config key")
     loglog = len(values) >= 2 and _KINDS[config.experiment_kind].loglog
     problems = []
+    if args.jobs is not None and args.jobs < 1:
+        problems.append(f"--jobs must be at least 1, got {args.jobs}")
     if loglog and not all(math.isfinite(v) and v > 0 for v in numeric_values):
         problems.append(f"the log-log T1 fit needs finite positive sweep "
                         f"values, got {numeric_values}")
@@ -272,8 +276,10 @@ def cmd_sweep(args) -> int:
     if problems:
         raise ValidationError("; ".join(problems), problems)
 
+    # a forked worker costs more than a t1 or pump value takes to run
     jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(values) > 1:
+    if jobs > 1 and len(values) > 1 \
+            and "pulse" in _KINDS[config.experiment_kind].needs:
         with ProcessPoolExecutor(max_workers=min(jobs, len(values))) as pool:
             payloads = list(pool.map(_sweep_one, [document] * len(values),
                                      [args.axis] * len(values), values))
@@ -369,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="repeat the experiment over an axis")
     common(p_sweep)
     p_sweep.add_argument("--jobs", type=int,
-                         help="worker pool size (default: CPUs)")
+                         help="worker processes for a rabi, ramsey or echo "
+                              "sweep (default: CPUs)")
     p_sweep.add_argument("--axis", help="dotted config key to sweep")
     p_sweep.add_argument("--values",
                          help="comma-separated values for the axis")

@@ -1116,25 +1116,80 @@ class TestSweepCommand:
             assert (sub / "t1_trace.csv").exists()
             assert (sub / "t1_meta.yaml").exists()
 
+    def sweep_files(self, tmp_path, capsys, config, axis, values, jobs):
+        """Each file of a sweep by its path in the sweep directory, less
+        the meta's output line."""
+        code, stdout, _ = run_cli(
+            ["sweep", "--config", config, "--axis", axis, "--values", values,
+             "--jobs", jobs, "--out", str(tmp_path / f"jobs{jobs}")], capsys)
+        assert code == 0
+        sweep_dir = run_dir_from(stdout)
+        return {path.relative_to(sweep_dir): b"".join(
+            line for line in path.read_bytes().splitlines(True)
+            if not line.lstrip().startswith(b"output:"))
+            for path in sorted(sweep_dir.rglob("*")) if path.is_file()}
+
     def test_parallel_sweep_writes_the_serial_bytes(self, tmp_path, capsys):
-        # workers run the same code on the same values, so every file of
-        # the sweep keeps its bytes; only the meta's output line differs
+        # a t1 sweep runs in this process at any --jobs, so every file
+        # keeps its bytes; only the meta's output line differs
         config = write_config(tmp_path, self.t1_doc())
-        files = {}
-        for jobs in ("1", "2"):
-            code, stdout, _ = run_cli(
-                ["sweep", "--config", config, "--axis", "dissipators.t1_rate",
-                 "--values", "10 1/s,20 1/s", "--jobs", jobs,
-                 "--out", str(tmp_path / f"jobs{jobs}")], capsys)
-            assert code == 0
-            sweep_dir = run_dir_from(stdout)
-            files[jobs] = {
-                path.relative_to(sweep_dir): b"".join(
-                    line for line in path.read_bytes().splitlines(True)
-                    if not line.lstrip().startswith(b"output:"))
-                for path in sorted(sweep_dir.rglob("*")) if path.is_file()}
+        files = {jobs: self.sweep_files(tmp_path, capsys, config,
+                                        "dissipators.t1_rate",
+                                        "10 1/s,20 1/s", jobs)
+                 for jobs in ("1", "2")}
         assert len(files["1"]) == 6
         assert files["1"] == files["2"]
+
+    def test_pool_sweep_writes_the_serial_bytes(self, tmp_path, capsys):
+        # pool workers run the same code on the same values as this
+        # process, so a rabi sweep keeps its bytes as well
+        doc = minimal_rabi_doc()
+        doc["experiment"]["count"] = 3
+        config = write_config(tmp_path, doc)
+        files = {jobs: self.sweep_files(tmp_path, capsys, config,
+                                        "field.magnitude", "4 T,5 T", jobs)
+                 for jobs in ("1", "2")}
+        assert len(files["1"]) == 6
+        assert files["1"] == files["2"]
+
+    def test_only_pulse_sweeps_start_a_pool(self, tmp_path, capsys,
+                                            monkeypatch):
+        pools = []
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return contextlib.nullcontext(mock.Mock(map=map))
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+        rabi = minimal_rabi_doc()
+        rabi["experiment"]["count"] = 3
+        for doc, axis, values, started in [
+                (self.t1_doc(), "dissipators.t1_rate", "10 1/s,20 1/s", []),
+                (load_config_document("configs/pump.yaml", []),
+                 "experiment.rabi_frequency", "15 MHz,25 MHz", []),
+                (rabi, "field.magnitude", "4 T,5 T", [2])]:
+            pools.clear()
+            code, _, _ = run_cli(
+                ["sweep", "--config", write_config(tmp_path, doc), "--axis",
+                 axis, "--values", values, "--jobs", "2",
+                 "--out", str(tmp_path / "out")], capsys)
+            assert code == 0
+            assert pools == started, doc["experiment"]["kind"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_2_before_any_run(self, tmp_path, capsys,
+                                                   monkeypatch, jobs):
+        runs = []
+        monkeypatch.setattr(cli, "_sweep_one", lambda *args: runs.append(args))
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(
+            ["sweep", "--config", "configs/t1.yaml", "--axis",
+             "field.magnitude", "--values", "2 T,3 T", "--jobs", jobs,
+             "--out", str(out)], capsys)
+        assert code == 2
+        assert f"- --jobs must be at least 1, got {jobs}" in stderr
+        assert runs == []
+        assert not out.exists()
 
     def test_base_document_read_once(self, tmp_path, capsys, monkeypatch):
         reads = []
