@@ -15,18 +15,18 @@ follows the instantaneous Rabi envelope,
 Pulse windows are the only stretches integrated numerically, by
 :func:`pulse_window_propagator`, with two methods. The fixed-step
 method advances with the matrix exponential of the midpoint generator,
-which is exact for piecewise-constant dynamics; it exponentiates each
-distinct midpoint generator once (keeping at most 512 for later
-steps), in time-ordered batches of at most 64 steps, in a Hermitian
-operator basis where a Lindblad generator is a real 16x16 matrix
-(Havel, J. Math. Phys. 44, 534 (2003)), by :func:`expm`. The adaptive
-method, the only user of scipy, runs its Runge-Kutta integrator DOP853
-on the complex propagator equation. Drive-free stretches are never
-integrated: the generator is then constant and block-diagonal, and one
-exact step, :meth:`SilencePropagator.split_by_detuning`, crosses every
-gap and every T1 wait, with a closed-form exponential for the
-populations and a phase-and-decay factor per coherence. That removes
-the stiffness of picosecond pulses separated by microsecond delays.
+exact for piecewise-constant dynamics, in a Hermitian basis where a
+Lindblad generator is a real 16x16 matrix (Havel, J. Math. Phys. 44,
+534 (2003)). Each step is read from a Chebyshev interpolant in the Rabi
+rate that an energy scan shares (Trefethen, ATAP, ch. 8) or, where none
+passes its check, exponentiated once per distinct step by :func:`expm`.
+The adaptive method, the only user of scipy, runs DOP853 on the complex
+propagator equation. Drive-free stretches are never integrated: the
+generator is then constant and block-diagonal, and one exact step,
+:meth:`SilencePropagator.split_by_detuning`, crosses every gap and every
+T1 wait, with a closed-form exponential for the populations and a
+phase-and-decay factor per coherence. That removes the stiffness of
+picosecond pulses separated by microsecond delays.
 """
 
 from __future__ import annotations
@@ -328,6 +328,14 @@ def _midpoint_product(y, keys, generator, h):
     return y
 
 
+def _interpolate(nodes, weights, exps, x):
+    """exp(L(x) h) at keys x, barycentric (Berrut & Trefethen 2004)."""
+    diff = x[:, None] - nodes
+    c = weights / np.where(diff == 0, np.finfo(float).tiny, diff)
+    c /= c.sum(axis=1, keepdims=True)
+    return (c @ exps.reshape(len(nodes), -1)).reshape(-1, 16, 16)
+
+
 # ---------------------------------------------------------------------------
 # pulse windows and silences
 
@@ -356,11 +364,54 @@ def pulse_liouvillian_parts(levels: LevelScheme, pulse: PulseSpec,
     return l_const, l_drive, l_deph
 
 
+def _generator(levels, pulse, dissipators, spin_detuning, real):
+    """The generator at an array of Rabi rates (Hermitian basis if real)."""
+    parts = pulse_liouvillian_parts(levels, pulse, dissipators, spin_detuning)
+    l_const, l_drive, l_deph = _real_parts(parts) if real else parts
+    return lambda om: (l_const + om[:, None, None] * l_drive
+                       + dissipators.laser_dephasing_rate(om)[:, None, None]
+                       * l_deph)
+
+
+def _grid(pulse, config, expm_steps):
+    """The fixed-step method's midpoint Rabi rates and its step h."""
+    t0, t1 = pulse.window()
+    n = expm_steps if math.isinf(config.max_step) \
+        else max(expm_steps, int(math.ceil((t1 - t0) / config.max_step)))
+    h = (t1 - t0) / n
+    return envelope_value(pulse, t0 + (np.arange(n) + 0.5) * h), h
+
+
+def _step_table(generator, keys, h):
+    """(nodes, weights, exps): exp(generator(x) h) at d Chebyshev points of
+    the first kind on [0, top key], d the first of 8, 16, 32 to match a
+    direct expm at 5 distinct keys within 1e-14 of max(1, largest entry)
+    at no more exponentials than distinct keys. () if none does, or if the
+    top key is not positive and finite."""
+    # counts keep np.unique from importing numpy.ma, which costs 1 MB
+    uniq = np.unique(keys, return_counts=True)[0]
+    if uniq.size < 13 or not 0.0 < uniq[-1] < math.inf:
+        return ()
+    checks = uniq[np.linspace(0, uniq.size - 1, 5).astype(int)]
+    with np.errstate(all="ignore"):
+        direct = expm(generator(checks) * h)
+        for d in [k for k in (8, 16, 32) if 2 * k - 3 <= uniq.size]:
+            theta = (np.arange(d) + 0.5) * math.pi / d
+            nodes = 0.5 * uniq[-1] * (1.0 - np.cos(theta))
+            table = (nodes, (-1.0) ** np.arange(d) * np.sin(theta),
+                     expm(generator(nodes) * h))
+            if np.max(np.abs(_interpolate(*table, checks) - direct)) \
+                    <= 1e-14 * max(1.0, np.max(np.abs(direct))):
+                return table
+    return ()
+
+
 def pulse_window_propagator(levels: LevelScheme, pulse: PulseSpec,
                             dissipators: DissipatorSet,
                             config: IntegratorConfig | None = None,
                             spin_detuning: float = 0.0,
-                            expm_steps: int = 1024) -> np.ndarray:
+                            expm_steps: int = 1024, *,
+                            _table=None) -> np.ndarray:
     """Superoperator advancing the state across one pulse window.
 
     The window spans the pulse support (five FWHM on each side for
@@ -368,31 +419,32 @@ def pulse_window_propagator(levels: LevelScheme, pulse: PulseSpec,
     the midpoint generator on a fixed grid, which resolves the optical
     phases exactly and converges quadratically in the envelope. It
     evaluates the envelope on all midpoints at once, steps in the real
-    Hermitian basis and maps the product back once; the adaptive method
+    Hermitian basis and maps the product back once. Steps are read from
+    an interpolant (:func:`_step_table`; ``_table`` is one a scan shares)
+    unless there is none or at most 9 distinct steps; the adaptive method
     integrates the complex 16x16 propagator equation instead, and raises
     :class:`IntegrationFailure` when the integrator stops short.
     """
     config = config or IntegratorConfig(method="fixed-expm")
-    t0, t1 = pulse.window()
-    parts = pulse_liouvillian_parts(levels, pulse, dissipators, spin_detuning)
     fixed = config.method == "fixed-expm"
-    l_const, l_drive, l_deph = _real_parts(parts) if fixed else parts
-
-    def generator(om):
-        gamma = dissipators.laser_dephasing_rate(om)
-        return (l_const + om[:, None, None] * l_drive
-                + gamma[:, None, None] * l_deph)
-
+    generator = _generator(levels, pulse, dissipators, spin_detuning, fixed)
     with np.errstate(all="ignore"):
         if not np.all(np.isfinite(generator(np.array([pulse.peak_rabi])))):
             raise NumericsError(f"pulse energy {pulse.energy:.6g} J makes the "
                                 "generator at the envelope peak non-finite")
     if fixed:
-        n = expm_steps if math.isinf(config.max_step) \
-            else max(expm_steps, int(math.ceil((t1 - t0) / config.max_step)))
-        h = (t1 - t0) / n
-        keys = envelope_value(pulse, t0 + (np.arange(n) + 0.5) * h)
-        return _T_INV @ _midpoint_product(np.eye(16), keys, generator, h) @ _T
+        keys, h = _grid(pulse, config, expm_steps)
+        table = _step_table(generator, keys, h) if _table is None else _table
+        y = np.eye(16)
+        if not table or np.unique(keys, return_counts=True)[0].size <= 9:
+            return _T_INV @ _midpoint_product(y, keys, generator, h) @ _T
+        for start in range(0, keys.size, _BLOCK):  # each block pairwise
+            steps = _interpolate(*table, keys[start:start + _BLOCK])
+            while len(steps) > 1:
+                steps = np.concatenate([steps[1::2] @ steps[:-1:2],
+                                        steps[len(steps) // 2 * 2:]])
+            y = steps[0] @ y
+        return _T_INV @ y @ _T
 
     from scipy.integrate import solve_ivp  # only the adaptive method needs it
 
@@ -400,7 +452,7 @@ def pulse_window_propagator(levels: LevelScheme, pulse: PulseSpec,
         gen = generator(np.reshape(envelope_value(pulse, t), 1))[0]
         return (gen @ y.reshape(16, 16)).ravel()
 
-    sol = solve_ivp(rhs, (t0, t1), np.eye(16, dtype=complex).ravel(),
+    sol = solve_ivp(rhs, pulse.window(), np.eye(16, dtype=complex).ravel(),
                     method="DOP853", rtol=config.rel_tol, atol=config.abs_tol,
                     max_step=min(config.max_step, pulse.duration / 50.0))
     if not sol.success:

@@ -49,6 +49,9 @@ from .hamiltonian import (
 )
 from .lindblad import (
     _SIGNS,
+    _generator,
+    _grid,
+    _step_table,
     DensityMatrix,
     DissipatorSet,
     IntegratorConfig,
@@ -414,11 +417,16 @@ def _window_fits(windows, trace, larmor):
 
 def _windows(energies, levels, pulse, dissipators, expm_steps,
              integrator=None):
-    """One pulse window per energy, as an (n, 16, 16) stack."""
+    """(n, 16, 16) pulse windows, one per energy, sharing one step table."""
+    top = replace(pulse, energy=float(np.max(energies, initial=0.0)))
+    config = integrator or IntegratorConfig(method="fixed-expm")
+    table = () if config.method != "fixed-expm" else _step_table(
+        _generator(levels, top, dissipators, 0.0, True),
+        *_grid(top, config, expm_steps))
     return np.array([
         pulse_window_propagator(levels, replace(pulse, energy=float(energy)),
                                 dissipators, config=integrator,
-                                expm_steps=expm_steps)
+                                expm_steps=expm_steps, _table=table)
         for energy in energies]).reshape(-1, 16, 16)
 
 

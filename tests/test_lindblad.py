@@ -526,23 +526,36 @@ def expm_count(monkeypatch):
     return counted
 
 
+def stepped_window(levels, shape, arrival, steps):
+    """A 1.3 rad pulse and the fixed-step config of a grid of ``steps``: a
+    fractional count sets max_step to span / steps instead, which lifts
+    the grid past expm_steps to ceil(steps) steps."""
+    pulse = replace(pulse_for_angle(levels, 1.3, shape=shape),
+                    arrival_time=arrival)
+    t0, t1 = pulse.window()
+    return pulse, d.IntegratorConfig(
+        method="fixed-expm",
+        max_step=math.inf if steps == int(steps) else (t1 - t0) / steps)
+
+
+def direct_window(levels, pulse, dissipators, config, steps):
+    """The window by the direct path alone, which exponentiates each
+    distinct step, on the keys and generator the propagator uses."""
+    keys, h = lindblad._grid(pulse, config, steps)
+    generator = lindblad._generator(levels, pulse, dissipators, 0.0, True)
+    return lindblad._T_INV @ lindblad._midpoint_product(
+        np.eye(16), keys, generator, h) @ lindblad._T
+
+
 class TestFixedStepper:
     @pytest.mark.parametrize("steps", [64, 1024, 1500.5])
     @pytest.mark.parametrize("arrival", [0.0, 3.3e-10])
     @pytest.mark.parametrize("shape", ["gaussian", "sech2", "rectangular"])
     def test_window_equals_the_per_step_loop(self, levels_5t, lossy, shape,
                                              arrival, steps):
-        # a fractional count sets max_step to span / steps instead, which
-        # lifts the grid past expm_steps to ceil(steps) steps
-        pulse = replace(pulse_for_angle(levels_5t, 1.3, shape=shape),
-                        arrival_time=arrival)
-        t0, t1 = pulse.window()
-        config = d.IntegratorConfig(
-            method="fixed-expm",
-            max_step=math.inf if steps == int(steps) else (t1 - t0) / steps)
+        pulse, config = stepped_window(levels_5t, shape, arrival, steps)
         assert np.array_equal(
-            pulse_window_propagator(levels_5t, pulse, lossy, config=config,
-                                    expm_steps=int(steps)),
+            direct_window(levels_5t, pulse, lossy, config, int(steps)),
             per_step_window(levels_5t, pulse, lossy, math.ceil(steps)))
 
     @pytest.mark.parametrize("arrival", [0.0, 3.3e-10])
@@ -550,6 +563,28 @@ class TestFixedStepper:
                                                            lossy, arrival):
         self.test_window_equals_the_per_step_loop(levels_5t, lossy,
                                                   "gaussian", arrival, 16384)
+
+    @pytest.mark.parametrize("steps", [64, 1024, 1500.5])
+    @pytest.mark.parametrize("arrival", [0.0, 3.3e-10])
+    @pytest.mark.parametrize("shape", ["gaussian", "sech2", "rectangular"])
+    def test_interpolated_window_matches_the_per_step_loop(
+            self, levels_5t, lossy, shape, arrival, steps):
+        # the direct path equals the per-step loop bit for bit (above).
+        # The rounding of an interpolated step is correlated along the
+        # window, so the defect grows with the step count: 2.4e-12 at
+        # 16,384 steps, where the direct path is itself 8.7e-13 off the
+        # product of steps taken in extended precision
+        pulse, config = stepped_window(levels_5t, shape, arrival, steps)
+        got = pulse_window_propagator(levels_5t, pulse, lossy, config=config,
+                                      expm_steps=int(steps))
+        ref = direct_window(levels_5t, pulse, lossy, config, int(steps))
+        assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, steps / 1024)
+
+    @pytest.mark.parametrize("arrival", [0.0, 3.3e-10])
+    def test_long_interpolated_window_matches_the_per_step_loop(
+            self, levels_5t, lossy, arrival):
+        self.test_interpolated_window_matches_the_per_step_loop(
+            levels_5t, lossy, "gaussian", arrival, 16384)
 
     def test_real_basis_matches_the_complex_loop(self, levels_5t,
                                                  levels_low_field, quiet,
@@ -599,6 +634,14 @@ class TestFixedStepper:
                                 expm_steps=1024)
         assert sum(expm_count) < 1024
 
+    def test_gaussian_window_reads_a_few_exponentials(self, levels_5t, lossy,
+                                                      half_pi_pulse,
+                                                      expm_count):
+        # 727 distinct steps, read from at most 32 nodes and 5 checks
+        pulse_window_propagator(levels_5t, half_pi_pulse, lossy,
+                                expm_steps=1024)
+        assert sum(expm_count) <= 40
+
     def test_long_window_holds_bounded_memory(self, levels_5t, lossy,
                                               half_pi_pulse, expm_count):
         # the exponentials kept for later steps are capped, so a long
@@ -613,22 +656,70 @@ class TestFixedStepper:
         assert sum(expm_count) < 16384
         assert peak < 4 * 2**20
 
-    def test_stiff_laser_dephasing_stays_physical(self, levels_low_field):
+    def test_stiff_laser_dephasing_stays_physical(self, levels_low_field,
+                                                  monkeypatch, expm_count):
         # the joint fit probes beta2 = 1.49e-8 s, where gamma * h is about
         # 1.7e5 on a 64-step grid; the midpoint exponential stays bounded
         # there, unlike integrators whose correction terms are not
-        # dissipative (4th-order Magnus reached populations of 1e275)
+        # dissipative (4th-order Magnus reached populations of 1e275). No
+        # interpolant passes its check there, so the window exponentiates
+        # each distinct step, and the failed attempt cost no more
+        # exponentials than that
         pulse = pulse_for_angle(levels_low_field, 2.2 * math.pi / 2)
         stiff = d.DissipatorSet(laser_dephasing_linear=4.8e-3,
                                 laser_dephasing_quadratic=1.49e-8)
+        direct, original = [], lindblad._midpoint_product
+
+        def spy(y, keys, generator, h):
+            direct.append(np.unique(keys).size)
+            return original(y, keys, generator, h)
+
+        monkeypatch.setattr(lindblad, "_midpoint_product", spy)
         w = pulse_window_propagator(levels_low_field, pulse, stiff,
                                     expm_steps=64)
+        assert direct and sum(expm_count) <= 2 * direct[0]
         rho = w @ DensityMatrix.pure(d.GROUND_DOWN).matrix.reshape(16)
         out = DensityMatrix(rho.reshape(4, 4))
         assert trace_error(out.matrix) < 1e-9
         populations = np.real(np.diag(out.matrix))
         assert np.all(populations > -1e-9)
         assert np.all(populations < 1.0 + 1e-9)
+
+
+class TestScanInterpolant:
+    def test_rabi_scan_reads_a_few_exponentials(self, levels_5t, lossy,
+                                                half_pi_pulse, expm_count):
+        # one interpolant at the top energy serves all 41 windows; the
+        # zero-energy window exponentiates its one step
+        energies = np.linspace(0.0, 4.0, 41) * half_pi_pulse.energy
+        d.rabi_populations(energies, levels_5t, half_pi_pulse, lossy)
+        assert sum(expm_count) <= 64
+
+    @pytest.mark.parametrize("scales, shape, lifted", [
+        ((0.0, 0.0, 0.0), "gaussian", False),
+        ((1.0,), "gaussian", False),
+        ((0.5, 1.0, 2.0), "rectangular", False),
+        ((0.0, 0.5, 1.0, 2.0), "gaussian", True),
+        ((0.0, 0.5, 1.0, 2.0), "sech2", False)],
+        ids=["all-zero", "single", "rectangular", "lifted-grid", "sech2"])
+    def test_scan_windows_match_the_direct_path(self, levels_5t, lossy,
+                                                scales, shape, lifted,
+                                                expm_count):
+        # a lifted grid has 300 steps where expm_steps asks for 256
+        pulse = pulse_for_angle(levels_5t, math.pi / 2, shape=shape)
+        t0, t1 = pulse.window()
+        config = d.IntegratorConfig(
+            method="fixed-expm",
+            max_step=(t1 - t0) / 300 if lifted else math.inf)
+        energies = np.array(scales) * pulse.energy
+        got = d.sequences._windows(energies, levels_5t, pulse, lossy, 256,
+                                   config)
+        if shape == "rectangular" or not any(scales):
+            assert sum(expm_count) == len(energies)
+        for energy, window in zip(energies, got):
+            ref = direct_window(levels_5t, replace(pulse, energy=energy),
+                                lossy, config, 256)
+            assert np.max(np.abs(window - ref)) < 1e-12
 
 
 class TestRelaxationModel:
