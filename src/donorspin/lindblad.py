@@ -17,9 +17,12 @@ Pulse windows are the only stretches integrated numerically, by
 method advances with the matrix exponential of the midpoint generator,
 exact for piecewise-constant dynamics, in a Hermitian basis where a
 Lindblad generator is a real 16x16 matrix (Havel, J. Math. Phys. 44,
-534 (2003)). Each step is read from a Chebyshev interpolant in the Rabi
-rate that an energy scan shares (Trefethen, ATAP, ch. 8) or, where none
-passes its check, exponentiated once per distinct step by :func:`expm`.
+534 (2003)). A window of one repeated step is that step's matrix power.
+Otherwise the steps come 64 at a time, each block multiplied pairwise,
+and each step is read from a Chebyshev interpolant in the Rabi rate
+that an energy scan shares (Trefethen, ATAP, ch. 8) or, where none
+passes its check, exponentiated once per distinct step of its block by
+:func:`expm`.
 The adaptive method, the only user of scipy, runs DOP853 on the complex
 propagator equation. Drive-free stretches are never integrated: the
 generator is then constant and block-diagonal, and one exact step,
@@ -291,41 +294,12 @@ class IntegratorConfig:
             v = getattr(self, attr)
             if not 0.0 < v <= 1e-3:
                 raise ValidationError(f"{attr} must lie in (0, 1e-3], got {v}")
-        if self.max_step <= 0:
-            raise ValidationError("max_step must be positive")
+        if not self.max_step > 0:
+            raise ValidationError(
+                f"max_step must be positive, got {self.max_step}")
 
 
-_BLOCK, _HELD = 64, 512  # steps per batched expm call; exponentials kept
-
-
-def _midpoint_product(y, keys, generator, h):
-    """Left-multiply ``y`` by expm(L_k * h) for each key k in turn.
-
-    ``generator`` maps an array of keys to the stack of their L_k.
-    Keys are compared by their bytes. Each block of ``_BLOCK`` steps
-    exponentiates its keys not already kept in one batched call; an
-    exponential a later step needs is kept while fewer than ``_HELD``
-    are, and recomputed past that. Equal keys give equal bytes, so the
-    product is the one a per-step loop gives.
-    """
-    uniq, ids = np.unique(keys.view(np.int64), return_inverse=True)
-    uniq = uniq.view(float)
-    left = np.bincount(ids).tolist()  # uses still to come, per key
-    held = {}
-    for start in range(0, keys.size, _BLOCK):
-        block = ids[start:start + _BLOCK].tolist()
-        new = [i for i in dict.fromkeys(block) if i not in held]
-        made = dict(zip(new, expm(generator(uniq[new]) * h))) if new else {}
-        for i in block:
-            y = (held[i] if i in held else made[i]) @ y
-            left[i] -= 1
-            if not left[i]:
-                held.pop(i, None)
-        for i in new:
-            if left[i] and len(held) < _HELD:
-                held[i] = made[i].copy()
-        del made  # frees the block's exponentials before the next batch
-    return y
+_BLOCK = 64  # steps per batched expm call and pairwise product
 
 
 def _interpolate(nodes, weights, exps, x):
@@ -375,6 +349,9 @@ def _generator(levels, pulse, dissipators, spin_detuning, real):
 
 def _grid(pulse, config, expm_steps):
     """The fixed-step method's midpoint Rabi rates and its step h."""
+    if not (isinstance(expm_steps, (int, np.integer)) and expm_steps >= 1):
+        raise ValidationError(
+            f"expm_steps must be an integer >= 1, got {expm_steps!r}")
     t0, t1 = pulse.window()
     n = expm_steps if math.isinf(config.max_step) \
         else max(expm_steps, int(math.ceil((t1 - t0) / config.max_step)))
@@ -419,9 +396,13 @@ def pulse_window_propagator(levels: LevelScheme, pulse: PulseSpec,
     the midpoint generator on a fixed grid, which resolves the optical
     phases exactly and converges quadratically in the envelope. It
     evaluates the envelope on all midpoints at once, steps in the real
-    Hermitian basis and maps the product back once. Steps are read from
-    an interpolant (:func:`_step_table`; ``_table`` is one a scan shares)
-    unless there is none or at most 9 distinct steps; the adaptive method
+    Hermitian basis and maps the product back once. A window of one
+    repeated step (rectangular, or zero energy) is that step's matrix
+    power. Otherwise each block of ``_BLOCK`` steps is read from an
+    interpolant (:func:`_step_table`; ``_table`` is one a scan shares)
+    or, where there is none, exponentiated once per distinct step, and
+    multiplied pairwise. It refuses an ``expm_steps`` that is not an
+    integer >= 1 with :class:`ValidationError`. The adaptive method
     integrates the complex 16x16 propagator equation instead, and raises
     :class:`IntegrationFailure` when the integrator stops short.
     """
@@ -434,12 +415,18 @@ def pulse_window_propagator(levels: LevelScheme, pulse: PulseSpec,
                                 "generator at the envelope peak non-finite")
     if fixed:
         keys, h = _grid(pulse, config, expm_steps)
+        if np.all(keys == keys[0]):  # rectangular pulses and zero energy
+            step = expm(generator(keys[:1]) * h)[0]
+            return _T_INV @ np.linalg.matrix_power(step, keys.size) @ _T
         table = _step_table(generator, keys, h) if _table is None else _table
         y = np.eye(16)
-        if not table or np.unique(keys, return_counts=True)[0].size <= 9:
-            return _T_INV @ _midpoint_product(y, keys, generator, h) @ _T
         for start in range(0, keys.size, _BLOCK):  # each block pairwise
-            steps = _interpolate(*table, keys[start:start + _BLOCK])
+            block = keys[start:start + _BLOCK]
+            if table:
+                steps = _interpolate(*table, block)
+            else:  # one exponential per distinct key of the block
+                uniq, ids = np.unique(block, return_inverse=True)
+                steps = expm(generator(uniq) * h)[ids]
             while len(steps) > 1:
                 steps = np.concatenate([steps[1::2] @ steps[:-1:2],
                                         steps[len(steps) // 2 * 2:]])

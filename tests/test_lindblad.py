@@ -448,13 +448,9 @@ class TestPulseWindowPropagator:
         assert purity(out.matrix) == pytest.approx(1.0, abs=1e-8)
 
     def test_non_finite_drive_rejected_before_stepping(self, levels_5t,
-                                                       lossy, monkeypatch):
+                                                       lossy, unstepped):
         # 1e300 nJ overflows the peak Rabi rate; inf * 0 in the generator
         # would fill the whole window with NaN
-        def no_steps(*args, **kwargs):
-            raise AssertionError("the window was stepped")
-
-        monkeypatch.setattr(lindblad, "_midpoint_product", no_steps)
         pulse = d.PulseSpec("gaussian", 1.9e-12, 1e291)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -526,6 +522,15 @@ def expm_count(monkeypatch):
     return counted
 
 
+@pytest.fixture
+def unstepped(monkeypatch):
+    """Fails the test if any window step is exponentiated."""
+    def no_steps(*args, **kwargs):
+        raise AssertionError("the window was stepped")
+
+    monkeypatch.setattr(lindblad, "expm", no_steps)
+
+
 def stepped_window(levels, shape, arrival, steps):
     """A 1.3 rad pulse and the fixed-step config of a grid of ``steps``: a
     fractional count sets max_step to span / steps instead, which lifts
@@ -540,11 +545,9 @@ def stepped_window(levels, shape, arrival, steps):
 
 def direct_window(levels, pulse, dissipators, config, steps):
     """The window by the direct path alone, which exponentiates each
-    distinct step, on the keys and generator the propagator uses."""
-    keys, h = lindblad._grid(pulse, config, steps)
-    generator = lindblad._generator(levels, pulse, dissipators, 0.0, True)
-    return lindblad._T_INV @ lindblad._midpoint_product(
-        np.eye(16), keys, generator, h) @ lindblad._T
+    distinct step of a block instead of reading an interpolant."""
+    return pulse_window_propagator(levels, pulse, dissipators, config=config,
+                                   expm_steps=steps, _table=())
 
 
 class TestFixedStepper:
@@ -553,10 +556,14 @@ class TestFixedStepper:
     @pytest.mark.parametrize("shape", ["gaussian", "sech2", "rectangular"])
     def test_window_equals_the_per_step_loop(self, levels_5t, lossy, shape,
                                              arrival, steps):
+        # the direct path multiplies each block pairwise, and a one-key
+        # window takes a matrix power, so the rounding differs from the
+        # sequential loop's: 1.1e-13 at most on a rectangular window,
+        # and 1.8e-13 at 16,384 steps
         pulse, config = stepped_window(levels_5t, shape, arrival, steps)
-        assert np.array_equal(
-            direct_window(levels_5t, pulse, lossy, config, int(steps)),
-            per_step_window(levels_5t, pulse, lossy, math.ceil(steps)))
+        got = direct_window(levels_5t, pulse, lossy, config, int(steps))
+        ref = per_step_window(levels_5t, pulse, lossy, math.ceil(steps))
+        assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, steps / 1024)
 
     @pytest.mark.parametrize("arrival", [0.0, 3.3e-10])
     def test_long_gaussian_window_equals_the_per_step_loop(self, levels_5t,
@@ -569,9 +576,9 @@ class TestFixedStepper:
     @pytest.mark.parametrize("shape", ["gaussian", "sech2", "rectangular"])
     def test_interpolated_window_matches_the_per_step_loop(
             self, levels_5t, lossy, shape, arrival, steps):
-        # the direct path equals the per-step loop bit for bit (above).
-        # The rounding of an interpolated step is correlated along the
-        # window, so the defect grows with the step count: 2.4e-12 at
+        # the direct path matches the per-step loop (above) to the same
+        # bound. The rounding of an interpolated step is correlated along
+        # the window, so the defect grows with the step count: 2.4e-12 at
         # 16,384 steps, where the direct path is itself 8.7e-13 off the
         # product of steps taken in extended precision
         pulse, config = stepped_window(levels_5t, shape, arrival, steps)
@@ -585,6 +592,25 @@ class TestFixedStepper:
             self, levels_5t, lossy, arrival):
         self.test_interpolated_window_matches_the_per_step_loop(
             levels_5t, lossy, "gaussian", arrival, 16384)
+
+    @pytest.mark.parametrize("steps, max_step, scan", [
+        (0, math.inf, False), (-5, math.inf, False), (2.5, math.inf, False),
+        (-3, math.inf, True), (64, math.nan, False)],
+        ids=["zero", "negative", "fractional", "negative-scan", "nan-step"])
+    def test_bad_step_controls_refused_before_stepping(
+            self, levels_5t, lossy, half_pi_pulse, unstepped, steps,
+            max_step, scan):
+        # unchecked, zero steps would divide by zero, a negative count
+        # would give the identity window, and 2.5 would step 1.2 windows
+        with pytest.raises(d.ValidationError, match="expm_steps|max_step"):
+            config = d.IntegratorConfig(method="fixed-expm", max_step=max_step)
+            if scan:
+                d.rabi_populations([0.0, half_pi_pulse.energy], levels_5t,
+                                   half_pi_pulse, lossy, integrator=config,
+                                   expm_steps=steps)
+            else:
+                pulse_window_propagator(levels_5t, half_pi_pulse, lossy,
+                                        config=config, expm_steps=steps)
 
     def test_real_basis_matches_the_complex_loop(self, levels_5t,
                                                  levels_low_field, quiet,
@@ -606,17 +632,12 @@ class TestFixedStepper:
 
     def test_generator_without_a_real_form_is_refused(self, levels_5t, lossy,
                                                       half_pi_pulse,
-                                                      monkeypatch):
+                                                      monkeypatch, unstepped):
         # i * L_drive maps a Hermitian state to an anti-Hermitian one, so
         # its image in the Hermitian basis is imaginary
         parts = pulse_liouvillian_parts(levels_5t, half_pi_pulse, lossy)
-
-        def no_steps(*args, **kwargs):
-            raise AssertionError("the window was stepped")
-
         monkeypatch.setattr(lindblad, "pulse_liouvillian_parts",
                             lambda *args: (parts[0], 1j * parts[1], parts[2]))
-        monkeypatch.setattr(lindblad, "_midpoint_product", no_steps)
         with pytest.raises(d.NumericsError, match="Hermiticity"):
             pulse_window_propagator(levels_5t, half_pi_pulse, lossy)
 
@@ -642,18 +663,21 @@ class TestFixedStepper:
                                 expm_steps=1024)
         assert sum(expm_count) <= 40
 
+    @pytest.mark.parametrize("table", [None, ()], ids=["table", "direct"])
     def test_long_window_holds_bounded_memory(self, levels_5t, lossy,
-                                              half_pi_pulse, expm_count):
-        # the exponentials kept for later steps are capped, so a long
+                                              half_pi_pulse, expm_count,
+                                              table):
+        # both routes hold one block of steps at a time, so a long
         # window holds little more than a short one
         tracemalloc.start()
         try:
             pulse_window_propagator(levels_5t, half_pi_pulse, lossy,
-                                    expm_steps=16384)
+                                    expm_steps=16384, _table=table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(expm_count) < 16384
+        if table is None:
+            assert sum(expm_count) < 16384
         assert peak < 4 * 2**20
 
     def test_stiff_laser_dephasing_stays_physical(self, levels_low_field,
@@ -668,16 +692,17 @@ class TestFixedStepper:
         pulse = pulse_for_angle(levels_low_field, 2.2 * math.pi / 2)
         stiff = d.DissipatorSet(laser_dephasing_linear=4.8e-3,
                                 laser_dephasing_quadratic=1.49e-8)
-        direct, original = [], lindblad._midpoint_product
+        tables, distinct, original = [], [], lindblad._step_table
 
-        def spy(y, keys, generator, h):
-            direct.append(np.unique(keys).size)
-            return original(y, keys, generator, h)
+        def spy(generator, keys, h):
+            distinct.append(np.unique(keys).size)
+            tables.append(original(generator, keys, h))
+            return tables[-1]
 
-        monkeypatch.setattr(lindblad, "_midpoint_product", spy)
+        monkeypatch.setattr(lindblad, "_step_table", spy)
         w = pulse_window_propagator(levels_low_field, pulse, stiff,
                                     expm_steps=64)
-        assert direct and sum(expm_count) <= 2 * direct[0]
+        assert tables == [()] and sum(expm_count) <= 2 * distinct[0]
         rho = w @ DensityMatrix.pure(d.GROUND_DOWN).matrix.reshape(16)
         out = DensityMatrix(rho.reshape(4, 4))
         assert trace_error(out.matrix) < 1e-9
