@@ -46,7 +46,6 @@ from .estimators import (
 )
 from .fitting import (
     MODEL_KINDS,
-    CurveModel,
     FitResult,
     FringeFit,
     IngestedTrace,

@@ -18,7 +18,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,7 +28,6 @@ from .config import (
     _KINDS,
     RunConfig,
     apply_overrides,
-    canonical_models,
     config_digest,
     load_config_document,
     load_run_config,
@@ -38,7 +36,7 @@ from .config import (
 )
 from .errors import NumericsError, ValidationError
 from .estimators import decoherence_budget
-from .fitting import compare_models, ingest_trace
+from .fitting import canonical_models, compare_models, ingest_trace
 from .materials import dump_yaml, load_yaml
 
 __all__ = ["main", "build_parser"]
@@ -280,6 +278,7 @@ def cmd_sweep(args) -> int:
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(values) > 1 \
             and "pulse" in _KINDS[config.experiment_kind].needs:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(values))) as pool:
             payloads = list(pool.map(_sweep_one, [document] * len(values),
                                      [args.axis] * len(values), values))

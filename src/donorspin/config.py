@@ -15,6 +15,7 @@ every value a run computes from, and its digest names the run.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import sys
@@ -27,7 +28,7 @@ import yaml
 from .bath import _DISPERSION_MODES, BathModel
 from .errors import ValidationError
 from .estimators import ID_VARIANTS
-from .fitting import MODEL_KINDS
+from .fitting import canonical_models
 from .hamiltonian import (_SHAPES, LevelScheme, PulseSpec,
                           energy_for_rotation_angle)
 from .lindblad import DissipatorSet, t1_rate_model
@@ -45,7 +46,6 @@ __all__ = [
     "parse_run_config",
     "apply_overrides",
     "config_digest",
-    "canonical_models",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -88,12 +88,6 @@ _KINDS = {
     "t1": _Kind(("waits", "max_wait", "count", "pump"), _execute_t1,
                 loglog="fitted_t1_s"),
     "pump": _Kind(_PUMP_KEYS, _execute_pump),
-}
-_MODEL_ALIASES = {
-    "exp": "exp_decay",
-    "gaussian": "gaussian_decay",
-    "cubed_exp": "cubed_exp_decay",
-    "power": "power_law",
 }
 
 
@@ -201,7 +195,8 @@ class _Section:
                             integer=True)
         if top is not None and count is not None:
             return list(np.linspace(0.0, top, count))
-        self.fail(f"{self.data['kind']} needs {key} or {top_key}")
+        if self.value(key) is None and self.value(top_key) is None:
+            self.fail(f"{self.data['kind']} needs {key} or {top_key}")
         return None
 
     def number(self, key, default=None, minimum=None, integer=False):
@@ -249,20 +244,6 @@ class _Section:
         return None
 
 
-def canonical_models(names, key: str) -> list:
-    """The model kinds that ``names`` give, each a kind or an alias."""
-    kinds = []
-    for name in names:
-        kind = _MODEL_ALIASES.get(name.strip(), name.strip()) \
-            if isinstance(name, str) else name
-        if kind not in MODEL_KINDS:
-            raise ValidationError(
-                f"{key}: unknown model {name!r}; known: "
-                f"{sorted(MODEL_KINDS)} (aliases: {sorted(_MODEL_ALIASES)})")
-        kinds.append(kind)
-    return kinds
-
-
 @dataclass
 class RunConfig:
     """Fully resolved run description: the typed objects a run computes
@@ -298,7 +279,7 @@ class RunConfig:
 def apply_overrides(document: dict, overrides) -> dict:
     """Apply ``key.path=value`` strings onto a nested mapping."""
     problems: list[str] = []
-    result = load_yaml(dump_yaml(document)) or {}
+    result = copy.deepcopy(document)
     for text in overrides or ():
         if "=" not in text:
             problems.append(f"override {text!r} is not of the form key=value")

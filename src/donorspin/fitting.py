@@ -21,7 +21,6 @@ from .errors import DonorSpinError, ValidationError
 
 __all__ = [
     "ParameterSpec",
-    "CurveModel",
     "FitResult",
     "FringeFit",
     "fit_curve",
@@ -32,6 +31,7 @@ __all__ = [
     "ingest_trace",
     "IngestedTrace",
     "MODEL_KINDS",
+    "canonical_models",
 ]
 
 logger = logging.getLogger("donorspin.fitting")
@@ -169,55 +169,34 @@ _CATALOGUE = {
 }
 
 MODEL_KINDS = tuple(_CATALOGUE)
+# short names that ``fit --compare`` and the ``fit`` config section accept
+_MODEL_ALIASES = {
+    "exp": "exp_decay",
+    "gaussian": "gaussian_decay",
+    "cubed_exp": "cubed_exp_decay",
+    "power": "power_law",
+}
 
 
-@dataclass(frozen=True)
-class CurveModel:
-    """A fit model: a kind from the catalogue plus parameter specs."""
-
-    kind: str
-    parameters: tuple
-
-    def __post_init__(self):
-        if self.kind not in _CATALOGUE:
+def canonical_models(names, key: str) -> list:
+    """The model kinds that ``names`` give, each a kind or an alias."""
+    kinds = []
+    for name in names:
+        kind = _MODEL_ALIASES.get(name.strip(), name.strip()) \
+            if isinstance(name, str) else name
+        if kind not in MODEL_KINDS:
             raise ValidationError(
-                f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
-        names = tuple(p.name for p in self.parameters)
-        expected = _CATALOGUE[self.kind][0]
-        if names != expected:
-            raise ValidationError(
-                f"model {self.kind!r} requires parameters {expected}, got {names}")
+                f"{key}: unknown model {name!r}; known: "
+                f"{sorted(MODEL_KINDS)} (aliases: {sorted(_MODEL_ALIASES)})")
+        kinds.append(kind)
+    return kinds
 
-    @classmethod
-    def for_kind(cls, kind: str, x=None, y=None,
-                 overrides: dict | None = None) -> "CurveModel":
-        """Build a model with automated initial guesses from the data."""
-        if kind not in _CATALOGUE:
-            raise ValidationError(
-                f"unknown model kind {kind!r}; choose from {MODEL_KINDS}")
-        names, _, guess, bounds = _CATALOGUE[kind]
-        if x is not None and y is not None and len(x) >= 2:
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            inits = guess(x, y)
-        else:
-            inits = {n: 1.0 for n in names}
-        if overrides:
-            unknown = set(overrides) - set(names)
-            if unknown:
-                raise ValidationError(
-                    f"unknown parameters for {kind!r}: {sorted(unknown)}")
-            inits.update(overrides)
-        specs = []
-        for n in names:
-            lo, hi = bounds.get(n, (-math.inf, math.inf))
-            init = min(max(inits[n], lo), hi)
-            specs.append(ParameterSpec(n, float(init), lo, hi))
-        return cls(kind, tuple(specs))
 
-    def evaluate(self, values, x) -> np.ndarray:
-        return _CATALOGUE[self.kind][1](np.asarray(values, dtype=float),
-                                        np.asarray(x, dtype=float))
+def _catalogue_entry(kind):
+    if kind not in _CATALOGUE:
+        raise ValidationError(
+            f"unknown model kind {kind!r}; choose from {MODEL_KINDS}")
+    return _CATALOGUE[kind]
 
 
 @dataclass
@@ -230,10 +209,6 @@ class FitResult:
     iterations: int
     converged: bool
     message: str = ""
-
-    def parameter_array(self, names=None) -> np.ndarray:
-        names = names or list(self.parameters)
-        return np.array([self.parameters[n] for n in names])
 
 
 # ---------------------------------------------------------------------------
@@ -369,27 +344,40 @@ def _validate_xy(x, y, weights, n_params):
     return x, y, w
 
 
-def fit_curve(model, x, y, weights=None) -> FitResult:
-    """Fit a :class:`CurveModel` (or a kind name) to data.
+def fit_curve(kind, x, y, weights=None, init=None) -> FitResult:
+    """Fit the catalogue model ``kind`` to data.
 
-    ``weights`` are inverse variances. Convergence follows the fixed
-    contract: relative parameter step below 1e-8 or relative residual
-    change below 1e-10, within 500 iterations. A singular Jacobian
-    produces a non-converged result with diagnostics, never an
-    exception.
+    ``weights`` are inverse variances. ``init`` maps parameter names to
+    starting values; the parameters it leaves out start from a guess
+    made from the data, and every start is clamped into its bounds.
+    Convergence follows the fixed contract: relative parameter step
+    below 1e-8 or relative residual change below 1e-10, within 500
+    iterations. A singular Jacobian produces a non-converged result
+    with diagnostics, never an exception.
     """
-    if isinstance(model, str):
-        model = CurveModel.for_kind(model, x, y)
-    x, y, w = _validate_xy(x, y, weights, len(model.parameters))
-    if model.kind == "power_law" and np.any(x <= 0):
+    names, evaluate, guess, bounds = _catalogue_entry(kind)
+    x, y, w = _validate_xy(x, y, weights, len(names))
+    if kind == "power_law" and np.any(x <= 0):
         raise ValidationError("power_law needs every abscissa > 0, got "
                               f"{np.min(x):.6g}")
+    init = dict(init or {})
+    unknown = set(init) - set(names)
+    if unknown:
+        raise ValidationError(
+            f"unknown parameters for {kind!r}: {sorted(unknown)}")
+    if len(init) < len(names):
+        init = {**guess(x, y), **init}
+    specs = []
+    for name in names:
+        lo, hi = bounds.get(name, (-math.inf, math.inf))
+        specs.append(ParameterSpec(name, float(min(max(init[name], lo), hi)),
+                                   lo, hi))
     sw = np.sqrt(w)
 
     def residual_fn(p):
-        return (model.evaluate(p, x) - y) * sw
+        return (evaluate(p, x) - y) * sw
 
-    return _least_squares(model.parameters, residual_fn, 500)
+    return _least_squares(specs, residual_fn, 500)
 
 
 def _least_squares(specs, residual_fn, max_iterations) -> FitResult:
@@ -420,16 +408,16 @@ def _least_squares(specs, residual_fn, max_iterations) -> FitResult:
 def compare_models(kinds, x, y, weights=None) -> dict:
     """Fit several kinds to the same data: a :class:`FitResult` per kind,
     or the error of a known kind that cannot fit. Raises the first error
-    when no kind fits."""
+    when no kind fits, and ``ValidationError`` when no kind is given."""
     out = {}
     for kind in kinds:
-        model = CurveModel.for_kind(kind, x, y)
+        _catalogue_entry(kind)  # an unknown kind raises, it does not list
         try:
-            out[kind] = fit_curve(model, x, y, weights)
+            out[kind] = fit_curve(kind, x, y, weights)
         except (DonorSpinError, np.linalg.LinAlgError) as err:
             out[kind] = err
     if all(isinstance(r, Exception) for r in out.values()):
-        raise next(iter(out.values()))
+        raise next(iter(out.values()), ValidationError("no model kind given"))
     return out
 
 
@@ -541,13 +529,12 @@ def fit_fringe(x, y, known_frequency: float | None = None, stderr=None,
     omegas = guess * np.linspace(0.7, 1.3, 4001)
     omega0 = float(omegas[int(np.argmin(_grid_costs(x, y, w, omegas)))])
     coef, _, _ = _linear_fringe(x, y, w, omega0)
-    model = CurveModel.for_kind("sinusoid", x, y, overrides={
+    result = fit_curve("sinusoid", x, y, weights=w, init={
         "amplitude": float(math.hypot(coef[1], coef[2])),
         "angular_frequency": omega0,
         "phase": float(math.atan2(-coef[2], coef[1])),
         "offset": float(coef[0]),
     })
-    result = fit_curve(model, x, y, weights=w)
     return FringeFit(
         visibility=abs(result.parameters["amplitude"]),
         visibility_stderr=result.uncertainties["amplitude"],
@@ -644,7 +631,7 @@ def simultaneous_fit_rabi_fringe(rabi_energies, rabi_p_up,
              ParameterSpec("beta1", init["beta1"], 0.0),
              ParameterSpec("beta2", init["beta2"], 0.0))
     fit = _least_squares(specs, residual_fn, 200)
-    p = fit.parameter_array()
+    p = np.array(list(fit.parameters.values()))
     if p.tobytes() in failed:  # the model failed at p: raise its error here
         forward(p)
     return SimultaneousFitResult(fit=fit)

@@ -1032,6 +1032,29 @@ def test_a_bad_pulse_is_listed_with_every_problem(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("config, override, problems", [
+    ("rabi", "experiment.count=1", ["experiment.count must be >= 2"]),
+    ("rabi", "experiment.max_energy=0.45 parsec",
+     ["experiment.max_energy: unknown unit 'parsec'; known energy units: "
+      "J, fJ, mJ, nJ, pJ, uJ"]),
+    ("rabi", "experiment.max_energy=null",
+     ["experiment: rabi needs energies or max_energy"]),
+    ("t1", "experiment.count=3", ["experiment.count must be >= 4"]),
+    ("t1", "experiment.max_wait=0.5 parsec",
+     ["experiment.max_wait: unknown unit 'parsec'; known time units: "
+      "fs, ms, ns, ps, s, us, \u00b5s"]),
+    ("t1", "experiment.max_wait=null",
+     ["experiment: t1 needs waits or max_wait"]),
+])
+def test_a_grid_needs_its_keys_only_when_both_are_absent(config, override,
+                                                         problems):
+    # a malformed count or top value once also listed "needs X or Y"
+    # although the top value was given
+    with pytest.raises(d.ValidationError) as err:
+        d.load_run_config(f"configs/{config}.yaml", [override])
+    assert err.value.problems == problems
+
+
 @pytest.mark.parametrize("command", ["simulate", "estimate", "fit"])
 def test_only_sweep_takes_jobs(command):
     with pytest.raises(SystemExit):
@@ -1160,7 +1183,9 @@ class TestSweepCommand:
             pools.append(max_workers)
             return contextlib.nullcontext(mock.Mock(map=map))
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+        # cmd_sweep imports the pool class only when it starts a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            recording_pool)
         rabi = minimal_rabi_doc()
         rabi["experiment"]["count"] = 3
         for doc, axis, values, started in [
@@ -1416,13 +1441,14 @@ def test_echo_inputs_keep_the_exit_code_contract(
 def test_cli_import_leaves_out_the_ode_solver():
     # scipy serves only the adaptive integrator, which imports
     # scipy.integrate when it runs, so neither the package nor the CLI
-    # loads any scipy module at start
+    # loads any scipy module at start; nor the sweep's worker pool,
+    # which only a pool sweep imports
     src = Path(d.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     for module in ("donorspin", "donorspin.cli"):
         code = (f"import sys, {module}; "
-                "sys.exit(sorted(m for m in sys.modules "
-                "if m.startswith('scipy')) or None)")
+                "sys.exit(sorted(m for m in sys.modules if m.split('.')[0] "
+                "in ('scipy', 'concurrent', 'multiprocessing')) or None)")
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, (module, result.stderr)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import donorspin as d
-from donorspin.fitting import (CurveModel, ParameterSpec, _grid_costs,
+from donorspin import fitting
+from donorspin.fitting import (_CATALOGUE, ParameterSpec, _grid_costs,
                                _inverse_variance)
 from reference import fringe_grid_costs
 
@@ -47,11 +48,15 @@ ROUNDTRIPS = {
 }
 
 
+def evaluate(kind, params, x):
+    names, model, _, _ = _CATALOGUE[kind]
+    return model(np.array([params[n] for n in names]),
+                 np.asarray(x, dtype=float))
+
+
 def synthesize(kind):
     x, params = ROUNDTRIPS[kind]
-    model = CurveModel.for_kind(kind)
-    y = model.evaluate([params[p.name] for p in model.parameters], x)
-    return x, y, params
+    return x, evaluate(kind, params, x), params
 
 
 class TestRoundtrips:
@@ -124,7 +129,8 @@ class TestFitDiagnostics:
         with pytest.raises(d.ValidationError):
             d.fit_curve("stretchy_decay", [0, 1, 2, 3], [1, 2, 3, 4])
         with pytest.raises(d.ValidationError):
-            CurveModel.for_kind("sinusoid", overrides={"frequency": 1.0})
+            d.fit_curve("sinusoid", [0, 1, 2, 3, 4], [1, 2, 3, 4, 5],
+                        init={"frequency": 1.0})
 
     def test_data_validation(self):
         with pytest.raises(d.ValidationError):
@@ -146,19 +152,25 @@ class TestFitDiagnostics:
         # turns into exp(-745)
         p = {"amplitude": 1.0, "t_decay": 1e-300, "offset": 0.25,
              "angular_frequency": 1.0, "phase": 0.0}
-        model = CurveModel.for_kind(kind)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = model.evaluate([p[s.name] for s in model.parameters],
-                                    [0.0, 1e-6, 1e9])
+            values = evaluate(kind, p, [0.0, 1e-6, 1e9])
         assert values[0] == 1.25 and values[2] == pytest.approx(0.25)
 
-    def test_parameter_array_order(self):
-        x, y, _ = synthesize("exp_decay")
-        result = d.fit_curve("exp_decay", x, y)
-        arr = result.parameter_array(["offset", "amplitude"])
-        assert arr[0] == result.parameters["offset"]
-        assert arr[1] == result.parameters["amplitude"]
+    def test_mismatched_lengths_are_a_validation_error(self):
+        # the initial guess once ran before the data were checked and
+        # raised a bare IndexError
+        with pytest.raises(d.ValidationError, match="equal length"):
+            d.fit_curve("exp_decay", [0.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(d.ValidationError, match="equal length"):
+            d.compare_models(["exp_decay", "gaussian_decay"], [0.0, 1.0],
+                             [1.0, 2.0, 3.0])
+
+    def test_init_is_clamped_into_the_bounds(self):
+        x, y, params = synthesize("exp_decay")
+        result = d.fit_curve("exp_decay", x, y,
+                             init={**params, "t_decay": -1.0})
+        assert result.parameters["t_decay"] > 0
 
 
 class TestCompareModels:
@@ -170,6 +182,14 @@ class TestCompareModels:
             ["exp_decay", "gaussian_decay", "cubed_exp_decay"], x, noisy)
         norms = {k: r.residual_norm for k, r in results.items()}
         assert min(norms, key=norms.get) == "gaussian_decay"
+
+    def test_unknown_or_no_kind_raises_instead_of_listing(self):
+        x, y, _ = synthesize("exp_decay")
+        with pytest.raises(d.ValidationError, match="stretchy_decay"):
+            d.compare_models(["exp_decay", "stretchy_decay"], x, y)
+        # an empty list once raised a bare StopIteration
+        with pytest.raises(d.ValidationError, match="no model kind"):
+            d.compare_models([], x, y)
 
 
 class TestFitFringe:
@@ -198,6 +218,22 @@ class TestFitFringe:
         fringe = d.fit_fringe(x, y, frequency_guess=1.05 * omega)
         assert fringe.frequency == pytest.approx(omega, rel=1e-9)
         assert fringe.visibility == pytest.approx(0.3, rel=1e-6)
+
+    @pytest.mark.parametrize("guess, ffts", [(1.05, 0), (None, 1)])
+    def test_free_fit_runs_the_fft_only_without_a_guess(self, monkeypatch,
+                                                         guess, ffts):
+        # the LM polish once guessed a sinusoid, FFT included, and then
+        # replaced every guessed value
+        calls = []
+        fft = fitting._dominant_frequency
+        monkeypatch.setattr(fitting, "_dominant_frequency",
+                            lambda x, y: calls.append(1) or fft(x, y))
+        omega = TWO_PI * 137.9e9
+        x = np.linspace(0.0, 4.0 * TWO_PI / omega, 41)
+        y = 0.5 + 0.3 * np.cos(omega * x + 0.2)
+        fringe = d.fit_fringe(x, y, frequency_guess=guess and guess * omega)
+        assert len(calls) == ffts
+        assert fringe.frequency == pytest.approx(omega, rel=1e-9)
 
     def test_free_frequency_needs_two_periods(self):
         omega = TWO_PI * 1e9
