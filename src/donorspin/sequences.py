@@ -7,13 +7,14 @@ average over the frozen Overhauser detuning of each donor.
 
 Every pulse experiment is one contraction: pulse windows separated by
 silent gaps, one row per scan point. A Rabi scan has no gap and one
-window per energy; a Ramsey scan has one gap, as has the joint fit's
-fringe side, with rows of every energy; an echo has two (tau1 repeated
-on each row of its tau2 scan), and an echo decay joins all its scans.
-The detuning enters only through phase factors on coherences involving
-the spin-up level, so :meth:`SilencePropagator.split_by_detuning`
-splits each row's state across its gap into detuning groups s in
-(0, +1, -1) that gain exp(-i*delta*s*gap). Each gap splits the whole
+window per energy. Every fringe scan runs through one driver,
+``_fringe_scans``, which turns each row's delays into gaps: a Ramsey
+scan has one, as has the joint fit's fringe side with rows of every
+energy; an echo has two, tau1 and the scanned tau2. The detuning
+enters only through phase factors on coherences involving the spin-up
+level, so :meth:`SilencePropagator.split_by_detuning` splits each
+row's state across its gap into detuning groups s in (0, +1, -1) that
+gain exp(-i*delta*s*gap). Each gap splits the whole
 (keys, n, 16) stack of pathways in one call; a pathway holds one sign
 per gap, and its phase duration is sum(s * gap), a (keys, n) array.
 The detuning-independent complex amplitude of each key is contracted
@@ -390,25 +391,79 @@ def _contract(window, rho0, abscissa, abscissa_name, silence=None, gaps=(),
                            *_clip_populations(p_up, p_down), up_err, down_err)
 
 
-def _window_fits(windows, trace, larmor):
-    """Center, visibility and its stderr of each window of ``trace``.
+def _fringe_scans(scans, leads, window, levels, pulse, dissipators,
+                  bath=None, ensemble_mode="exact", bath_samples=1000,
+                  seed=None, pump=None, injected=None, expm_steps=1024):
+    """Fringe scans of one pulse sequence as one contraction.
 
-    The visibility is fitted at the precession frequency ``larmor``; a
-    window of fewer than four points gets nan.
+    Row k of scan i runs the delays ``leads[0][i], ..., leads[-1][i]``,
+    then ``scans[i][k]``, between equal pulses: a Ramsey scan of tau has
+    no lead, an echo scan of tau2 the one tau1. Every scan and lead is
+    checked first; only a scan with no lead may hold a zero delay. The
+    bath is drawn, the initial state prepared and, unless ``window``
+    gives one per row, the pulse window built once. Each delay becomes
+    the gap max(delay - 2w, 0) and the ``injected`` envelope ratio over
+    its stretch of the sequence clock. Returns the joined trace and, per
+    scan, its center on that clock and its visibility and stderr fitted
+    at the precession frequency (nan below four points).
     """
-    fits, start = [], 0
-    for win in windows:
-        stop = start + len(win)
+    w = pulse.half_window
+    larmor = levels.electron_splitting
+    *lead_names, name = [f"tau{j + 1}" for j in range(len(leads) + 1)] \
+        if leads else ["tau"]
+    leads = [np.asarray(lead, dtype=float) for lead in leads]
+    scans = [np.asarray(scan, dtype=float) for scan in scans]
+    for lead_name, lead in zip(lead_names, leads):
+        if not np.all(np.isfinite(lead)) or np.any(lead < 2.0 * w):
+            raise ValidationError(f"{lead_name} must be finite and >= one "
+                                  f"full pulse window (2w = {2 * w:.3e} s)")
+    for scan in scans:
+        if scan.ndim != 1 or len(scan) == 0 or not np.all(np.isfinite(scan)):
+            raise ValidationError(f"each {name} scan must be a non-empty "
+                                  "1-D sequence of finite values")
+        if np.any(np.diff(scan) <= 0):
+            raise ValidationError(f"{name} values must be strictly "
+                                  "increasing")
+        short = scan < 2.0 * w - 1e-18
+        if not leads:
+            short &= scan != 0.0  # the two pulses back to back
+        if np.any(short):
+            raise ValidationError(
+                f"{name} values must be {'' if leads else '0 or '}>= one "
+                f"full pulse window (2w = {2 * w:.3e} s); shorter delays "
+                "overlap the pulses")
+        if len(scan) >= 4:  # a fringe fit needs alias-free sampling
+            _check_sampling(scan, larmor, name)
+
+    samples = _resolve_ensemble(bath, ensemble_mode, bath_samples, seed)
+    rho0 = _prepare_initial(pump, levels, dissipators)
+    if window is None:
+        window = pulse_window_propagator(levels, pulse, dissipators,
+                                         expm_steps=expm_steps)
+    spans = [np.repeat(lead, list(map(len, scans))) for lead in leads]
+    spans.append(np.concatenate(scans) if scans else np.empty(0))
+    gaps, mults, start = [], [], 0.0
+    for span in spans:
+        gaps.append(np.maximum(span - 2.0 * w, 0.0))
+        mults.append(np.ones_like(span) if injected is None
+                     else injected.ratio(start, start + span))
+        start = start + span
+    trace = _contract(window, rho0, spans[-1], f"{name}_s",
+                      SilencePropagator(levels, dissipators), gaps, mults,
+                      bath, samples)
+
+    fits, stop = [], 0
+    for i, scan in enumerate(scans):
+        rows, stop = slice(stop, stop + len(scan)), stop + len(scan)
         vis = err = math.nan
-        if len(win) >= 4:
-            stderr = trace.p_up_stderr[start:stop] \
-                if trace.p_up_stderr is not None else None
-            fit = fit_fringe(win, trace.p_up[start:stop],
-                             known_frequency=larmor, stderr=stderr)
+        if len(scan) >= 4:
+            fit = fit_fringe(scan, trace.p_up[rows], known_frequency=larmor,
+                             stderr=None if trace.p_up_stderr is None
+                             else trace.p_up_stderr[rows])
             vis, err = fit.visibility, fit.visibility_stderr
-        fits.append((float(np.mean(win)), vis, err))
-        start = stop
-    return np.reshape(fits, (-1, 3)).T
+        fits.append((sum(lead[i] for lead in leads) + float(np.mean(scan)),
+                     vis, err))
+    return trace, np.reshape(fits, (-1, 3)).T
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +508,9 @@ def run_rabi_sweep(energies, levels: LevelScheme, pulse: PulseSpec,
     energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1 or len(energies) == 0:
         raise ValidationError("energies must be a non-empty 1-D sequence")
-    if np.any(energies < 0):
-        raise ValidationError("pulse energies must be non-negative")
+    if not np.all(np.isfinite(energies)) or np.any(energies < 0):
+        raise ValidationError("pulse energies must be finite and "
+                              "non-negative")
     rho0 = _prepare_initial(pump, levels, dissipators)
     return _contract(_windows(energies, levels, pulse, dissipators,
                               expm_steps), rho0, energies, "pulse_energy_J")
@@ -492,22 +548,6 @@ class RamseyResult:
     visibility_stderr: np.ndarray
 
 
-def _ramsey_windows_input(tau):
-    if isinstance(tau, (list, tuple)) and len(tau) \
-            and isinstance(tau[0], (list, tuple, np.ndarray)):
-        windows = [np.asarray(w, dtype=float) for w in tau]
-    else:
-        windows = [np.asarray(tau, dtype=float)]
-    for w in windows:
-        if w.ndim != 1 or len(w) == 0:
-            raise ValidationError("each delay window must be a non-empty "
-                                  "1-D sequence")
-        if np.any(np.diff(w) <= 0):
-            raise ValidationError("delays within a window must be strictly "
-                                  "increasing")
-    return windows
-
-
 def run_ramsey(tau, levels: LevelScheme, pulse: PulseSpec,
                dissipators: DissipatorSet, bath: BathModel | None = None,
                ensemble_mode: str = "exact", bath_samples: int = 1000,
@@ -526,30 +566,12 @@ def run_ramsey(tau, levels: LevelScheme, pulse: PulseSpec,
     characteristic function (no sampling noise); ``mc`` averages
     ``bath_samples`` frozen detunings and attaches standard errors.
     """
-    windows = _ramsey_windows_input(tau)
-    w = pulse.half_window
-    larmor = levels.electron_splitting
-    for win in windows:
-        if np.any((win != 0.0) & (win < 2.0 * w - 1e-18)):
-            raise ValidationError(
-                f"delays must be 0 or >= one full pulse window (2w = "
-                f"{2 * w:.3e} s); shorter delays overlap the pulses")
-        if len(win) >= 4:
-            # windows this size get a fringe fit, which needs
-            # alias-free sampling of the precession
-            _check_sampling(win, larmor, "delay")
-
-    samples = _resolve_ensemble(bath, ensemble_mode, bath_samples, seed)
-    window = pulse_window_propagator(levels, pulse, dissipators,
-                                     expm_steps=expm_steps)
-    all_tau = np.concatenate(windows)
-    mult = injected.ratio(0.0, all_tau) if injected is not None \
-        else np.ones_like(all_tau)
-    trace = _contract(window, _as_matrix(None), all_tau, "tau_s",
-                      SilencePropagator(levels, dissipators),
-                      (np.maximum(all_tau - 2.0 * w, 0.0),), (mult,), bath,
-                      samples)
-    return RamseyResult(trace, *_window_fits(windows, trace, larmor))
+    scans = tau if isinstance(tau, (list, tuple)) and len(tau) \
+        and isinstance(tau[0], (list, tuple, np.ndarray)) else [tau]
+    trace, fits = _fringe_scans(
+        scans, (), None, levels, pulse, dissipators, bath, ensemble_mode,
+        bath_samples, seed, injected=injected, expm_steps=expm_steps)
+    return RamseyResult(trace, *fits)
 
 
 def fringe_visibilities(energies, levels: LevelScheme, pulse: PulseSpec,
@@ -564,17 +586,14 @@ def fringe_visibilities(energies, levels: LevelScheme, pulse: PulseSpec,
     """
     energies = np.asarray(energies, dtype=float)
     larmor = levels.electron_splitting
-    w = pulse.half_window
     # two precession periods past the pulse overlap, so every delay > 2w
-    delays = ramsey_window_plan([2.0 * w + 4.0 * math.pi / larmor], larmor,
+    delays = ramsey_window_plan([2.0 * pulse.half_window
+                                 + 4.0 * math.pi / larmor], larmor,
                                 periods=2.0)[0]
-    tau = np.tile(delays, len(energies))
     windows = np.repeat(_windows(energies, levels, pulse, dissipators,
                                  expm_steps), len(delays), axis=0)
-    trace = _contract(windows, _as_matrix(None), tau, "tau_s",
-                      SilencePropagator(levels, dissipators),
-                      (tau - 2.0 * w,), (np.ones_like(tau),))
-    return _window_fits([delays] * len(energies), trace, larmor)[1]
+    return _fringe_scans([delays] * len(energies), (), windows, levels,
+                         pulse, dissipators)[1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -588,45 +607,6 @@ class EchoResult:
     amplitude: float
     amplitude_stderr: float
     trace: ExperimentTrace
-
-
-def _run_echoes(tau1_values, scans, levels, pulse, dissipators, bath=None,
-                ensemble_mode="exact", bath_samples=1000, seed=None,
-                pump=None, injected=None, expm_steps=1024):
-    """Echo scans, tau2 scan k at tau1_values[k], as one contraction.
-
-    Every scan is checked first; the bath is drawn, the initial state
-    prepared and the pulse window built once for all of them. Returns
-    the joined trace and each scan's total time, amplitude and stderr.
-    """
-    w = pulse.half_window
-    larmor = levels.electron_splitting
-    for tau1, tau2 in zip(tau1_values, scans):
-        if tau2.ndim != 1 or len(tau2) == 0:
-            raise ValidationError("tau2 must be a non-empty 1-D sequence")
-        if np.any(np.diff(tau2) <= 0):
-            raise ValidationError("tau2 values must be strictly increasing")
-        if tau1 < 2.0 * w:
-            raise ValidationError(f"tau1 must be >= one full pulse window "
-                                  f"(2w = {2 * w:.3e} s)")
-        if tau2[0] < 2.0 * w:
-            raise ValidationError(f"tau2 must be >= one full pulse window "
-                                  f"(2w = {2 * w:.3e} s)")
-        _check_sampling(tau2, larmor, "tau2")
-
-    samples = _resolve_ensemble(bath, ensemble_mode, bath_samples, seed)
-    rho0 = _prepare_initial(pump, levels, dissipators)
-    window = pulse_window_propagator(levels, pulse, dissipators,
-                                     expm_steps=expm_steps)
-    tau1 = np.repeat(tau1_values, [len(scan) for scan in scans])
-    tau2 = np.concatenate(scans)
-    mults = (injected.ratio(0.0, tau1), injected.ratio(tau1, tau1 + tau2)) \
-        if injected is not None else (np.ones_like(tau2),) * 2
-    trace = _contract(window, rho0, tau2, "tau2_s",
-                      SilencePropagator(levels, dissipators),
-                      (tau1 - 2.0 * w, tau2 - 2.0 * w), mults, bath, samples)
-    centers, amplitudes, stderr = _window_fits(scans, trace, larmor)
-    return trace, tau1_values + centers, amplitudes, stderr
 
 
 def run_echo(tau1: float, tau2, levels: LevelScheme, pulse: PulseSpec,
@@ -644,11 +624,10 @@ def run_echo(tau1: float, tau2, levels: LevelScheme, pulse: PulseSpec,
     coherence by its cumulative envelope and is what a decay fit
     recovers. A scan of fewer than four points has a nan amplitude.
     """
-    trace, _, amplitudes, stderr = _run_echoes(
-        np.array([tau1], dtype=float), [np.asarray(tau2, dtype=float)],
-        levels, pulse, dissipators, bath, ensemble_mode, bath_samples, seed,
-        pump, injected, expm_steps)
-    return EchoResult(amplitudes[0], stderr[0], trace)
+    trace, (_, (amplitude,), (stderr,)) = _fringe_scans(
+        [tau2], ([tau1],), None, levels, pulse, dissipators, bath,
+        ensemble_mode, bath_samples, seed, pump, injected, expm_steps)
+    return EchoResult(amplitude, stderr, trace)
 
 
 @dataclass
@@ -683,9 +662,9 @@ def run_echo_decay(tau1_values, levels: LevelScheme, pulse: PulseSpec,
         raise ValidationError("tau1_values must be a non-empty 1-D sequence")
     scans = ramsey_window_plan(tau1_values, levels.electron_splitting,
                                periods, points_per_period)
-    trace, times, amplitudes, stderr = _run_echoes(
-        tau1_values, scans, levels, pulse, dissipators, **kwargs)
-    return EchoDecayResult(times, amplitudes, stderr, trace)
+    trace, fits = _fringe_scans(scans, (tau1_values,), None, levels, pulse,
+                                dissipators, **kwargs)
+    return EchoDecayResult(*fits, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +691,8 @@ def run_t1_recovery(wait_values, levels: LevelScheme,
     if wait_values.ndim != 1 or len(wait_values) < 4:
         raise ValidationError("wait_values must hold at least four delays "
                               "to fit the three-parameter recovery")
-    if np.any(wait_values < 0):
-        raise ValidationError("wait values must be non-negative")
+    if not np.all(np.isfinite(wait_values)) or np.any(wait_values < 0):
+        raise ValidationError("wait values must be finite and non-negative")
     pumped = optical_pump(DensityMatrix.scrambled().matrix, levels,
                           pump.rabi, pump.duration, dissipators, pump.samples)
     rows = SilencePropagator(levels, dissipators).split_by_detuning(

@@ -711,3 +711,65 @@ class TestValidation:
         with pytest.raises(d.ValidationError):
             d.ramsey_window_plan([2e-9], levels_5t.electron_splitting,
                                  points_per_period=4)
+
+
+def _refused_inputs():
+    """Runs whose inputs no scan may take, named for their fault."""
+    mc = dict(bath=BathModel.gaussian(17e-9, 1.97), ensemble_mode="mc",
+              bath_samples=64, seed=1)
+    pump = d.PumpSettings(rabi=TWO_PI * 20e6, duration=2e-6, samples=32)
+
+    def echo(tau1=5e-7, tau2_start=lambda w: 5e-7, step=1.0):
+        # a five-point tau2 scan, of steps a ninth of a period by default
+        def run(levels, pulse, diss):
+            period = TWO_PI / levels.electron_splitting
+            scan = tau2_start(pulse.half_window) \
+                + np.arange(5) * step * period / 9.0
+            return d.run_echo(tau1, scan, levels, pulse, diss, pump=pump,
+                              **mc)
+        return run
+
+    return {
+        "ramsey nan delay": lambda levels, pulse, diss: d.run_ramsey(
+            [math.nan], levels, pulse, diss, **mc),
+        "ramsey inf delay": lambda levels, pulse, diss: d.run_ramsey(
+            [math.inf], levels, pulse, diss, **mc),
+        "echo nan tau1": echo(tau1=math.nan),
+        "echo inf tau2": echo(tau2_start=lambda w: math.inf),
+        "echo decay inf tau1": lambda levels, pulse, diss: d.run_echo_decay(
+            [5e-7, math.inf], levels, pulse, diss, pump=pump, **mc),
+        "t1 nan wait": lambda levels, pulse, diss: d.run_t1_recovery(
+            [0.0, 0.1, math.nan, 0.3], levels, diss, pump),
+        "rabi nan energy": lambda levels, pulse, diss: d.run_rabi_sweep(
+            [0.0, math.nan], levels, pulse, diss, pump=pump),
+        # only a scan with no lead delay may hold a zero delay
+        "echo tau2 from zero": echo(tau2_start=lambda w: 0.0),
+        "echo tau2 inside 2w": echo(tau2_start=lambda w: w),
+        "echo aliased tau2": echo(step=9.0),
+        "echo descending tau2": echo(step=-1.0),
+    }
+
+
+@pytest.mark.parametrize("case", list(_refused_inputs()))
+def test_bad_inputs_refused_before_any_work(case, monkeypatch, levels_5t,
+                                            quiet, half_pi_pulse):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work began before the input check")
+
+    monkeypatch.setattr(d.sequences, "pulse_window_propagator", must_not_run)
+    monkeypatch.setattr(d.sequences, "optical_pump", must_not_run)
+    monkeypatch.setattr(BathModel, "sample_detunings", must_not_run)
+    with pytest.raises(d.ValidationError):
+        _refused_inputs()[case](levels_5t, half_pi_pulse, quiet)
+
+
+def test_echo_scans_take_the_ramsey_delay_rules(levels_5t, quiet,
+                                                half_pi_pulse):
+    # a scan too short for a fringe fit is not alias-checked, and tau2
+    # has the same float slack on the 2w bound as a Ramsey delay
+    w = half_pi_pulse.half_window
+    period = TWO_PI / levels_5t.electron_splitting
+    tau2 = 2.0 * w * (1.0 - 1e-9) + np.arange(3) * period
+    echo = d.run_echo(5e-7, tau2, levels_5t, half_pi_pulse, quiet,
+                      expm_steps=64)
+    assert math.isnan(echo.amplitude) and len(echo.trace.p_up) == 3
