@@ -218,11 +218,17 @@ class FitResult:
 _STEP_TOL, _COST_TOL = 1e-8, 1e-10
 
 
-def _lm_minimize(residual_fn, p0, lower, upper, max_iterations):
-    """Bounded LM on a residual function. Returns (p, info dict)."""
+def _lm_minimize(residual_fn, p0, lower, upper, max_iterations, scale=1.0):
+    """Bounded LM on a residual function. Returns (p, info dict).
+
+    ``scale`` gives each parameter the size below which its magnitude
+    no longer sets its finite-difference step or its relative-step
+    test: both measure p against max(|p|, scale).
+    """
     p = np.array(p0, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
+    scale = np.broadcast_to(np.asarray(scale, dtype=float), p.shape)
 
     def clamp(q):
         return np.minimum(np.maximum(q, lower), upper)
@@ -236,7 +242,7 @@ def _lm_minimize(residual_fn, p0, lower, upper, max_iterations):
     message = "iteration limit reached"
 
     for iterations in range(1, max_iterations + 1):
-        jac = _numeric_jacobian(residual_fn, p, lower, upper, r)
+        jac = _numeric_jacobian(residual_fn, p, lower, upper, r, scale)
         normal = jac.T @ jac
         grad = jac.T @ r
         diag = np.diag(normal).copy()
@@ -268,7 +274,7 @@ def _lm_minimize(residual_fn, p0, lower, upper, max_iterations):
             message = "no downhill step found (stationary within damping limit)"
             break
         rel_step = float(np.max(np.abs(trial - p)
-                                / np.maximum(np.abs(trial), 1.0)))
+                                / np.maximum(np.abs(trial), scale)))
         rel_drop = (cost - cost_trial) / max(cost, _TINY)
         p, r, cost = trial, r_trial, cost_trial
         lam = max(lam / 3.0, 1e-12)
@@ -282,14 +288,9 @@ def _lm_minimize(residual_fn, p0, lower, upper, max_iterations):
             break
 
     if converged:
-        # Normalize columns before the rank test: parameters carry
-        # wildly different units, so raw singular values only reflect
-        # scale. A parameter is unconstrained when its column is zero
-        # or parallel to the others, not when it is merely small.
-        norms = np.linalg.norm(jac, axis=0)
-        live = norms > 0
-        rank = int(np.linalg.matrix_rank(jac[:, live] / norms[live])) \
-            if live.any() else 0
+        # A parameter is unconstrained when its column is zero or
+        # parallel to the others, not when it is merely small.
+        rank = int(np.linalg.matrix_rank(_unit_columns(jac)[0]))
         if rank < p.size:
             converged = False
             message = (f"singular Jacobian: rank {rank} < {p.size}, "
@@ -300,26 +301,47 @@ def _lm_minimize(residual_fn, p0, lower, upper, max_iterations):
     }
 
 
-def _numeric_jacobian(residual_fn, p, lower, upper, r0):
+def _unit_columns(jac):
+    """``jac`` with each nonzero column scaled to unit norm, and the
+    norms it was divided by (1 for a zero column). Parameters carry
+    wildly different units, so the raw singular values of ``jac`` only
+    reflect their scale."""
+    norms = np.linalg.norm(jac, axis=0)
+    norms[norms == 0.0] = 1.0
+    return jac / norms, norms
+
+
+def _numeric_jacobian(residual_fn, p, lower, upper, r0, scale=1.0):
     """Central differences; ``r0`` is the caller's residual at ``p``.
 
-    A side that a bound clamps back to ``p`` reuses ``r0`` instead of
-    evaluating the residual there again.
+    Parameter k steps by sqrt(eps) * max(|p_k|, scale_k). A column that
+    comes out exactly zero at a step below the unit-scale one,
+    sqrt(eps) * max(|p_k|, 1), is taken again at 1e4 times the step, up
+    to that one: a model that reads the parameter on a coarser scale
+    than ``scale`` still gets a derivative. A side that a bound clamps
+    back to ``p`` reuses ``r0`` instead of evaluating the residual there
+    again.
     """
+    scale = [scale] * p.size if np.ndim(scale) == 0 else scale
     jac = np.empty((r0.size, p.size))
-    for k in range(p.size):
-        h = _SQRT_EPS * max(abs(p[k]), 1.0)
-        up = p.copy()
-        dn = p.copy()
-        up[k] = min(p[k] + h, upper[k])
-        dn[k] = max(p[k] - h, lower[k])
-        span = up[k] - dn[k]
-        if span == 0.0:
-            jac[:, k] = 0.0
-            continue
-        r_up = r0 if up[k] == p[k] else residual_fn(up)
-        r_dn = r0 if dn[k] == p[k] else residual_fn(dn)
-        jac[:, k] = (r_up - r_dn) / span
+    for k, (size, floor) in enumerate(zip(np.abs(p).tolist(), scale)):
+        limit = _SQRT_EPS * max(size, 1.0)
+        h = _SQRT_EPS * max(size, floor)
+        while True:
+            up = p.copy()
+            dn = p.copy()
+            up[k] = min(p[k] + h, upper[k])
+            dn[k] = max(p[k] - h, lower[k])
+            span = up[k] - dn[k]
+            if span == 0.0:
+                jac[:, k] = 0.0
+                break
+            r_up = r0 if up[k] == p[k] else residual_fn(up)
+            r_dn = r0 if dn[k] == p[k] else residual_fn(dn)
+            jac[:, k] = (r_up - r_dn) / span
+            if h >= limit or np.any(jac[:, k] != 0.0):
+                break
+            h = min(h * 1e4, limit)
     return jac
 
 
@@ -380,20 +402,25 @@ def fit_curve(kind, x, y, weights=None, init=None) -> FitResult:
     return _least_squares(specs, residual_fn, 500)
 
 
-def _least_squares(specs, residual_fn, max_iterations) -> FitResult:
+def _least_squares(specs, residual_fn, max_iterations,
+                   scale=1.0) -> FitResult:
     """Run LM from the :class:`ParameterSpec` inits and summarize the fit.
 
-    The uncertainties are the root diagonal of the reduced chi-square
-    times the pseudo-inverse of J^T J, from the last Jacobian of the run.
+    ``scale`` is :func:`_lm_minimize`'s, one per spec or shared. The
+    uncertainties are the root diagonal of the reduced chi-square times
+    the pseudo-inverse of J^T J, from the last Jacobian of the run. The
+    pseudo-inverse is taken on unit-norm columns and scaled back, so
+    that its cutoff never drops a direction for its units alone.
     """
     names = tuple(spec.name for spec in specs)
     lower = np.array([spec.lower for spec in specs])
     upper = np.array([spec.upper for spec in specs])
     p, info = _lm_minimize(residual_fn, [spec.init for spec in specs],
-                           lower, upper, max_iterations)
+                           lower, upper, max_iterations, scale)
     dof = max(info["residual"].size - len(names), 1)
-    jac = info["jacobian"]
-    cov = info["cost"] / dof * np.linalg.pinv(jac.T @ jac)
+    unit, norms = _unit_columns(info["jacobian"])
+    cov = info["cost"] / dof * np.linalg.pinv(unit.T @ unit) \
+        / np.outer(norms, norms)
     sigma = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FitResult(
         parameters=dict(zip(names, map(float, p))),
@@ -569,20 +596,25 @@ def simultaneous_fit_rabi_fringe(rabi_energies, rabi_p_up,
     errors are given, normalized so each dataset carries the same total
     weight. The fit stops after 200 iterations.
 
-    Forward-model failures at trial parameters are logged and rejected
-    through a large residual penalty instead of aborting the fit; a
-    failure at the returned parameters raises its error.
+    Energies must be finite and non-negative (``ValidationError``
+    before any simulation). Forward-model failures (a
+    :class:`DonorSpinError`) at trial parameters are logged and
+    rejected through a large residual penalty instead of aborting the
+    fit; a failure at the returned parameters raises its error, and any
+    other exception ends the fit at once. The finite-difference steps
+    and the step test size beta1 against 1e-3 and beta2 against 1e-3
+    over the peak Rabi rate at the initial calibration and the largest
+    energy, not against 1.
     """
     from . import sequences  # imported here to avoid a module cycle
 
-    rabi_energies = np.asarray(rabi_energies, dtype=float)
+    rabi_energies = sequences._pulse_energies(rabi_energies)
     rabi_p_up = np.asarray(rabi_p_up, dtype=float)
-    fringe_energies = np.asarray(fringe_energies, dtype=float)
+    fringe_energies = sequences._pulse_energies(fringe_energies)
     fringe_visibility = np.asarray(fringe_visibility, dtype=float)
-    if rabi_energies.shape != rabi_p_up.shape or rabi_energies.ndim != 1:
+    if rabi_energies.shape != rabi_p_up.shape:
         raise ValidationError("rabi energies and populations must match")
-    if fringe_energies.shape != fringe_visibility.shape \
-            or fringe_energies.ndim != 1:
+    if fringe_energies.shape != fringe_visibility.shape:
         raise ValidationError("fringe energies and visibilities must match")
 
     def dataset_w(stderr, y):
@@ -621,7 +653,7 @@ def simultaneous_fit_rabi_fringe(rabi_energies, rabi_p_up,
     def residual_fn(p):
         try:
             model = forward(p)
-        except Exception as exc:  # forward model failed at these parameters
+        except DonorSpinError as exc:  # the model failed at these parameters
             logger.warning("forward model rejected parameters %s: %s", p, exc)
             failed.add(p.tobytes())
             return np.full(y_all.shape, penalty)
@@ -630,7 +662,14 @@ def simultaneous_fit_rabi_fringe(rabi_energies, rabi_p_up,
     specs = (ParameterSpec("calibration", init["calibration"], _TINY),
              ParameterSpec("beta1", init["beta1"], 0.0),
              ParameterSpec("beta2", init["beta2"], 0.0))
-    fit = _least_squares(specs, residual_fn, 200)
+    # beta1 and beta2 * Omega add to one rate per unit Rabi rate, so
+    # beta2 is sized against the peak Rabi rate at the top energy
+    peak = replace(pulse_template, calibration=init["calibration"],
+                   energy=float(np.max(np.concatenate(
+                       [rabi_energies, fringe_energies]), initial=0.0))
+                   ).peak_rabi
+    scale = (1.0, 1e-3, 1e-3 / peak if peak > 0 else 1.0)
+    fit = _least_squares(specs, residual_fn, 200, scale)
     p = np.array(list(fit.parameters.values()))
     if p.tobytes() in failed:  # the model failed at p: raise its error here
         forward(p)

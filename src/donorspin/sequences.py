@@ -485,11 +485,24 @@ def _windows(energies, levels, pulse, dissipators, expm_steps,
         for energy in energies]).reshape(-1, 16, 16)
 
 
+def _pulse_energies(energies) -> np.ndarray:
+    """``energies`` as a 1-D float array; ``ValidationError`` unless each
+    is finite and non-negative."""
+    energies = np.asarray(energies, dtype=float)
+    if energies.ndim != 1:
+        raise ValidationError("energies must be a 1-D sequence")
+    if not np.all(np.isfinite(energies)) or np.any(energies < 0):
+        raise ValidationError("pulse energies must be finite and "
+                              "non-negative")
+    return energies
+
+
 def rabi_populations(energies, levels: LevelScheme, pulse: PulseSpec,
                      dissipators: DissipatorSet, initial=None,
                      integrator: IntegratorConfig | None = None,
                      expm_steps: int = 256) -> np.ndarray:
     """p_up after one control pulse per energy, read as in a Rabi sweep."""
+    energies = _pulse_energies(energies)
     return _contract(_windows(energies, levels, pulse, dissipators,
                               expm_steps, integrator),
                      _as_matrix(initial), energies, "pulse_energy_J").p_up
@@ -505,12 +518,9 @@ def run_rabi_sweep(energies, levels: LevelScheme, pulse: PulseSpec,
     ``pump`` is given (so residual pump infidelity shows at zero
     energy), else the ideal spin-down state.
     """
-    energies = np.asarray(energies, dtype=float)
-    if energies.ndim != 1 or len(energies) == 0:
+    energies = _pulse_energies(energies)
+    if len(energies) == 0:
         raise ValidationError("energies must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(energies)) or np.any(energies < 0):
-        raise ValidationError("pulse energies must be finite and "
-                              "non-negative")
     rho0 = _prepare_initial(pump, levels, dissipators)
     return _contract(_windows(energies, levels, pulse, dissipators,
                               expm_steps), rho0, energies, "pulse_energy_J")
@@ -584,7 +594,7 @@ def fringe_visibilities(energies, levels: LevelScheme, pulse: PulseSpec,
     the amplitude fitted at the precession frequency. The window does
     not depend on the energy, so all energies share one contraction.
     """
-    energies = np.asarray(energies, dtype=float)
+    energies = _pulse_energies(energies)
     larmor = levels.electron_splitting
     # two precession periods past the pulse overlap, so every delay > 2w
     delays = ramsey_window_plan([2.0 * pulse.half_window

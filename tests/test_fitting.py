@@ -173,6 +173,32 @@ class TestFitDiagnostics:
         assert result.parameters["t_decay"] > 0
 
 
+class TestCovariance:
+    def test_stderr_holds_at_a_nanosecond_time_constant(self, monkeypatch):
+        # cond(J^T J) is near 6e15 here, so a pseudo-inverse of the raw
+        # normal matrix drops whole directions and reports ~1e-19
+        rng = np.random.default_rng(5)
+        x = np.linspace(0.0, 40e-9, 41)
+        y = 0.1 + 0.8 * np.exp(-(x / 12e-9) ** 2) \
+            + rng.normal(0.0, 1e-3, x.size)
+        jacobians = []
+
+        def recorded(*args, _original=fitting._numeric_jacobian):
+            jacobians.append(_original(*args))
+            return jacobians[-1]
+
+        monkeypatch.setattr(fitting, "_numeric_jacobian", recorded)
+        result = d.fit_curve("gaussian_decay", x, y)
+        resid = evaluate("gaussian_decay", result.parameters, x) - y
+        norms = np.linalg.norm(jacobians[-1], axis=0)
+        unit = jacobians[-1] / norms
+        cov = resid @ resid / (x.size - 3) * np.linalg.inv(unit.T @ unit) \
+            / np.outer(norms, norms)
+        for k, name in enumerate(("amplitude", "t_decay", "offset")):
+            assert result.uncertainties[name] == pytest.approx(
+                math.sqrt(cov[k, k]), rel=1e-6)
+
+
 class TestCompareModels:
     def test_identifies_generating_model(self):
         x, y, _ = synthesize("gaussian_decay")
@@ -420,7 +446,59 @@ class TestNumericJacobian:
         assert np.allclose(jac, a, rtol=1e-6)
 
 
+# (calibration / 3.5e23, beta1) of the benchmark's pulse_scan fit
+# requests at seeds 1-3
+BENCHMARK_FITS = ((1.0136, 4.7095e-3), (1.0077, 4.53903e-3),
+                  (0.997143, 4.95871e-3))
+
+
+def benchmark_fit_args(levels, calibration, beta1):
+    """The benchmark's joint-fit request at the default 256 steps: data
+    at the true parameters, and a start at 0.9 x calibration and beta1
+    = 1e-3 with beta2 free."""
+    pulse = d.PulseSpec(shape="gaussian", duration=1.9e-12, energy=1e-15,
+                        calibration=calibration)
+    truth = d.DissipatorSet(laser_dephasing_linear=beta1)
+    e_half = d.energy_for_rotation_angle(pulse, levels, math.pi / 2)
+    rabi_energies = np.linspace(0.2, 2.2, 5) * e_half
+    fringe_energies = np.array([0.6, 1.0, 1.5]) * e_half
+    return dict(
+        rabi_energies=rabi_energies,
+        rabi_p_up=d.rabi_populations(rabi_energies, levels, pulse, truth),
+        fringe_energies=fringe_energies,
+        fringe_visibility=d.fringe_visibilities(fringe_energies, levels,
+                                                pulse, truth),
+        levels=levels, pulse_template=pulse,
+        dissipator_template=d.DissipatorSet(),
+        initial={"calibration": 0.9 * calibration, "beta1": 1e-3})
+
+
 class TestSimultaneousFit:
+    @pytest.mark.parametrize("factor, beta1", BENCHMARK_FITS)
+    def test_benchmark_case_converges_at_the_default_steps(
+            self, levels_low_field, factor, beta1):
+        calibration = 3.5e23 * factor
+        fit = d.simultaneous_fit_rabi_fringe(**benchmark_fit_args(
+            levels_low_field, calibration, beta1)).fit
+        assert fit.converged, fit.message
+        assert fit.parameters["calibration"] == pytest.approx(calibration,
+                                                              rel=1e-4)
+        assert fit.parameters["beta1"] == pytest.approx(beta1, rel=1e-3)
+
+    def test_benchmark_case_takes_no_fallback_window(self, monkeypatch,
+                                                     levels_low_field):
+        factor, beta1 = BENCHMARK_FITS[0]
+        args = benchmark_fit_args(levels_low_field, 3.5e23 * factor, beta1)
+        tables = []
+
+        def recorded(*args, _original=d.sequences._step_table):
+            tables.append(_original(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(d.sequences, "_step_table", recorded)
+        d.simultaneous_fit_rabi_fringe(**args)
+        assert tables and not any(len(table) == 0 for table in tables)
+
     def test_roundtrip_recovers_calibration_and_dephasing(
             self, levels_low_field, half_pi_pulse):
         pulse = half_pi_pulse
@@ -498,6 +576,42 @@ class TestSimultaneousFit:
             d.simultaneous_fit_rabi_fringe(
                 energies, np.full(6, 0.5), energies[:3], np.full(3, 0.2),
                 levels_low_field, half_pi_pulse, d.DissipatorSet())
+
+    def test_a_programming_error_ends_the_fit(self, monkeypatch,
+                                              levels_low_field,
+                                              half_pi_pulse):
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(args)
+            raise TypeError("forward model takes no such argument")
+
+        monkeypatch.setattr(d.sequences, "rabi_populations", broken)
+        energies = np.linspace(0.3, 2.5, 6)
+        with pytest.raises(TypeError, match="no such argument"):
+            d.simultaneous_fit_rabi_fringe(
+                energies, np.full(6, 0.5), energies[:3], np.full(3, 0.2),
+                levels_low_field, half_pi_pulse, d.DissipatorSet())
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("side, bad", [("rabi", math.nan),
+                                           ("fringe", math.inf),
+                                           ("fringe", -1e-16)])
+    def test_bad_energies_are_refused_before_any_simulation(
+            self, monkeypatch, levels_low_field, half_pi_pulse, side, bad):
+        calls = []
+        for name in ("rabi_populations", "fringe_visibilities"):
+            monkeypatch.setattr(d.sequences, name,
+                                lambda *args, **kwargs: calls.append(args))
+        energies = {"rabi": np.linspace(1e-16, 5e-16, 6),
+                    "fringe": np.linspace(1e-16, 3e-16, 3)}
+        energies[side][1] = bad
+        with pytest.raises(d.ValidationError, match="finite and non-neg"):
+            d.simultaneous_fit_rabi_fringe(
+                energies["rabi"], np.full(6, 0.5), energies["fringe"],
+                np.full(3, 0.2), levels_low_field, half_pi_pulse,
+                d.DissipatorSet())
+        assert calls == []
 
     def test_shape_validation(self, levels_low_field, half_pi_pulse):
         with pytest.raises(d.ValidationError):

@@ -353,8 +353,9 @@ class TestMatrixExponential:
         assert np.max(np.abs(step - exact_expm(gen))) < 2e-12
 
     def test_stiff_window_step(self, levels_low_field):
-        # the joint fit's beta2 probe: gamma * h is about 1.7e5 at the
-        # envelope peak of a 64-step window
+        # beta2 at the step the joint fit's probe took before it was
+        # scaled per parameter: gamma * h is about 1.7e5 at the envelope
+        # peak of a 64-step window
         pulse = pulse_for_angle(levels_low_field, 2.2 * math.pi / 2)
         stiff = d.DissipatorSet(laser_dephasing_linear=4.8e-3,
                                 laser_dephasing_quadratic=1.49e-8)

@@ -609,6 +609,21 @@ def test_no_energies_give_empty_arrays(levels_low_field, quiet):
         assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-16])
+def test_bad_energies_are_refused_before_any_table(monkeypatch,
+                                                   levels_low_field, quiet,
+                                                   bad):
+    pulse = pulse_for_angle(levels_low_field, math.pi / 2)
+    tables = []
+    monkeypatch.setattr(d.sequences, "_step_table",
+                        lambda *args: tables.append(args))
+    for run in (d.rabi_populations, d.fringe_visibilities):
+        with pytest.raises(d.ValidationError, match="finite and non-neg"):
+            run([pulse.energy, bad], levels_low_field, pulse, quiet,
+                expm_steps=64)
+    assert tables == []
+
+
 class TestT1Recovery:
     def test_roundtrips_relaxation_time(self, levels_5t):
         diss = d.DissipatorSet(radiative_rate=1e9, t1_rate=10.0)
