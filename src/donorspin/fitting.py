@@ -366,6 +366,15 @@ def _validate_xy(x, y, weights, n_params):
     return x, y, w
 
 
+def _check_init(init):
+    """``ValidationError`` unless each start value is one finite number."""
+    for name, value in init.items():
+        if np.shape(value) or np.asarray(value).dtype.kind not in "iuf" \
+                or not np.isfinite(value):
+            raise ValidationError(f"init value of {name!r} must be a "
+                                  f"finite number, got {value!r}")
+
+
 def fit_curve(kind, x, y, weights=None, init=None) -> FitResult:
     """Fit the catalogue model ``kind`` to data.
 
@@ -387,6 +396,7 @@ def fit_curve(kind, x, y, weights=None, init=None) -> FitResult:
     if unknown:
         raise ValidationError(
             f"unknown parameters for {kind!r}: {sorted(unknown)}")
+    _check_init(init)
     if len(init) < len(names):
         init = {**guess(x, y), **init}
     specs = []
@@ -633,6 +643,7 @@ def simultaneous_fit_rabi_fringe(rabi_energies, rabi_p_up,
         unknown = set(initial) - set(init)
         if unknown:
             raise ValidationError(f"unknown fit parameters: {sorted(unknown)}")
+        _check_init(initial)
         init.update(initial)
 
     def forward(p):

@@ -88,6 +88,7 @@ _DOWN_FLAT = _IDX[GROUND_DOWN, GROUND_DOWN]
 _GROUND_COHERENCES = [_IDX[GROUND_UP, GROUND_DOWN],
                       _IDX[GROUND_DOWN, GROUND_UP]]
 _MC_BLOCK = 512  # mc samples per block of the streamed average
+_MC_SUB_BLOCK = 128  # mc samples per phase sub-block: bounds its buffers
 _MC_SAMPLES_CAP = 10 ** 7  # most bath samples a run may draw
 _ENSEMBLE_MODES = ("exact", "mc")  # the bath averages a run can take
 
@@ -250,8 +251,9 @@ def _prepare_initial(pump, levels, dissipators):
 def _ensemble_reduce(terms, durations, bath, samples):
     """Average sum_k exp(-i*delta*durations[k]) * terms[k] over the bath.
 
-    ``terms`` (complex) and ``durations`` are (keys, n) arrays. Returns
-    (mean, stderr or None).
+    ``terms`` (complex) is a (keys, ..., n) array of rows that share the
+    (keys, n) ``durations``, and all rows reduce in one pass. Returns
+    (mean, stderr or None), each of shape terms.shape[1:].
 
     Without ``samples`` the sum is exact, each key weighted by the
     bath's characteristic function (bare with no bath), in key order.
@@ -259,11 +261,13 @@ def _ensemble_reduce(terms, durations, bath, samples):
     phase, and the others merge into one term per duration up to sign:
     a key whose durations negate a merged key's bit for bit (IEEE
     negation is exact) adds its conjugate terms, since
-    Re(e^{+i delta d} T) = Re(e^{-i delta d} conj T). Blocks of
-    ``_MC_BLOCK`` samples stream into a running sum and sum of squared
-    deviations (the pairwise update of Chan, Golub & LeVeque, Am. Stat.
-    37, 242 (1983)), so memory is a few (block, points) arrays for any
-    sample count.
+    Re(e^{+i delta d} T) = Re(e^{-i delta d} conj T). A merged key
+    takes one phase exponential for all rows. Blocks of ``_MC_BLOCK``
+    samples fill one (rows, block, points) real array, the phases in
+    sub-blocks of ``_MC_SUB_BLOCK``, and stream into each row's running
+    sum and sum of squared deviations (the pairwise update of Chan,
+    Golub & LeVeque, Am. Stat. 37, 242 (1983)). Buffers are made once
+    per call, so memory is fixed for any sample count.
     """
     if samples is None:
         total = 0.0  # a bath-free term adds bare: (1+0j) * (x+inf*j) is nan
@@ -274,7 +278,9 @@ def _ensemble_reduce(terms, durations, bath, samples):
         return np.real(total), None
     # Monte Carlo over frozen detunings: dynamics are linear in the phase
     # factors, so averaging the phases exactly averages per-donor traces
-    n_points = terms.shape[1]
+    shape = terms.shape[1:]
+    terms = terms.reshape(len(terms), -1, shape[-1])
+    n_rows, n_points = terms.shape[1:]
     still, merged = 0.0, {}
     for term, duration in zip(terms, durations):
         if not np.any(duration):
@@ -284,23 +290,33 @@ def _ensemble_reduce(terms, durations, bath, samples):
             duration, term = -duration, np.conj(term)
         entry = merged.setdefault(duration.tobytes(), [duration, 0.0])
         entry[1] = entry[1] + term
+    values = np.empty((n_rows, min(len(samples), _MC_BLOCK), n_points))
+    phase = np.empty((min(len(samples), _MC_SUB_BLOCK), n_points), complex)
+    product = np.empty_like(phase)
     n, total, m2 = 0, 0.0, 0.0
     for start in range(0, len(samples), _MC_BLOCK):
         block = samples[start:start + _MC_BLOCK]
-        values = np.zeros((len(block), n_points))
-        for durations, terms in merged.values():
-            phase = np.multiply.outer(block, -1j * durations)
-            np.exp(phase, out=phase)
-            phase *= terms
-            values += phase.real
-        # Chan et al.: fold the block's sum and squared deviations in
-        block_total = values.sum(axis=0)
-        block_m2 = np.square(values - block_total / len(block)).sum(axis=0)
+        rows = values[:, :len(block)]
+        rows.fill(0.0)
+        for duration, key_terms in merged.values():
+            for sub in range(0, len(block), _MC_SUB_BLOCK):
+                part = block[sub:sub + _MC_SUB_BLOCK]
+                ph, pr = phase[:len(part)], product[:len(part)]
+                np.exp(np.multiply.outer(part, -1j * duration, out=ph),
+                       out=ph)
+                for row, term in zip(rows, key_terms):
+                    row[sub:sub + len(part)] += np.multiply(ph, term,
+                                                            out=pr).real
+        # Chan et al.: fold the block's sum and squared deviations in,
+        # taking the deviations in place
+        block_total = rows.sum(axis=1)
+        rows -= block_total[:, None] / len(block)
+        block_m2 = np.square(rows, out=rows).sum(axis=1)
         delta = block_total / len(block) - total / max(n, 1)
         m2 = m2 + block_m2 + delta ** 2 * (n * len(block) / (n + len(block)))
         n, total = n + len(block), total + block_total
-    stderr = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros(n_points)
-    return still + total / n, stderr
+    stderr = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(total)
+    return (still + total / n).reshape(shape), stderr.reshape(shape)
 
 
 def _resolve_ensemble(bath, mode, n, seed):
@@ -380,15 +396,14 @@ def _contract(window, rho0, abscissa, abscissa_name, silence=None, gaps=(),
         durations = (durations[:, None]
                      + np.multiply.outer(_SIGNS, gap)).reshape(len(states), n)
 
-    rows = []
-    for flat in (_UP_FLAT, _DOWN_FLAT):
-        # one dot per row keeps the bits of a gemv and of a lone dot
-        terms = np.einsum("...i,...i->...", window[..., flat, :], states,
-                          optimize=True)
-        rows.append(_ensemble_reduce(terms, durations, bath, samples))
-    (p_up, up_err), (p_down, down_err) = rows
+    # one dot per row keeps the bits of a gemv and of a lone dot
+    terms = np.stack([np.einsum("...i,...i->...", window[..., flat, :], states,
+                                optimize=True)
+                      for flat in (_UP_FLAT, _DOWN_FLAT)], axis=1)
+    (p_up, p_down), errs = _ensemble_reduce(terms, durations, bath, samples)
     return ExperimentTrace(abscissa, abscissa_name,
-                           *_clip_populations(p_up, p_down), up_err, down_err)
+                           *_clip_populations(p_up, p_down),
+                           *(errs if errs is not None else (None, None)))
 
 
 def _fringe_scans(scans, leads, window, levels, pulse, dissipators,
@@ -541,6 +556,9 @@ def ramsey_window_plan(centers, larmor: float, periods: float = 2.0,
     if points_per_period < 8:
         raise ValidationError("points_per_period must be >= 8 to stay below "
                               "the aliasing limit")
+    if not (0.0 < larmor < math.inf and 0.0 < periods < math.inf):
+        raise ValidationError("larmor and periods must be finite and > 0, "
+                              f"got {larmor!r} and {periods!r}")
     period = 2.0 * math.pi / larmor
     count = max(int(round(periods * points_per_period)) + 1, 4)
     offsets = np.linspace(-0.5 * periods * period, 0.5 * periods * period,

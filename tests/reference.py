@@ -30,6 +30,10 @@ something:
 * ``fringe_grid_costs`` prices the free fringe fit's frequency grid
   with one ``lstsq`` per frequency, where ``fitting._grid_costs``
   projects onto batched SVDs of many designs at once.
+* ``ensemble_reduce_row`` averages one population row over the bath
+  with fresh arrays for every block and every key, where
+  ``sequences._ensemble_reduce`` reduces all rows in one pass, inside
+  buffers it reuses across blocks.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from donorspin import (
 )
 from donorspin.fitting import _linear_fringe
 from donorspin.hamiltonian import envelope_value
+from donorspin.sequences import _MC_BLOCK
 
 
 def zeeman_frequency_hz(g_factor, field):
@@ -226,3 +231,47 @@ def fringe_grid_costs(x, y, w, omegas):
     """The weighted residual cost of the [1, cos, sin] fit at each of
     ``omegas``, one frequency at a time."""
     return np.array([_linear_fringe(x, y, w, om)[1] for om in omegas])
+
+
+def ensemble_reduce_row(terms, durations, bath, samples):
+    """The bath average of one row: (keys, n) ``terms`` against (keys, n)
+    ``durations``, returning (mean, stderr or None) of shape (n,).
+
+    Exact without ``samples``, each key weighted by the bath's
+    characteristic function. With samples, it merges the keys as the
+    package does and streams blocks of ``_MC_BLOCK`` samples, each a
+    fresh (block, n) array, by the update of Chan, Golub & LeVeque.
+    """
+    if samples is None:
+        total = 0.0
+        for term, duration in zip(terms, durations):
+            if bath is not None:
+                term = bath.characteristic_function(duration) * term
+            total = total + term
+        return np.real(total), None
+    n_points = terms.shape[1]
+    still, merged = 0.0, {}
+    for term, duration in zip(terms, durations):
+        if not np.any(duration):
+            still = still + term.real
+            continue
+        if (-duration).tobytes() in merged:
+            duration, term = -duration, np.conj(term)
+        entry = merged.setdefault(duration.tobytes(), [duration, 0.0])
+        entry[1] = entry[1] + term
+    n, total, m2 = 0, 0.0, 0.0
+    for start in range(0, len(samples), _MC_BLOCK):
+        block = samples[start:start + _MC_BLOCK]
+        values = np.zeros((len(block), n_points))
+        for durations, terms in merged.values():
+            phase = np.multiply.outer(block, -1j * durations)
+            np.exp(phase, out=phase)
+            phase *= terms
+            values += phase.real
+        block_total = values.sum(axis=0)
+        block_m2 = np.square(values - block_total / len(block)).sum(axis=0)
+        delta = block_total / len(block) - total / max(n, 1)
+        m2 = m2 + block_m2 + delta ** 2 * (n * len(block) / (n + len(block)))
+        n, total = n + len(block), total + block_total
+    stderr = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros(n_points)
+    return still + total / n, stderr

@@ -166,6 +166,15 @@ class TestFitDiagnostics:
             d.compare_models(["exp_decay", "gaussian_decay"], [0.0, 1.0],
                              [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", ["a", None, True, [1.0, 2.0],
+                                     math.nan, math.inf, -math.inf])
+    def test_non_numeric_or_non_finite_init_is_refused(self, bad):
+        # a string once reached the bound clamp and raised a bare
+        # UFuncTypeError there, and inf reached the LM loop
+        x, y, params = synthesize("exp_decay")
+        with pytest.raises(d.ValidationError, match="'t_decay'"):
+            d.fit_curve("exp_decay", x, y, init={**params, "t_decay": bad})
+
     def test_init_is_clamped_into_the_bounds(self):
         x, y, params = synthesize("exp_decay")
         result = d.fit_curve("exp_decay", x, y,
@@ -611,6 +620,23 @@ class TestSimultaneousFit:
                 energies["rabi"], np.full(6, 0.5), energies["fringe"],
                 np.full(3, 0.2), levels_low_field, half_pi_pulse,
                 d.DissipatorSet())
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", ["a", math.inf, math.nan])
+    def test_bad_initial_is_refused_before_any_simulation(
+            self, monkeypatch, levels_low_field, half_pi_pulse, bad):
+        # a string once reached ParameterSpec's bound test and raised a
+        # bare TypeError, and inf reached the LM loop
+        calls = []
+        for name in ("rabi_populations", "fringe_visibilities"):
+            monkeypatch.setattr(d.sequences, name,
+                                lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(d.ValidationError, match="'beta1'"):
+            d.simultaneous_fit_rabi_fringe(
+                np.linspace(1e-16, 5e-16, 6), np.full(6, 0.5),
+                np.linspace(1e-16, 3e-16, 3), np.full(3, 0.2),
+                levels_low_field, half_pi_pulse, d.DissipatorSet(),
+                initial={"beta1": bad})
         assert calls == []
 
     def test_shape_validation(self, levels_low_field, half_pi_pulse):

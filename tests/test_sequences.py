@@ -13,7 +13,12 @@ import donorspin as d
 from donorspin import BathModel, ExperimentTrace, ValidationError
 from donorspin.sequences import _ensemble_reduce
 from conftest import pulse_for_angle, spike_bath
-from reference import evolve, extracted_rotation_angle, trace_error
+from reference import (
+    ensemble_reduce_row,
+    evolve,
+    extracted_rotation_angle,
+    trace_error,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -435,6 +440,112 @@ class TestBlockedMcReduction:
         assert peaks[1] < peaks[0] + 1e6
 
 
+def two_row_reduction_inputs(gaps, n_points, n_samples, skew=False):
+    """(keys, 2, n) terms, their (keys, n) durations, a bath and its
+    samples: the shape of the contraction's p_up and p_down rows. With
+    ``skew`` the durations of key (1, 1) no longer negate (-1, -1)."""
+    terms, bath, samples, durations = mc_reduction_inputs(
+        gaps, n_points, n_samples, seed=n_samples)
+    second, *_ = mc_reduction_inputs(gaps, n_points, 1, seed=n_samples + 1)
+    rows = np.stack([as_arrays(terms, durations)[0],
+                     as_arrays(second, durations)[0]], axis=1)
+    durations = np.array([durations(k) * (1.0 + 1e-12)
+                          if skew and k == (1, 1) else durations(k)
+                          for k in terms])
+    return rows, durations, bath, samples
+
+
+def assert_rows_match_bitwise(terms, durations, bath, samples):
+    """One pass over both rows against one reference pass per row."""
+    mean, stderr = _ensemble_reduce(terms, durations, bath, samples)
+    assert mean.shape == terms.shape[1:]
+    for r in range(terms.shape[1]):
+        want, want_err = ensemble_reduce_row(terms[:, r], durations, bath,
+                                             samples)
+        assert mean[r].tobytes() == want.tobytes()
+        if want_err is None:
+            assert stderr is None
+        else:
+            assert stderr[r].tobytes() == want_err.tobytes()
+
+
+def reduce_row_by_row(terms, durations, bath, samples):
+    """The contraction's reduction, one reference pass per row."""
+    rows = [ensemble_reduce_row(terms[:, r], durations, bath, samples)
+            for r in range(terms.shape[1])]
+    means, errs = zip(*rows)
+    return np.array(means), None if samples is None else np.array(errs)
+
+
+class TestOnePassReduction:
+    # p_up and p_down share their keys' durations, so one pass takes
+    # each phase once for both rows and must keep every bit of two
+    @pytest.mark.parametrize("gaps, n_points, skew",
+                             [((), 228, False), ((4e-9,), 33, False),
+                              ((4e-9,), 33, True)],
+                             ids=["ramsey", "echo", "unmirrored"])
+    @pytest.mark.parametrize("mode, n_samples",
+                             [("bare", 1), ("exact", 1), ("mc", 1),
+                              ("mc", 511), ("mc", 512), ("mc", 513),
+                              ("mc", 1025)])
+    def test_both_rows_keep_the_bits_of_two_passes(self, gaps, n_points,
+                                                   skew, mode, n_samples):
+        terms, durations, bath, samples = two_row_reduction_inputs(
+            gaps, n_points, n_samples, skew)
+        if skew:
+            assert not np.array_equal(-durations[4], durations[8])
+        assert_rows_match_bitwise(terms, durations,
+                                  None if mode == "bare" else bath,
+                                  samples if mode == "mc" else None)
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_contraction_keeps_the_bits_of_two_passes(
+            self, monkeypatch, levels_5t, lossy, half_pi_pulse, mode):
+        # a Ramsey scan over 2 windows and an echo decay over 2 tau1,
+        # each through the one-pass reduction and through two passes
+        larmor = levels_5t.electron_splitting
+        kwargs = dict(bath=BathModel.gaussian(17e-9, 1.97),
+                      ensemble_mode=mode, bath_samples=600, seed=5,
+                      expm_steps=64)
+
+        def runs():
+            ramsey = d.run_ramsey(d.ramsey_window_plan([2e-9, 9e-9], larmor),
+                                  levels_5t, half_pi_pulse, lossy, **kwargs)
+            echo = d.run_echo_decay([3e-9, 6e-9], levels_5t, half_pi_pulse,
+                                    lossy, **kwargs)
+            return [ramsey.trace, ramsey.visibilities, echo.trace,
+                    echo.amplitudes]
+
+        def as_bytes(out):
+            traces = [np.array([v for v in vars(t).values()
+                                if isinstance(v, np.ndarray)])
+                      for t in out[::2]]
+            return [a.tobytes() for a in traces + out[1::2]]
+
+        one_pass = runs()
+        assert (one_pass[0].p_up_stderr is None) == (mode == "exact")
+        monkeypatch.setattr(d.sequences, "_ensemble_reduce",
+                            reduce_row_by_row)
+        assert as_bytes(runs()) == as_bytes(one_pass)
+
+    def test_two_rows_peak_below_one_row_of_the_reference(self):
+        # reused buffers and 128-sample phase sub-blocks: both rows of a
+        # 228-point Ramsey scan at 20,000 samples take less memory than
+        # one row did with fresh arrays per block (4.9 MB)
+        terms, durations, bath, samples = two_row_reduction_inputs(
+            (), 228, 20_000)
+        peaks = []
+        for reduce, rows in ((ensemble_reduce_row, terms[:, 0]),
+                             (_ensemble_reduce, terms)):
+            tracemalloc.start()
+            try:
+                reduce(rows, durations, bath, samples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+
+
 class TestEcho:
     def test_long_time_amplitude_refocuses_static_bath(self, levels_5t,
                                                        quiet, half_pi_pulse):
@@ -726,6 +837,17 @@ class TestValidation:
         with pytest.raises(d.ValidationError):
             d.ramsey_window_plan([2e-9], levels_5t.electron_splitting,
                                  points_per_period=4)
+
+    @pytest.mark.parametrize("larmor, periods",
+                             [(0.0, 2.0), (-1e12, 2.0), (math.nan, 2.0),
+                              (math.inf, 2.0), (1e12, 0.0), (1e12, -2.0),
+                              (1e12, math.nan), (1e12, math.inf)])
+    def test_window_plan_rejects_bad_larmor_or_periods(self, larmor,
+                                                       periods):
+        # a zero larmor once raised a bare ZeroDivisionError, and a nan
+        # one returned nan windows
+        with pytest.raises(d.ValidationError, match="larmor and periods"):
+            d.ramsey_window_plan([1e-7], larmor, periods)
 
 
 def _refused_inputs():
